@@ -199,8 +199,8 @@ def _cmd_expand(args, out: _Output) -> int:
 
 
 def _cmd_field(args, out: _Output) -> int:
-    _require(args.budget >= 1, "--budget must be >= 1")
     _require(args.workers >= 1, "--workers must be >= 1")
+    finitefield.check_sweep(args.p, args.k, args.n, args.test, args.budget)
     fieldctx = finitefield.build_field(args.p, args.k)
     count = finitefield.count_irreducibles(
         fieldctx, args.n, method=args.test, budget=args.budget, workers=args.workers
@@ -271,6 +271,10 @@ def _cmd_verify(args, out: _Output) -> int:
 
 def run(argv: list[str]) -> int:
     """Parse argv, dispatch, and return the process exit status."""
+    # exact values routinely pass Python's default 4,300-digit limit on
+    # int-to-str conversion (added in 3.10.7, 3.11.0)
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

@@ -16,11 +16,24 @@ Two independent irreducibility tests are provided:
 * is_irreducible_rabin -- x^(q^n) == x (mod f) plus
   gcd(x^(q^(n/l)) - x, f) = 1 for each prime l | n.
 
-Counting sweeps the full space of q^n monic polynomials.  The sweep runs
-on a vectorized block engine (numpy) so exhaustive desk-scale counts stay
-within seconds; the scalar tests above are the reference semantics and the
-engine is held to them in the test suite.  Counts above the enumeration
-budget are refused outright rather than truncated.
+Counting sweeps the full space of q^n monic polynomials in blocks of
+enumeration indices.  Which engine path serves a sweep depends on (q, n):
+
+* q = 2, n <= 32 -- the GF(2) word engine: each polynomial is one uint64
+  word, bit i the coefficient of x^i.  Rabin squares by byte-spread lookup
+  and reduces by shift-xor; trial division reduces by shift-xor against
+  one word per candidate divisor.  Squares reach bit 2n - 2, which caps
+  this path at n <= 32.
+* every other prime field, and extensions with q <= 256 -- the numpy
+  block engine on (rows, n) int64 coefficient matrices, with mod-p
+  arithmetic or the field's lookup tables.
+* extensions with q > 256 -- the scalar tests, row by row.
+
+The scalar tests above are the reference semantics and both engines are
+held to them in the test suite.  check_sweep validates every sweep before
+any work, deciding the budget from bit lengths so that a huge p or k is
+refused without computing p^k; counts above the enumeration budget are
+refused outright rather than truncated.
 """
 
 from __future__ import annotations
@@ -28,12 +41,15 @@ from __future__ import annotations
 import itertools
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 DEFAULT_BUDGET = 1 << 24
+MAX_BUDGET = 1 << 63  # enumeration indices are int64
 _TABLE_LIMIT = 256  # build element lookup tables when q <= this
 _BLOCK = 1 << 16
+_GF2_MAX_N = 32  # squares of degree-<32 words reach bit 62 of a uint64
 
 
 class NotPrimeError(ValueError):
@@ -81,6 +97,48 @@ def prime_power_decomposition(q: int) -> tuple[int, int] | None:
         m //= p
         k += 1
     return (p, k) if m == 1 else None
+
+
+def check_sweep(p: int, k: int, n: int, method: str = "rabin", budget: int = DEFAULT_BUDGET) -> int:
+    """Validate a sweep over the q^n monic degree-n polynomials over
+    F_{p^k} and return q^n.
+
+    Raises ValueError for an unknown method, n < 1, k < 1 or a budget
+    outside [1, MAX_BUDGET]; NotPrimeError for p < 2; BudgetExceededError,
+    naming the budget and the largest feasible degree, when q^n exceeds
+    the budget.  The budget is checked by bit length before p^k is
+    computed, so a huge p or k is refused at once.
+    """
+    if method not in ("trial", "rabin"):
+        raise ValueError(f"unknown method {method!r}; expected 'trial' or 'rabin'")
+    if n < 1:
+        raise ValueError(f"degree n must be >= 1, got {n}")
+    if k < 1:
+        raise ValueError(f"extension degree k must be >= 1, got {k}")
+    if p < 2:
+        raise NotPrimeError(f"p={p} is not prime")
+    if not 1 <= budget <= MAX_BUDGET:
+        raise ValueError(f"budget {budget} is outside [1, 2^63], the engine's index range")
+    # p^e >= 2^((len(p) - 1) e), so a power whose lower bound reaches the
+    # budget's bit length exceeds the budget without being computed
+    low_bits = p.bit_length() - 1
+    if low_bits * k * n < budget.bit_length():
+        total = p ** (k * n)
+        if total <= budget:
+            return total
+    feasible = 0
+    if low_bits * k < budget.bit_length():
+        q = p**k
+        while q ** (feasible + 1) <= budget:
+            feasible += 1
+
+    def power(e: int) -> str:
+        return str(p) if e == 1 else f"{p}^{e}"
+
+    raise BudgetExceededError(
+        f"sweeping q^n = {power(k * n)} monic polynomials exceeds the budget of {budget}; "
+        f"largest feasible n_max for q = {power(k)} is {feasible}"
+    )
 
 
 def _prime_factors(n: int) -> list[int]:
@@ -475,14 +533,7 @@ def enumerate_monic(field: FieldContext, n: int, budget: int = DEFAULT_BUDGET):
 
     Refuses outright when q^n exceeds the enumeration budget.
     """
-    if n < 1:
-        raise ValueError(f"degree n must be >= 1, got {n}")
-    total = field.q**n
-    if total > budget:
-        raise BudgetExceededError(
-            f"enumerating q^n = {total} monic polynomials exceeds the "
-            f"budget of {budget}"
-        )
+    total = check_sweep(field.p, field.k, n, budget=budget)
     for idx in range(total):
         yield MonicPoly(field, _index_coeffs(field.q, n, idx) + (1,))
 
@@ -734,6 +785,109 @@ def _rabin_flags_block(field: FieldContext, n: int, lo: int, hi: int) -> np.ndar
     return flags
 
 
+# ---------------------------------------------------------------------------
+# GF(2) word engine
+# ---------------------------------------------------------------------------
+#
+# Over F_2 a monic polynomial of degree n <= 32 is one uint64 word, bit i the
+# coefficient of x^i, the leading bit n included.  Addition is xor; a square
+# spreads bit i to bit 2i, at most bit 62.  Verdicts match the scalar tests
+# row for row.
+
+
+def _gf2_words(n: int, lo: int, hi: int) -> np.ndarray:
+    # enumeration index -> word.  The index has c_0 as its most significant
+    # binary digit, so the free coefficients are its n bits reversed.
+    idx = np.arange(lo, hi, dtype=np.uint64)
+    words = np.full(hi - lo, 1 << n, dtype=np.uint64)
+    for i in range(n):
+        words |= ((idx >> (n - 1 - i)) & 1) << i
+    return words
+
+
+def _gf2_spread_table() -> np.ndarray:
+    # byte b -> its square: bit i of b moved to bit 2i
+    b = np.arange(256, dtype=np.uint64)
+    out = np.zeros(256, dtype=np.uint64)
+    for i in range(8):
+        out |= ((b >> i) & 1) << (2 * i)
+    return out
+
+
+def _gf2_gcd(a: int, b: int) -> int:
+    while b:
+        db = b.bit_length()
+        while (da := a.bit_length()) >= db:
+            a ^= b << (da - db)
+        a, b = b, a
+    return a
+
+
+def _gf2_rabin_flags_block(n: int, lo: int, hi: int) -> np.ndarray:
+    rows = hi - lo
+    if n == 1:
+        return np.ones(rows, dtype=bool)
+    f = _gf2_words(n, lo, hi)
+    # f_shift[s] = f * x^s cancels bit n + s of a square
+    f_shift = [f << s for s in range(n - 1)]
+    spread = _gf2_spread_table()
+    nbytes = (n + 7) // 8
+    bit = np.empty(rows, dtype=np.uint64)
+    x = 2  # the word of x, reduced since n >= 2
+    checkpoints = {n // l for l in _prime_factors(n)}
+    saved: dict[int, np.ndarray] = {}
+    t = np.full(rows, x, dtype=np.uint64)
+    for j in range(1, n + 1):
+        sq = spread[t & 255]
+        for b in range(1, nbytes):
+            sq |= spread[(t >> (8 * b)) & 255] << (16 * b)
+        for s in range(n - 2, -1, -1):
+            np.right_shift(sq, n + s, out=bit)
+            bit &= 1
+            bit *= f_shift[s]
+            sq ^= bit
+        t = sq
+        if j in checkpoints:
+            saved[j] = t
+    flags = t == x
+    # survivors have all factor degrees dividing n; finish them with the
+    # gcd conditions on the saved intermediate powers
+    for ridx in np.nonzero(flags)[0]:
+        fi = int(f[ridx])
+        for arr in saved.values():
+            if _gf2_gcd(fi, int(arr[ridx]) ^ x) != 1:
+                flags[ridx] = False
+                break
+    return flags
+
+
+def _gf2_trial_flags_block(n: int, lo: int, hi: int) -> np.ndarray:
+    rows = hi - lo
+    if n == 1:
+        return np.ones(rows, dtype=bool)
+    cur = _gf2_words(n, lo, hi)
+    reducible = np.zeros(rows, dtype=bool)
+    alive_idx = np.arange(rows)
+    for d in range(1, n // 2 + 1):
+        for g in range(1 << d, 2 << d):  # every monic divisor of degree d
+            r = cur.copy()
+            bit = np.empty_like(r)
+            for j in range(n, d - 1, -1):
+                np.right_shift(r, j, out=bit)
+                bit &= 1
+                bit *= g << (j - d)
+                r ^= bit
+            divisible = r == 0
+            if divisible.any():
+                reducible[alive_idx[divisible]] = True
+                keep = ~divisible
+                alive_idx = alive_idx[keep]
+                cur = cur[keep]
+                if alive_idx.size == 0:
+                    return ~reducible
+    return ~reducible
+
+
 def _scalar_flags_block(field, n, lo, hi, method):
     test = is_irreducible_trial if method == "trial" else is_irreducible_rabin
     out = np.empty(hi - lo, dtype=bool)
@@ -744,15 +898,13 @@ def _scalar_flags_block(field, n, lo, hi, method):
 
 
 def _flags_range(field, n, lo, hi, method) -> np.ndarray:
-    if not _batch_supported(field):
+    if field.q == 2 and n <= _GF2_MAX_N:
+        block = partial(_gf2_trial_flags_block if method == "trial" else _gf2_rabin_flags_block, n)
+    elif _batch_supported(field):
+        block = partial(_trial_flags_block if method == "trial" else _rabin_flags_block, field, n)
+    else:
         return _scalar_flags_block(field, n, lo, hi, method)
-    parts = []
-    for blk_lo in range(lo, hi, _BLOCK):
-        blk_hi = min(blk_lo + _BLOCK, hi)
-        if method == "trial":
-            parts.append(_trial_flags_block(field, n, blk_lo, blk_hi))
-        else:
-            parts.append(_rabin_flags_block(field, n, blk_lo, blk_hi))
+    parts = [block(blk_lo, min(blk_lo + _BLOCK, hi)) for blk_lo in range(lo, hi, _BLOCK)]
     return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
@@ -761,15 +913,7 @@ def irreducible_flags(
 ) -> np.ndarray:
     """Boolean verdict for every monic degree-n polynomial, in
     enumeration order.  Same budget rule as enumerate_monic."""
-    if method not in ("trial", "rabin"):
-        raise ValueError(f"unknown method {method!r}; expected 'trial' or 'rabin'")
-    if n < 1:
-        raise ValueError(f"degree n must be >= 1, got {n}")
-    total = field.q**n
-    if total > budget:
-        raise BudgetExceededError(
-            f"scanning q^n = {total} monic polynomials exceeds the budget of {budget}"
-        )
+    total = check_sweep(field.p, field.k, n, method, budget)
     return _flags_range(field, n, 0, total, method)
 
 
@@ -792,15 +936,7 @@ def count_irreducibles(
     The q^n sweep may be partitioned into contiguous blocks counted in
     parallel (workers > 1); the result is independent of the worker count.
     """
-    if method not in ("trial", "rabin"):
-        raise ValueError(f"unknown method {method!r}; expected 'trial' or 'rabin'")
-    if n < 1:
-        raise ValueError(f"degree n must be >= 1, got {n}")
-    total = field.q**n
-    if total > budget:
-        raise BudgetExceededError(
-            f"counting q^n = {total} monic polynomials exceeds the budget of {budget}"
-        )
+    total = check_sweep(field.p, field.k, n, method, budget)
     if workers <= 1:
         return int(_flags_range(field, n, 0, total, method).sum())
     bounds = np.linspace(0, total, workers + 1, dtype=np.int64)

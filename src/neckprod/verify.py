@@ -26,7 +26,7 @@ import math
 from dataclasses import dataclass, field
 
 from .exact import build_necklace_table, necklace_count
-from .finitefield import DEFAULT_BUDGET, BudgetExceededError, build_field, count_irreducibles
+from .finitefield import DEFAULT_BUDGET, build_field, check_sweep, count_irreducibles
 from .series import ExponentSpec, eval_complex, expand_direct, expand_recursive
 
 # coarse outward-rounding margin applied to computed bounds; vastly larger
@@ -285,22 +285,9 @@ def verify_count_bridge(
     Refuses up front if any degree would exceed the enumeration budget,
     naming the largest feasible n_max.
     """
-    if n_max < 1:
-        raise ValueError(f"n_max must be >= 1, got {n_max}")
+    check_sweep(p, k, n_max, method, budget)
     fieldctx = build_field(p, k)
     q = fieldctx.q
-    feasible = 0
-    total = 1
-    while True:
-        total *= q
-        if total > budget:
-            break
-        feasible += 1
-    if n_max > feasible:
-        raise BudgetExceededError(
-            f"q^n exceeds the budget of {budget} for n > {feasible}; "
-            f"largest feasible n_max for q={q} is {feasible}"
-        )
     rows = []
     all_equal = True
     for n in range(1, n_max + 1):

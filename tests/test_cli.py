@@ -1,11 +1,13 @@
 """CLI dispatch, output formats, and exit-status contract."""
 
 import json
+import time
 
 import pytest
 
 import neckprod.verify
 from neckprod.cli import run
+from neckprod.exact import necklace_count
 from neckprod.verify import SymbolicReport
 
 
@@ -70,6 +72,12 @@ class TestBasicCommands:
         )
         assert code == 0
         assert "residual" in out
+
+    def test_values_past_the_int_to_str_digit_limit(self, capsys):
+        # N(10, 4500) has 4,497 digits, past Python's default limit of 4,300
+        code, out, _ = invoke(capsys, ["necklace", "--a", "10", "--n", "4500"])
+        assert code == 0
+        assert out == f"{necklace_count(10, 4500)}\n"
 
     def test_verify_bridge(self, capsys):
         code, out, _ = invoke(capsys, ["verify", "bridge", "--p", "5", "--k", "1", "--n-max", "1"])
@@ -158,6 +166,22 @@ class TestExitStatus:
             ["field", "count", "--p", "2", "--k", "1", "--n", "20", "--budget", "1000"],
         )
         assert code == 2
+        assert "budget" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["field", "count", "--p", "2", "--k", "1", "--n", "70", "--budget", str(10**23)],
+            ["field", "count", "--p", "2", "--k", "40", "--n", "1"],
+            ["field", "count", "--p", str(2**61 - 1), "--k", "1", "--n", "1"],
+            ["verify", "bridge", "--p", "2", "--k", "30", "--n-max", "1"],
+        ],
+    )
+    def test_oversize_requests_refused_at_once(self, capsys, argv):
+        start = time.perf_counter()
+        code, out, err = invoke(capsys, argv)
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (2, "")
         assert "budget" in err
 
     def test_bad_worker_count(self, capsys):

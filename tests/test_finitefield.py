@@ -18,6 +18,7 @@ from neckprod.finitefield import (
     is_prime,
     prime_power_decomposition,
 )
+import neckprod.finitefield as ff
 from neckprod.finitefield import _scalar_flags_block
 
 
@@ -253,6 +254,126 @@ class TestAgreementAndEngine:
                 poly = MonicPoly(field, _index_coeffs(field.q, n, int(idx)) + (1,))
                 assert is_irreducible_trial(poly) == bool(flags_t[idx])
                 assert is_irreducible_rabin(poly) == bool(flags_r[idx])
+
+
+def _gf2_index(coeffs):
+    # enumeration index of a monic poly over F_2: c_0 is the top digit
+    n = len(coeffs) - 1
+    return sum(c << (n - 1 - j) for j, c in enumerate(coeffs[:-1]))
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("this engine path must not run")
+
+
+class TestGF2Engine:
+    @pytest.mark.parametrize("method", ["trial", "rabin"])
+    def test_matches_scalar_oracle_exhaustively(self, method):
+        field = build_field(2, 1)
+        for n in range(1, 13):
+            total = 2**n
+            gf2 = irreducible_flags(field, n, method)
+            assert np.array_equal(gf2, _scalar_flags_block(field, n, 0, total, method)), n
+
+    @pytest.mark.parametrize("method", ["trial", "rabin"])
+    def test_matches_generic_block_engine(self, method):
+        field = build_field(2, 1)
+        generic = ff._trial_flags_block if method == "trial" else ff._rabin_flags_block
+        for n in (13, 14, 15):
+            total = 2**n
+            assert np.array_equal(irreducible_flags(field, n, method),
+                                  generic(field, n, 0, total)), n
+
+    @pytest.mark.parametrize("n,lo", [(1, 0), (5, 0), (9, 0), (9, 300)])
+    def test_words_follow_enumeration_order(self, n, lo):
+        polys = list(enumerate_monic(build_field(2, 1), n))[lo:]
+        words = ff._gf2_words(n, lo, 2**n)
+        assert len(words) == len(polys)
+        for poly, word in zip(polys, words):
+            assert int(word) == sum(c << i for i, c in enumerate(poly.coeffs))
+
+    def test_rabin_at_the_word_cap(self):
+        # n = 32 squares reach bit 62, the top of the word layout
+        field = build_field(2, 1)
+        primitive = [0] * 33
+        for i in (0, 1, 2, 22, 32):  # x^32 + x^22 + x^2 + x + 1
+            primitive[i] = 1
+        rng = np.random.default_rng(11)
+        indices = [_gf2_index(primitive)] + [int(i) for i in rng.integers(0, 2**32, size=5)]
+        for idx in indices:
+            flag = ff._flags_range(field, 32, idx, idx + 1, "rabin")[0]
+            assert flag == _scalar_flags_block(field, 32, idx, idx + 1, "rabin")[0], idx
+        assert ff._flags_range(field, 32, indices[0], indices[0] + 1, "rabin")[0]
+
+    def test_serves_f2_up_to_the_cap(self, monkeypatch):
+        field = build_field(2, 1)
+        expected = {m: irreducible_flags(field, 8, m) for m in ("trial", "rabin")}
+        for name in ("_trial_flags_block", "_rabin_flags_block", "_scalar_flags_block"):
+            monkeypatch.setattr(ff, name, _refuse)
+        for method in ("trial", "rabin"):
+            assert np.array_equal(irreducible_flags(field, 8, method), expected[method])
+        # rows with c_0 = 0 are divisible by x; trial stops at the first divisor
+        assert not ff._flags_range(field, 32, 0, 4, "trial").any()
+
+    def test_other_fields_keep_their_paths(self, monkeypatch):
+        monkeypatch.setattr(ff, "_gf2_trial_flags_block", _refuse)
+        monkeypatch.setattr(ff, "_gf2_rabin_flags_block", _refuse)
+        for p, k, n in [(2, 2, 3), (2, 4, 2), (3, 1, 4)]:
+            field = build_field(p, k)
+            for method in ("trial", "rabin"):
+                assert count_irreducibles(field, n, method=method) == necklace_count(field.q, n)
+        # F_2 above the cap runs on the int64 block engine
+        field = build_field(2, 1)
+        for method in ("trial", "rabin"):
+            assert np.array_equal(ff._flags_range(field, 33, 0, 4, method),
+                                  _scalar_flags_block(field, 33, 0, 4, method))
+
+    def test_generic_multi_block_concatenation(self, monkeypatch):
+        field = build_field(3, 1)
+        whole = {m: irreducible_flags(field, 7, m) for m in ("trial", "rabin")}
+        monkeypatch.setattr(ff, "_BLOCK", 500)
+        for method in ("trial", "rabin"):
+            assert np.array_equal(irreducible_flags(field, 7, method), whole[method])
+
+    def test_workers_do_not_change_trial_counts(self):
+        field = build_field(2, 1)
+        assert count_irreducibles(field, 14, method="trial", workers=2) == necklace_count(2, 14)
+
+
+class TestCheckSweep:
+    def test_returns_sweep_size(self):
+        assert ff.check_sweep(2, 1, 10) == 1024
+        assert ff.check_sweep(3, 2, 3, "trial") == 729
+        assert ff.check_sweep(2, 1, 63, budget=2**63) == 2**63
+
+    @pytest.mark.parametrize(
+        "p,k,n,budget,feasible",
+        [
+            (2, 10**9, 1, 2**24, 0),
+            (2**61 - 1, 1, 1, 2**24, 0),
+            (2, 1, 10**12, 2**63, 63),
+            (10**50, 3, 5, 10, 0),
+        ],
+    )
+    def test_refuses_huge_sweeps_without_computing_them(self, p, k, n, budget, feasible):
+        with pytest.raises(BudgetExceededError, match=f"budget of {budget};.* is {feasible}$"):
+            ff.check_sweep(p, k, n, budget=budget)
+
+    def test_budget_beyond_index_range(self):
+        with pytest.raises(ValueError, match=str(2**63 + 1)):
+            ff.check_sweep(2, 1, 3, budget=2**63 + 1)
+        with pytest.raises(ValueError, match="budget 0"):
+            ff.check_sweep(2, 1, 3, budget=0)
+
+    def test_invalid_requests(self):
+        with pytest.raises(ValueError, match="method"):
+            ff.check_sweep(2, 1, 3, "guess")
+        with pytest.raises(ValueError, match="degree n"):
+            ff.check_sweep(2, 1, 0)
+        with pytest.raises(ValueError, match="extension degree"):
+            ff.check_sweep(2, 0, 3)
+        with pytest.raises(NotPrimeError):
+            ff.check_sweep(1, 1, 3)
 
 
 class TestCounts:
