@@ -63,9 +63,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_count.add_argument("--p", type=int, required=True)
     p_count.add_argument("--k", type=int, required=True)
     p_count.add_argument("--n", type=int, required=True)
-    p_count.add_argument("--test", choices=["trial", "rabin"], default="rabin")
-    p_count.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
-    p_count.add_argument("--workers", type=int, default=1)
+    _add_sweep_options(p_count)
 
     p_verify = sub.add_parser("verify", parents=[common], help="identity verification")
     verify_sub = p_verify.add_subparsers(dest="verify_sub", required=True)
@@ -90,8 +88,15 @@ def _build_parser() -> argparse.ArgumentParser:
     p_bridge.add_argument("--p", type=int, required=True)
     p_bridge.add_argument("--k", type=int, required=True)
     p_bridge.add_argument("--n-max", type=int, required=True, dest="n_max")
+    _add_sweep_options(p_bridge)
 
     return parser
+
+
+def _add_sweep_options(parser: argparse.ArgumentParser):
+    parser.add_argument("--test", choices=["trial", "rabin"], default="rabin")
+    parser.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    parser.add_argument("--workers", type=int, default=1)
 
 
 def _parse_complex(text: str) -> complex:
@@ -258,7 +263,10 @@ def _cmd_verify(args, out: _Output) -> int:
         out.emit(report.to_json_dict(), _report_lines(pairs))
         return 0 if report.passed else 1
 
-    report = verify.verify_count_bridge(args.p, args.k, args.n_max)
+    _require(args.workers >= 1, "--workers must be >= 1")
+    report = verify.verify_count_bridge(
+        args.p, args.k, args.n_max, method=args.test, budget=args.budget, workers=args.workers
+    )
     lines = [f"{'n':>4}  {'formula':>16}  {'measured':>16}  equal"]
     for n, formula, measured in report.rows:
         lines.append(

@@ -12,15 +12,26 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+# trial division up to sqrt(n) is the cost of mobius and divisors; above
+# this bound it would run for minutes, so such n are refused
+MAX_FACTOR_N = 10**12
+
+
+def _check_factor_arg(name: str, n: int) -> None:
+    if n < 1:
+        raise ValueError(f"{name} requires n >= 1, got {n}")
+    if n > MAX_FACTOR_N:
+        raise ValueError(f"{name} requires n <= 10^12 (trial-division limit), got {n}")
+
 
 def mobius(n: int) -> int:
     """Mobius function mu(n) by trial-division factorization.
 
     Returns 0 if n has a squared prime factor, otherwise (-1)**k where
-    k is the number of distinct prime factors; mu(1) = 1.
+    k is the number of distinct prime factors; mu(1) = 1.  Raises
+    ValueError for n < 1 or n > MAX_FACTOR_N.
     """
-    if n < 1:
-        raise ValueError(f"mobius requires n >= 1, got {n}")
+    _check_factor_arg("mobius", n)
     result = 1
     m = n
     d = 2
@@ -37,9 +48,9 @@ def mobius(n: int) -> int:
 
 
 def divisors(n: int) -> list[int]:
-    """All positive divisors of n, ascending."""
-    if n < 1:
-        raise ValueError(f"divisors requires n >= 1, got {n}")
+    """All positive divisors of n, ascending.  Raises ValueError for
+    n < 1 or n > MAX_FACTOR_N."""
+    _check_factor_arg("divisors", n)
     small = []
     large = []
     d = 1

@@ -5,9 +5,9 @@ a fixed monic irreducible modulus, encoded as integer codes
 sum v_i p^i in [0, q).  The modulus is chosen deterministically (the
 lexicographically smallest irreducible, comparing coefficient tuples from
 the constant term upward), so contexts reproduce across runs and
-platforms.  Small fields additionally carry plain add/mul/inv lookup
-tables derived from that representation; these are ordinary Cayley tables,
-not Zech/discrete-log tables.
+platforms.  Scalar element arithmetic works on the coefficient vectors
+directly; the counting engine builds its own O(q) log/antilog tables of
+a primitive element on first use.
 
 Two independent irreducibility tests are provided:
 
@@ -24,10 +24,13 @@ enumeration indices.  Which engine path serves a sweep depends on (q, n):
   and reduces by shift-xor; trial division reduces by shift-xor against
   one word per candidate divisor.  Squares reach bit 2n - 2, which caps
   this path at n <= 32.
-* every other prime field, and extensions with q <= 256 -- the numpy
-  block engine on (rows, n) int64 coefficient matrices, with mod-p
-  arithmetic or the field's lookup tables.
-* extensions with q > 256 -- the scalar tests, row by row.
+* every other field with q <= MAX_ENGINE_Q = 2^16 -- the numpy block
+  engine on (rows, n) int64 coefficient matrices: mod-p arithmetic for
+  prime fields; for extensions, products through the log/antilog tables
+  and sums as xor (p = 2) or digit-wise mod p.  Rabin survivors finish
+  with a Euclid batched over all survivors of a block.
+* q > 2^16 -- n = 1 only (every monic linear polynomial is irreducible);
+  check_sweep refuses n >= 2, which would need a budget of 2^34 or more.
 
 The scalar tests above are the reference semantics and both engines are
 held to them in the test suite.  check_sweep validates every sweep before
@@ -47,7 +50,7 @@ import numpy as np
 
 DEFAULT_BUDGET = 1 << 24
 MAX_BUDGET = 1 << 63  # enumeration indices are int64
-_TABLE_LIMIT = 256  # build element lookup tables when q <= this
+MAX_ENGINE_Q = 1 << 16  # largest field the engine sweeps at n >= 2
 _BLOCK = 1 << 16
 _GF2_MAX_N = 32  # squares of degree-<32 words reach bit 62 of a uint64
 
@@ -60,19 +63,40 @@ class BudgetExceededError(RuntimeError):
     """Raised when an enumeration would exceed the configured budget."""
 
 
+# Miller-Rabin with the first twelve primes as bases decides every n below
+# this bound exactly (Sorenson & Webster 2015); it exceeds 2^64
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_EXACT_BELOW = 3317044064679887385961981
+
+
 def is_prime(n: int) -> bool:
-    """Deterministic trial-division primality check."""
+    """Deterministic Miller-Rabin primality check, exact for every
+    n < 3.3 * 10^24 (every n < 2^64 in particular).
+
+    Raises ValueError above that bound, where the fixed bases no longer
+    decide primality.
+    """
     if n < 2:
         return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    for b in _MR_BASES:
+        if n % b == 0:
+            return n == b
+    if n >= _MR_EXACT_BELOW:
+        raise ValueError(f"primality of {n} is not decided above 3.3e24")
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for b in _MR_BASES:
+        x = pow(b, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 
@@ -107,7 +131,9 @@ def check_sweep(p: int, k: int, n: int, method: str = "rabin", budget: int = DEF
     outside [1, MAX_BUDGET]; NotPrimeError for p < 2; BudgetExceededError,
     naming the budget and the largest feasible degree, when q^n exceeds
     the budget.  The budget is checked by bit length before p^k is
-    computed, so a huge p or k is refused at once.
+    computed, so a huge p or k is refused at once.  A sweep within the
+    budget is refused with ValueError when n >= 2 and q > MAX_ENGINE_Q
+    (such a sweep needs a budget of at least 2^34).
     """
     if method not in ("trial", "rabin"):
         raise ValueError(f"unknown method {method!r}; expected 'trial' or 'rabin'")
@@ -125,6 +151,10 @@ def check_sweep(p: int, k: int, n: int, method: str = "rabin", budget: int = DEF
     if low_bits * k * n < budget.bit_length():
         total = p ** (k * n)
         if total <= budget:
+            if n >= 2 and p**k > MAX_ENGINE_Q:
+                raise ValueError(
+                    f"q = {p}^{k} exceeds 2^16, the largest field swept at degree n >= 2"
+                )
             return total
     feasible = 0
     if low_bits * k < budget.bit_length():
@@ -187,8 +217,9 @@ def _fp_is_irreducible(f: tuple[int, ...], p: int) -> bool:
 
 
 def _smallest_irreducible(p: int, k: int) -> tuple[int, ...]:
-    # lex-smallest monic irreducible of degree k, scanning (c0, .., c_{k-1})
-    for free in itertools.product(range(p), repeat=k):
+    # lex-smallest monic irreducible of degree k >= 2, scanning
+    # (c0, .., c_{k-1}); x divides every candidate with c0 = 0
+    for free in itertools.product(range(1, p), *[range(p)] * (k - 1)):
         candidate = free + (1,)
         if _fp_is_irreducible(candidate, p):
             return candidate
@@ -233,11 +264,7 @@ class FieldContext:
         self.k = k
         self.q = p**k
         self.modulus = modulus
-        self._mul_table: list[list[int]] | None = None
-        self._inv_table: list[int] | None = None
-        if k >= 2 and self.q <= _TABLE_LIMIT:
-            self._build_tables()
-        self._np_cache: dict[str, np.ndarray] = {}
+        self._engine_arith: _Arith | None = None
 
     def __repr__(self):
         return f"FieldContext(p={self.p}, k={self.k}, modulus={self.modulus})"
@@ -306,8 +333,6 @@ class FieldContext:
     def mul(self, a: int, b: int) -> int:
         if self.k == 1:
             return (a * b) % self.p
-        if self._mul_table is not None:
-            return self._mul_table[a][b]
         return self._mul_direct(a, b)
 
     def inv(self, a: int) -> int:
@@ -315,15 +340,16 @@ class FieldContext:
             raise ZeroDivisionError("inverse of the zero element")
         if self.k == 1:
             return pow(a, self.p - 2, self.p)
-        if self._inv_table is not None:
-            return self._inv_table[a]
         return self._inv_direct(a)
 
     def frobenius(self, a: int) -> int:
         """a**p, the p-power Frobenius on element codes."""
+        return self._power(a, self.p)
+
+    def _power(self, a: int, e: int) -> int:
+        """a**e for e >= 0, by square and multiply."""
         result = 1
         base = a
-        e = self.p
         while e:
             if e & 1:
                 result = self.mul(result, base)
@@ -388,39 +414,11 @@ class FieldContext:
         vec += [0] * (self.k - len(vec))
         return self.element_code(tuple(vec))
 
-    def _build_tables(self):
-        q = self.q
-        self._mul_table = [
-            [self._mul_direct(a, b) for b in range(q)] for a in range(q)
-        ]
-        inv = [0] * q
-        for a in range(1, q):
-            inv[a] = self._inv_direct(a)
-        self._inv_table = inv
-
-    # -- numpy views used by the block engine ---------------------------------
-
-    def _np_table(self, name: str) -> np.ndarray:
-        if name not in self._np_cache:
-            q = self.q
-            if name == "mul":
-                if self._mul_table is None:
-                    raise BudgetExceededError(
-                        f"no lookup tables for q={q} > {_TABLE_LIMIT}; "
-                        "vectorized counting unavailable"
-                    )
-                arr = np.array(self._mul_table, dtype=np.int64)
-            elif name == "sub":
-                arr = np.array(
-                    [[self.sub(a, b) for b in range(q)] for a in range(q)],
-                    dtype=np.int64,
-                )
-            elif name == "frob":
-                arr = np.array([self.frobenius(a) for a in range(q)], dtype=np.int64)
-            else:
-                raise KeyError(name)
-            self._np_cache[name] = arr
-        return self._np_cache[name]
+    def _arith(self) -> _Arith:
+        # the block engine's tables, built on first use
+        if self._engine_arith is None:
+            self._engine_arith = _Arith(self)
+        return self._engine_arith
 
     # -- element rendering ----------------------------------------------------
 
@@ -678,9 +676,90 @@ def is_irreducible_rabin(f: MonicPoly) -> bool:
 # ---------------------------------------------------------------------------
 #
 # Blocks of monic polynomials are held as (rows, n) int64 arrays of element
-# codes (free coefficients; the leading 1 is implicit).  Prime fields use
-# direct mod-p arithmetic; extensions use the lookup tables via fancy
-# indexing.  Verdicts match the scalar tests row for row.
+# codes (free coefficients; the leading 1 is implicit).  _Arith supplies the
+# elementwise field arithmetic, so one set of block functions serves every
+# field with q <= MAX_ENGINE_Q.  Verdicts match the scalar tests row for row.
+
+
+def _primitive_powers(field: FieldContext) -> list[int]:
+    # [g^0, .., g^(q-2)] for the primitive element g of smallest code; for
+    # k >= 2 the codes below p are F_p itself and are skipped
+    p, k, q = field.p, field.k, field.q
+    order = q - 1
+    g = next(
+        g for g in range(p if k > 1 else 1, q)
+        if all(field._power(g, order // r) != 1 for r in _prime_factors(order))
+    )
+    # times_g[a] = a g, as sum_j g_j (a x^j) on the digits of all q codes
+    place = p ** np.arange(k, dtype=np.int64)
+    cur = np.arange(q, dtype=np.int64)[:, None] // place % p
+    mod = np.array(field.modulus[:k], dtype=np.int64)
+    acc = np.zeros_like(cur)
+    rest = g
+    while rest:
+        rest, gj = divmod(rest, p)
+        acc = (acc + gj * cur) % p
+        shifted = np.zeros_like(cur)
+        shifted[:, 1:] = cur[:, :-1]
+        cur = (shifted - cur[:, -1:] * mod) % p
+    times_g = (acc * place).sum(axis=1).tolist()
+    powers = [1]
+    for _ in range(order - 1):
+        powers.append(times_g[powers[-1]])
+    return powers
+
+
+class _Arith:
+    """Elementwise F_q arithmetic on int64 arrays of element codes.
+
+    Prime fields multiply mod p.  Extensions multiply through log/antilog
+    tables of a primitive element g: log[0] is the sentinel 2(q - 1) and
+    exp is zero from that index on, so exp[log a + log b] = a b for every
+    pair of codes without a branch.  Subtraction is xor of codes for p = 2
+    and k digit-wise mod-p steps otherwise.  inv (inv[0] = 0) and frob
+    (a -> a^p) are tables of q entries.  All tables take O(q) memory.
+    """
+
+    def __init__(self, field: FieldContext):
+        p, k, q = field.p, field.k, field.q
+        self.p, self.k = p, k
+        order = q - 1
+        powers = np.array(_primitive_powers(field), dtype=np.int64)
+        self.exp = np.zeros(4 * order + 1, dtype=np.int64)
+        self.exp[:order] = powers
+        self.exp[order : 2 * order] = powers
+        self.log = np.empty(q, dtype=np.int64)
+        self.log[powers] = np.arange(order)
+        self.log[0] = 2 * order
+        self.inv = self.exp[(order - self.log) % order]
+        self.inv[0] = 0
+        self.frob = self.exp[p * self.log % order]
+        self.frob[0] = 0
+
+    def sub(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        if self.p == 2:
+            return a ^ b
+        p = self.p
+        out = (a - b) % p
+        for i in range(1, self.k):
+            place = p**i
+            out += ((a // place - b // place) % p) * place
+        return out
+
+    def mul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        if self.k == 1:
+            return a * b % self.p
+        return self.exp[self.log[a] + self.log[b]]
+
+    def operand(self, g: np.ndarray) -> np.ndarray:
+        # g as axpy takes it: its logs for an extension
+        return g if self.k == 1 else self.log[g]
+
+    def axpy(self, r: np.ndarray, c: np.ndarray, g: np.ndarray) -> np.ndarray:
+        """r - c[:, None] * g, for g prepared by operand."""
+        if self.k == 1:
+            return (r - c[:, None] * g) % self.p
+        return self.sub(r, self.exp[self.log[c][:, None] + g])
 
 
 def _block_coeffs(q: int, n: int, lo: int, hi: int) -> np.ndarray:
@@ -691,34 +770,24 @@ def _block_coeffs(q: int, n: int, lo: int, hi: int) -> np.ndarray:
     return out
 
 
-def _batch_supported(field: FieldContext) -> bool:
-    return field.k == 1 or field._mul_table is not None
-
-
 def _trial_flags_block(field: FieldContext, n: int, lo: int, hi: int) -> np.ndarray:
-    q, p, k = field.q, field.p, field.k
+    q = field.q
     rows = hi - lo
     if n == 1:
         return np.ones(rows, dtype=bool)
+    ar = field._arith()
     work = np.empty((rows, n + 1), dtype=np.int64)
     work[:, :n] = _block_coeffs(q, n, lo, hi)
     work[:, n] = 1
-    if k >= 2:
-        mul_t = field._np_table("mul")
-        sub_t = field._np_table("sub")
     reducible = np.zeros(rows, dtype=bool)
     alive_idx = np.arange(rows)
     cur = work
     for d in range(1, n // 2 + 1):
         for gidx in range(q**d):
-            g = np.array(_index_coeffs(q, d, gidx), dtype=np.int64)
+            g = ar.operand(np.array(_index_coeffs(q, d, gidx), dtype=np.int64))
             r = cur.copy()
             for j in range(n, d - 1, -1):
-                lead = r[:, j]
-                if k == 1:
-                    r[:, j - d : j] = (r[:, j - d : j] - lead[:, None] * g[None, :]) % p
-                else:
-                    r[:, j - d : j] = sub_t[r[:, j - d : j], mul_t[lead[:, None], g[None, :]]]
+                r[:, j - d : j] = ar.axpy(r[:, j - d : j], r[:, j], g)
             divisible = ~r[:, :d].any(axis=1)
             if divisible.any():
                 reducible[alive_idx[divisible]] = True
@@ -730,58 +799,139 @@ def _trial_flags_block(field: FieldContext, n: int, lo: int, hi: int) -> np.ndar
     return ~reducible
 
 
-def _batch_pow_q(field: FieldContext, t: np.ndarray, fmat: np.ndarray) -> np.ndarray:
-    # rowwise t^q mod f: k rounds of (coefficientwise p-power, spread by p,
-    # reduce), using (sum a_i x^i)^p = sum a_i^p x^(pi) in characteristic p
-    p, k, n = field.p, field.k, fmat.shape[1]
-    rows = t.shape[0]
-    if k >= 2:
-        frob_t = field._np_table("frob")
-        mul_t = field._np_table("mul")
-        sub_t = field._np_table("sub")
+def _reduce(ar: _Arith, prod: np.ndarray, f: np.ndarray) -> np.ndarray:
+    # rowwise prod mod f, top column first; f prepared by ar.operand
+    n = f.shape[1]
+    for j in range(prod.shape[1] - 1, n - 1, -1):
+        prod[:, j - n : j] = ar.axpy(prod[:, j - n : j], prod[:, j], f)
+    return prod[:, :n].copy()  # lets prod go
+
+
+def _negated(ar: _Arith, b: np.ndarray) -> np.ndarray:
+    return ar.operand(ar.sub(0, b))
+
+
+def _mulmod(ar: _Arith, a: np.ndarray, neg_b: np.ndarray, f: np.ndarray) -> np.ndarray:
+    # rowwise a b mod f, for neg_b = _negated(ar, b)
+    rows, n = a.shape
+    prod = np.zeros((rows, 2 * n - 1), dtype=np.int64)
+    for i in range(n):
+        prod[:, i : i + n] = ar.axpy(prod[:, i : i + n], a[:, i], neg_b)
+    return _reduce(ar, prod, f)
+
+
+def _x_to_the_p(ar: _Arith, f: np.ndarray) -> np.ndarray:
+    # rowwise x^p mod f by square and multiply, for deg f >= 2
+    x = np.zeros(f.shape, dtype=np.int64)
+    x[:, 1] = 1
+    neg_x = _negated(ar, x)
+    out = x
+    for bit in bin(ar.p)[3:]:
+        out = _mulmod(ar, out, _negated(ar, out), f)
+        if bit == "1":
+            out = _mulmod(ar, out, neg_x, f)
+    return out
+
+
+def _spread(t: np.ndarray, p: int) -> np.ndarray:
+    # sum t_i x^(pi), rowwise
+    out = np.zeros((t.shape[0], p * (t.shape[1] - 1) + 1), dtype=np.int64)
+    out[:, ::p] = t
+    return out
+
+
+def _batch_pow_q(ar: _Arith, t: np.ndarray, f: np.ndarray, neg_xp: np.ndarray | None) -> np.ndarray:
+    # rowwise t^q mod f (f prepared by ar.operand) in k rounds of
+    # t -> t^p = sum t_i^p x^(pi), which holds in characteristic p.  A
+    # round places the t_i^p p columns apart and reduces the whole spread,
+    # (p - 1)(n - 1) steps; with neg_xp = -(x^p mod f) given it runs Horner's
+    # rule in x^p instead, n - 1 products of about 2n steps each.
+    p, k = ar.p, ar.k
+    n = t.shape[1]
     for _ in range(k):
-        spread = np.zeros((rows, p * (n - 1) + 1), dtype=np.int64)
-        if k == 1:
-            spread[:, :: p] = t
+        if k > 1:
+            t = ar.frob[t]
+        if neg_xp is None:
+            t = _reduce(ar, _spread(t, p), f)
         else:
-            spread[:, :: p] = frob_t[t]
-        for j in range(p * (n - 1), n - 1, -1):
-            lead = spread[:, j]
-            if k == 1:
-                spread[:, j - n : j] = (spread[:, j - n : j] - lead[:, None] * fmat) % p
-            else:
-                spread[:, j - n : j] = sub_t[spread[:, j - n : j], mul_t[lead[:, None], fmat]]
-        t = spread[:, :n]
+            c = t
+            t = np.zeros_like(c)
+            t[:, 0] = c[:, n - 1]
+            for i in range(n - 2, -1, -1):
+                t = _mulmod(ar, t, neg_xp, f)
+                t[:, 0] = ar.sub(t[:, 0], ar.sub(0, c[:, i]))
     return t
 
 
+def _degrees(a: np.ndarray) -> np.ndarray:
+    # rowwise degree of coefficient rows (constant term first); -1 for zero
+    nonzero = a != 0
+    top = a.shape[1] - 1 - np.argmax(nonzero[:, ::-1], axis=1)
+    return np.where(nonzero.any(axis=1), top, -1)
+
+
+def _coprime_rows(ar: _Arith, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Rowwise verdict gcd(a, b) = 1 for coefficient matrices of one
+    shape (rows, m), constant term first.
+
+    Euclid's algorithm on all rows at once, one leading term per step: the
+    row of higher degree loses its leading term to a multiple of the other
+    row shifted into place, so deg a + deg b falls every step and at most
+    2m steps run.  A row is done when one side is zero; the gcd is then
+    the other side, a unit iff it has degree 0.
+    """
+    m = a.shape[1]
+    cols = np.arange(m)
+    out = np.zeros(a.shape[0], dtype=bool)
+    live = np.arange(a.shape[0])
+    while live.size:
+        da, db = _degrees(a), _degrees(b)
+        swap = da < db
+        a, b = np.where(swap[:, None], b, a), np.where(swap[:, None], a, b)
+        da, db = np.maximum(da, db), np.minimum(da, db)
+        done = db < 0
+        if done.any():
+            out[live[done]] = da[done] == 0
+            keep = ~done
+            live, a, b, da, db = live[keep], a[keep], b[keep], da[keep], db[keep]
+        rows = np.arange(live.size)
+        c = ar.mul(a[rows, da], ar.inv[b[rows, db]])
+        # b x^(da - db): columns above deg b are zero, so a cyclic shift
+        # brings only zeros round to the bottom
+        shifted = np.take_along_axis(b, (cols - (da - db)[:, None]) % m, axis=1)
+        a = ar.axpy(a, c, ar.operand(shifted))
+    return out
+
+
 def _rabin_flags_block(field: FieldContext, n: int, lo: int, hi: int) -> np.ndarray:
-    q = field.q
     rows = hi - lo
     if n == 1:
         return np.ones(rows, dtype=bool)
-    fmat = _block_coeffs(q, n, lo, hi)
+    ar = field._arith()
+    fmat = _block_coeffs(field.q, n, lo, hi)
+    f = ar.operand(fmat)
     x = np.zeros((rows, n), dtype=np.int64)
     x[:, 1] = 1
+    # Horner's rule is the cheaper round once p > 2n, and the spread of
+    # p (n - 1) + 1 columns per row would grow with p
+    neg_xp = _negated(ar, _x_to_the_p(ar, f)) if field.p > 2 * n else None
     checkpoints = {n // l for l in _prime_factors(n)}
     saved: dict[int, np.ndarray] = {}
     t = x
     for j in range(1, n + 1):
-        t = _batch_pow_q(field, t, fmat)
+        t = _batch_pow_q(ar, t, f, neg_xp)
         if j in checkpoints:
             saved[j] = t
     flags = (t == x).all(axis=1)
     # survivors have all factor degrees dividing n; finish them with the
     # gcd conditions on the saved intermediate powers
-    for ridx in np.nonzero(flags)[0]:
-        fc = [int(c) for c in fmat[ridx]] + [1]
-        xr = [0] * n
-        xr[1] = 1
-        for arr in saved.values():
-            diff = [field.sub(int(c), xi) for c, xi in zip(arr[ridx], xr)]
-            if not _poly_gcd_is_one(field, fc, diff):
-                flags[ridx] = False
-                break
+    for arr in saved.values():
+        idx = np.nonzero(flags)[0]
+        monic = np.ones((idx.size, n + 1), dtype=np.int64)
+        monic[:, :n] = fmat[idx]
+        h = np.zeros_like(monic)
+        h[:, :n] = ar.sub(arr[idx], x[: idx.size])
+        flags[idx] = _coprime_rows(ar, monic, h)
     return flags
 
 
@@ -900,10 +1050,8 @@ def _scalar_flags_block(field, n, lo, hi, method):
 def _flags_range(field, n, lo, hi, method) -> np.ndarray:
     if field.q == 2 and n <= _GF2_MAX_N:
         block = partial(_gf2_trial_flags_block if method == "trial" else _gf2_rabin_flags_block, n)
-    elif _batch_supported(field):
-        block = partial(_trial_flags_block if method == "trial" else _rabin_flags_block, field, n)
     else:
-        return _scalar_flags_block(field, n, lo, hi, method)
+        block = partial(_trial_flags_block if method == "trial" else _rabin_flags_block, field, n)
     parts = [block(blk_lo, min(blk_lo + _BLOCK, hi)) for blk_lo in range(lo, hi, _BLOCK)]
     return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
@@ -937,6 +1085,8 @@ def count_irreducibles(
     parallel (workers > 1); the result is independent of the worker count.
     """
     total = check_sweep(field.p, field.k, n, method, budget)
+    if n == 1:
+        return total  # every monic linear polynomial is irreducible
     if workers <= 1:
         return int(_flags_range(field, n, 0, total, method).sum())
     bounds = np.linspace(0, total, workers + 1, dtype=np.int64)

@@ -125,6 +125,28 @@ class TestJsonOutput:
         assert solo == duo
 
 
+class TestBridgeOptions:
+    BASE = ["verify", "bridge", "--p", "3", "--k", "1", "--n-max", "4", "--json"]
+
+    def test_test_option_reaches_the_report(self, capsys):
+        code, out, _ = invoke(capsys, self.BASE + ["--test", "trial"])
+        report = json.loads(out)
+        assert code == 0 and report["pass"]
+        assert report["method"] == "trial"
+
+    def test_budget_option_refuses(self, capsys):
+        code, out, err = invoke(capsys, self.BASE + ["--budget", "80"])
+        assert (code, out) == (2, "")
+        assert "budget of 80" in err and "n_max for q = 3 is 3" in err
+
+    def test_workers_option_keeps_the_output(self, capsys):
+        _, solo, _ = invoke(capsys, self.BASE)
+        code, duo, _ = invoke(capsys, self.BASE + ["--workers", "2"])
+        assert code == 0 and duo == solo
+        code, _, err = invoke(capsys, self.BASE + ["--workers", "0"])
+        assert code == 2 and "--workers" in err
+
+
 class TestExitStatus:
     def test_usage_error_unknown_command(self, capsys):
         code, _, err = invoke(capsys, ["frobnicate"])
@@ -183,6 +205,23 @@ class TestExitStatus:
         assert time.perf_counter() - start < 1.0
         assert (code, out) == (2, "")
         assert "budget" in err
+
+    @pytest.mark.parametrize("argv", [["mobius", "--n", str(10**18 + 3)],
+                                      ["necklace", "--a", "2", "--n", str(10**13)]])
+    def test_oversize_factoring_refused_at_once(self, capsys, argv):
+        start = time.perf_counter()
+        code, out, err = invoke(capsys, argv)
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (2, "")
+        assert "10^12" in err
+
+    def test_large_field_above_degree_one_refused(self, capsys):
+        argv = ["field", "count", "--p", "2", "--k", "20", "--n", "2", "--budget", str(2**40)]
+        start = time.perf_counter()
+        code, out, err = invoke(capsys, argv)
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (2, "")
+        assert "2^16" in err
 
     def test_bad_worker_count(self, capsys):
         code, _, err = invoke(

@@ -59,6 +59,17 @@ class TestMobius:
         for n in range(1, 501):
             assert mu[n] == mobius(n), n
 
+    def test_large_arguments_up_to_the_limit(self):
+        assert mobius(999_999_937) == -1  # the largest prime below 10^9
+        assert mobius(999_999_999_989) == -1  # the largest prime below 10^12
+        assert mobius(10**12) == 0
+
+    def test_refuses_arguments_above_the_limit(self):
+        with pytest.raises(ValueError, match="10\\^12"):
+            mobius(10**12 + 1)
+        with pytest.raises(ValueError, match="10\\^12"):
+            mobius(10**18 + 3)
+
     def test_divisor_sum_of_mobius(self):
         # sum_{d|n} mu(d) is 1 at n=1 and 0 beyond
         for n in range(1, 200):
@@ -84,6 +95,13 @@ class TestDivisors:
     @given(st.integers(min_value=1, max_value=2000))
     def test_against_oracle(self, n):
         assert divisors(n) == divisors_oracle(n)
+
+    def test_limit(self):
+        assert divisors(10**12)[-2:] == [5 * 10**11, 10**12]
+        with pytest.raises(ValueError, match="10\\^12"):
+            divisors(10**12 + 1)
+        with pytest.raises(ValueError, match="10\\^12"):
+            necklace_count(2, 10**12 + 1)
 
 
 class TestNecklaceCount:

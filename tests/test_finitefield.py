@@ -1,5 +1,7 @@
 """Tests for field construction, monic enumeration, and irreducibility tests."""
 
+import time
+
 import numpy as np
 import pytest
 
@@ -466,3 +468,144 @@ class TestPrimality:
                 assert is_prime(p) and p**k == q
             else:
                 assert decomp is None
+
+    def test_is_prime_matches_a_sieve(self):
+        limit = 10**5
+        sieve = np.ones(limit, dtype=bool)
+        sieve[:2] = False
+        for i in range(2, int(limit**0.5) + 1):
+            if sieve[i]:
+                sieve[i * i :: i] = False
+        assert [n for n in range(limit) if is_prime(n)] == np.nonzero(sieve)[0].tolist()
+
+    @pytest.mark.parametrize("n", [3215031751, 3825123056546413051])
+    def test_strong_pseudoprimes_are_composite(self, n):
+        # strong pseudoprimes to bases 2, 3, 5, 7 and to 2 .. 23 respectively
+        assert not is_prime(n)
+
+    def test_large_primes(self):
+        assert is_prime(2**61 - 1) and is_prime(2**64 - 59)
+        assert not is_prime((2**31 - 1) * (2**32 - 5))
+        with pytest.raises(ValueError, match="not decided"):
+            is_prime(2**89 - 1)
+
+    def test_large_prime_field_builds_at_once(self):
+        start = time.perf_counter()
+        field = build_field(2**61 - 1, 1)
+        assert time.perf_counter() - start < 0.1
+        assert field.q == 2**61 - 1
+
+
+# fields of the suite with q <= 256, prime fields included
+_SUITE_FIELDS = [(2, 1), (3, 1), (5, 1), (7, 1), (2, 2), (2, 3), (3, 2), (2, 4), (5, 2),
+                 (3, 3), (2, 8)]
+
+
+def _engine_flags(field, n, rows, method):
+    return np.array([ff._flags_range(field, n, i, i + 1, method)[0] for i in rows])
+
+
+class TestLogTableEngine:
+    @pytest.mark.parametrize("p,k", [(2, 3), (3, 2), (5, 2), (3, 3)])
+    @pytest.mark.parametrize("method", ["trial", "rabin"])
+    def test_matches_scalar_oracle_exhaustively(self, p, k, method):
+        field = build_field(p, k)
+        n = 1
+        while field.q**n <= 1 << 12:
+            total = field.q**n
+            assert np.array_equal(irreducible_flags(field, n, method),
+                                  _scalar_flags_block(field, n, 0, total, method)), n
+            n += 1
+
+    def test_f289_with_two_workers(self):
+        assert count_irreducibles(build_field(17, 2), 2, workers=2) == 41616
+
+    def test_f512_sampled_rows(self):
+        field = build_field(2, 9)
+        assert count_irreducibles(field, 2) == necklace_count(512, 2)
+        rng = np.random.default_rng(5)
+        rows = [0, 1, 512**2 - 1] + [int(i) for i in rng.integers(0, 512**2, size=8)]
+        for method in ("trial", "rabin"):
+            expected = np.array([_scalar_flags_block(field, 2, i, i + 1, method)[0] for i in rows])
+            assert np.array_equal(_engine_flags(field, 2, rows, method), expected), method
+
+    def test_large_characteristic(self):
+        # p > 2n runs the Frobenius rounds by Horner's rule in x^p
+        assert count_irreducibles(build_field(257, 1), 2) == necklace_count(257, 2)
+        field = build_field(4093, 1)
+        rng = np.random.default_rng(9)
+        rows = [int(i) for i in rng.integers(4093, 4093**2, size=12)]
+        expected = np.array([_scalar_flags_block(field, 2, i, i + 1, "rabin")[0] for i in rows])
+        assert np.array_equal(_engine_flags(field, 2, rows, "rabin"), expected)
+        assert expected.any() and not expected.all()
+
+    def test_no_scalar_path_above_256(self, monkeypatch):
+        monkeypatch.setattr(ff, "_scalar_flags_block", _refuse)
+        field = build_field(2, 9)
+        rows = range(1000, 1040)
+        assert np.array_equal(_engine_flags(field, 2, rows, "trial"),
+                              _engine_flags(field, 2, rows, "rabin"))
+
+    @pytest.mark.parametrize("p,k", _SUITE_FIELDS)
+    def test_tables_match_direct_arithmetic(self, p, k):
+        field = build_field(p, k)
+        ar = field._arith()
+        q = field.q
+        mul = field._mul_direct if k > 1 else field.mul
+        inv = field._inv_direct if k > 1 else field.inv
+        a, b = (m.ravel() for m in np.meshgrid(np.arange(q), np.arange(q)))
+        assert ar.exp[ar.log[a] + ar.log[b]].tolist() == [mul(x, y) for x, y in zip(a.tolist(), b.tolist())]
+        assert ar.mul(a, b).tolist() == [mul(x, y) for x, y in zip(a.tolist(), b.tolist())]
+        assert ar.sub(a, b).tolist() == [field.sub(x, y) for x, y in zip(a.tolist(), b.tolist())]
+        assert sorted(ar.exp[: q - 1].tolist()) == list(range(1, q))
+        assert [ar.inv[x] for x in range(1, q)] == [inv(x) for x in range(1, q)]
+        assert ar.frob.tolist() == [field.frobenius(x) for x in range(q)]
+
+    def test_tables_sampled_at_the_field_limit(self):
+        field = build_field(2, 16)
+        ar = field._arith()
+        rng = np.random.default_rng(3)
+        a, b = rng.integers(0, 2**16, size=(2, 200))
+        a[:3] = [0, 1, 2**16 - 1]
+        for x, y in zip(a.tolist(), b.tolist()):
+            assert ar.exp[ar.log[x] + ar.log[y]] == field._mul_direct(x, y)
+            assert ar.frob[x] == field._mul_direct(x, x)
+            if x:
+                assert ar.inv[x] == field._inv_direct(x)
+
+    @pytest.mark.parametrize("p,k,n", [(2, 1, 6), (3, 1, 5), (2, 2, 4), (3, 2, 3), (2, 8, 2), (17, 2, 2)])
+    def test_batched_finish_matches_scalar_gcd(self, p, k, n):
+        field = build_field(p, k)
+        rng = np.random.default_rng(p * 100 + k * 10 + n)
+        rows = 300
+        f = np.ones((rows, n + 1), dtype=np.int64)
+        f[:, :n] = rng.integers(0, field.q, size=(rows, n))
+        h = np.zeros_like(f)
+        h[:, :n] = rng.integers(0, field.q, size=(rows, n))
+        h[: rows // 3, rng.integers(1, n) :] = 0  # lower degrees
+        f[-10:-5, 0] = h[-10:-5, 0] = 0  # x divides both
+        h[-10:-5, 1] = 1
+        h[-5:] = 0  # gcd(f, 0) = f has degree n
+        got = ff._coprime_rows(field._arith(), f, h)
+        expected = [ff._poly_gcd_is_one(field, fr.tolist(), hr.tolist()) for fr, hr in zip(f, h)]
+        assert got.tolist() == expected
+        assert not got[-10:].any()
+        assert 0 < got.sum() < rows - 5
+
+
+class TestEngineFieldLimit:
+    def test_refuses_large_fields_above_degree_one(self):
+        with pytest.raises(ValueError, match="2\\^16"):
+            ff.check_sweep(2, 17, 2, budget=2**40)
+        with pytest.raises(ValueError, match="2\\^16"):
+            ff.check_sweep(257, 2, 2, budget=2**40)
+        assert ff.check_sweep(2, 16, 2, budget=2**40) == 2**32
+        assert ff.check_sweep(65521, 1, 2, budget=2**40) == 65521**2
+
+    def test_degree_one_answered_for_any_field(self):
+        start = time.perf_counter()
+        field = build_field(2, 20)
+        assert count_irreducibles(field, 1, budget=2**20) == 2**20
+        assert count_irreducibles(field, 1, budget=2**20, workers=2) == 2**20
+        assert time.perf_counter() - start < 1.0
+        assert field._engine_arith is None  # no tables built for n = 1
