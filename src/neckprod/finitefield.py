@@ -27,8 +27,8 @@ enumeration indices.  Which engine path serves a sweep depends on (q, n):
 * every other field with q <= MAX_ENGINE_Q = 2^16 -- the numpy block
   engine on (rows, n) int64 coefficient matrices: mod-p arithmetic for
   prime fields; for extensions, products through the log/antilog tables
-  and sums as xor (p = 2) or digit-wise mod p.  Rabin survivors finish
-  with a Euclid batched over all survivors of a block.
+  and differences as xor (p = 2) or through a Zech table (odd p).  Rabin
+  survivors finish with a Euclid batched over all survivors of a block.
 * q > 2^16 -- n = 1 only (every monic linear polynomial is irreducible);
   check_sweep refuses n >= 2, which would need a budget of 2^34 or more.
 
@@ -712,39 +712,59 @@ def _primitive_powers(field: FieldContext) -> list[int]:
 class _Arith:
     """Elementwise F_q arithmetic on int64 arrays of element codes.
 
-    Prime fields multiply mod p.  Extensions multiply through log/antilog
-    tables of a primitive element g: log[0] is the sentinel 2(q - 1) and
-    exp is zero from that index on, so exp[log a + log b] = a b for every
-    pair of codes without a branch.  Subtraction is xor of codes for p = 2
-    and k digit-wise mod-p steps otherwise.  inv (inv[0] = 0) and frob
-    (a -> a^p) are tables of q entries.  All tables take O(q) memory.
+    Prime fields multiply and subtract mod p.  Extensions multiply through
+    log/antilog tables of a primitive element g: log[0] is the sentinel
+    Z = 3(q - 1), exp repeats the powers of g below Z and is zero from Z
+    on, so exp[log a + log b] = a b for every pair of codes without a
+    branch.  They subtract by xor of codes for p = 2, and for odd p
+    through a Zech table: a - b = exp[log a + zech[log b - log a + Z]],
+    with a zero on either side covered by the table too.  inv (inv[0] = 0)
+    and frob (a -> a^p) are tables of q entries.  Every table is O(q).
     """
 
     def __init__(self, field: FieldContext):
         p, k, q = field.p, field.k, field.q
         self.p, self.k = p, k
-        order = q - 1
+        m = q - 1
         powers = np.array(_primitive_powers(field), dtype=np.int64)
-        self.exp = np.zeros(4 * order + 1, dtype=np.int64)
-        self.exp[:order] = powers
-        self.exp[order : 2 * order] = powers
+        self.log_zero = 3 * m
+        self.exp = np.zeros(6 * m + 1, dtype=np.int64)
+        self.exp[: self.log_zero] = np.tile(powers, 3)
         self.log = np.empty(q, dtype=np.int64)
-        self.log[powers] = np.arange(order)
-        self.log[0] = 2 * order
-        self.inv = self.exp[(order - self.log) % order]
+        self.log[powers] = np.arange(m)
+        self.log[0] = self.log_zero
+        self.inv = self.exp[(m - self.log) % m]
         self.inv[0] = 0
-        self.frob = self.exp[p * self.log % order]
+        self.frob = self.exp[p * self.log % m]
         self.frob[0] = 0
+        if p > 2 and k > 1:
+            # a - b with log b - log a = d: for a, b != 0 (d in [1 - m, 2m - 2],
+            # as b may be a product with its log unreduced) the result is
+            # a (1 - g^d); for a = 0 (d in [-3m, -m - 2]) it is
+            # -b = exp[log b + m/2]; for b = 0 (d > 2m) it is a, zech 0.  When
+            # both are zero, d >= 0 and every zech entry there is >= 0, so
+            # the exp index reaches Z and the result is 0.
+            place = p ** np.arange(k, dtype=np.int64)
+            digits = np.arange(q, dtype=np.int64)[:, None] // place % p
+            one = np.eye(1, k, dtype=np.int64)  # the digits of 1
+            one_minus = ((one - digits) % p * place).sum(axis=1)  # 1 - a for every code a
+            self.zech = np.zeros(9 * m + 1, dtype=np.int64)
+            d = np.arange(1 - m, 2 * m - 1)
+            self.zech[d + self.log_zero] = self.log[one_minus[self.exp[d % m]]]
+            d = np.arange(-self.log_zero, -m - 1)
+            self.zech[d + self.log_zero] = d + m // 2
+
+    def _minus_log(self, a: np.ndarray, log_b: np.ndarray) -> np.ndarray:
+        # a - b for odd p, b given by its log
+        log_a = self.log[a]
+        return self.exp[log_a + self.zech[log_b - log_a + self.log_zero]]
 
     def sub(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         if self.p == 2:
             return a ^ b
-        p = self.p
-        out = (a - b) % p
-        for i in range(1, self.k):
-            place = p**i
-            out += ((a // place - b // place) % p) * place
-        return out
+        if self.k == 1:
+            return (a - b) % self.p
+        return self._minus_log(a, self.log[b])
 
     def mul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         if self.k == 1:
@@ -759,7 +779,10 @@ class _Arith:
         """r - c[:, None] * g, for g prepared by operand."""
         if self.k == 1:
             return (r - c[:, None] * g) % self.p
-        return self.sub(r, self.exp[self.log[c][:, None] + g])
+        log_cg = self.log[c][:, None] + g
+        if self.p == 2:
+            return r ^ self.exp[log_cg]
+        return self._minus_log(r, log_cg)
 
 
 def _block_coeffs(q: int, n: int, lo: int, hi: int) -> np.ndarray:
@@ -782,6 +805,9 @@ def _trial_flags_block(field: FieldContext, n: int, lo: int, hi: int) -> np.ndar
     reducible = np.zeros(rows, dtype=bool)
     alive_idx = np.arange(rows)
     cur = work
+    # rows found reducible stay in cur until they are an eighth of it:
+    # dropping them after every divisor costs more than dividing them
+    stale = 0
     for d in range(1, n // 2 + 1):
         for gidx in range(q**d):
             g = ar.operand(np.array(_index_coeffs(q, d, gidx), dtype=np.int64))
@@ -789,13 +815,17 @@ def _trial_flags_block(field: FieldContext, n: int, lo: int, hi: int) -> np.ndar
             for j in range(n, d - 1, -1):
                 r[:, j - d : j] = ar.axpy(r[:, j - d : j], r[:, j], g)
             divisible = ~r[:, :d].any(axis=1)
-            if divisible.any():
+            hits = np.count_nonzero(divisible)
+            if hits:
                 reducible[alive_idx[divisible]] = True
-                keep = ~divisible
-                alive_idx = alive_idx[keep]
-                cur = cur[keep]
-                if alive_idx.size == 0:
-                    return ~reducible
+                stale += hits
+                if 8 * stale > alive_idx.size:
+                    keep = ~reducible[alive_idx]
+                    alive_idx = alive_idx[keep]
+                    cur = cur[keep]
+                    stale = 0
+                    if alive_idx.size == 0:
+                        return ~reducible
     return ~reducible
 
 

@@ -561,15 +561,28 @@ class TestLogTableEngine:
         assert [ar.inv[x] for x in range(1, q)] == [inv(x) for x in range(1, q)]
         assert ar.frob.tolist() == [field.frobenius(x) for x in range(q)]
 
-    def test_tables_sampled_at_the_field_limit(self):
-        field = build_field(2, 16)
+    @pytest.mark.parametrize("p,k", [(2, 3), (3, 2), (5, 2), (3, 3)])
+    def test_axpy_on_all_triples(self, p, k):
+        # r - c g through the Zech table, zero operands included
+        field = build_field(p, k)
+        ar = field._arith()
+        r, c, g = (m.ravel() for m in np.meshgrid(*[np.arange(field.q)] * 3))
+        got = ar.axpy(r[:, None], c, ar.operand(g[:, None]))[:, 0]
+        assert got.tolist() == [field.sub(x, field.mul(y, z))
+                                for x, y, z in zip(r.tolist(), c.tolist(), g.tolist())]
+
+    @pytest.mark.parametrize("p,k", [(2, 16), (3, 10)])
+    def test_tables_sampled_at_the_field_limit(self, p, k):
+        field = build_field(p, k)
         ar = field._arith()
         rng = np.random.default_rng(3)
-        a, b = rng.integers(0, 2**16, size=(2, 200))
-        a[:3] = [0, 1, 2**16 - 1]
+        a, b = rng.integers(0, field.q, size=(2, 200))
+        a[:3] = [0, 1, field.q - 1]
+        b[3:5] = [0, a[4]]
+        assert ar.sub(a, b).tolist() == [field.sub(x, y) for x, y in zip(a.tolist(), b.tolist())]
         for x, y in zip(a.tolist(), b.tolist()):
             assert ar.exp[ar.log[x] + ar.log[y]] == field._mul_direct(x, y)
-            assert ar.frob[x] == field._mul_direct(x, x)
+            assert ar.frob[x] == field.frobenius(x)
             if x:
                 assert ar.inv[x] == field._inv_direct(x)
 
