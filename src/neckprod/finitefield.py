@@ -805,8 +805,9 @@ def _trial_flags_block(field: FieldContext, n: int, lo: int, hi: int) -> np.ndar
     reducible = np.zeros(rows, dtype=bool)
     alive_idx = np.arange(rows)
     cur = work
-    # rows found reducible stay in cur until they are an eighth of it:
-    # dropping them after every divisor costs more than dividing them
+    # rows found reducible stay in cur until dividing them again would cost
+    # about as much as dropping them: a row costs d (n - d + 1) products
+    # per divisor, a drop copies every alive row once
     stale = 0
     for d in range(1, n // 2 + 1):
         for gidx in range(q**d):
@@ -819,7 +820,7 @@ def _trial_flags_block(field: FieldContext, n: int, lo: int, hi: int) -> np.ndar
             if hits:
                 reducible[alive_idx[divisible]] = True
                 stale += hits
-                if 8 * stale > alive_idx.size:
+                if 4 * stale * d * (n - d + 1) > alive_idx.size:
                     keep = ~reducible[alive_idx]
                     alive_idx = alive_idx[keep]
                     cur = cur[keep]
