@@ -1,0 +1,448 @@
+"""The counting engine: vectorized irreducibility verdicts over blocks of
+monic polynomials.
+
+finitefield.irreducible_flags and finitefield.count_irreducibles import
+this module when a sweep runs, after check_sweep has accepted it, so numpy
+is loaded by sweeps only.  Which path serves a sweep depends on (q, n):
+
+* q = 2, n <= 32 -- the GF(2) word engine: each polynomial is one uint64
+  word, bit i the coefficient of x^i.  Rabin squares by byte-spread lookup
+  and reduces by shift-xor; trial division reduces by shift-xor against
+  one word per candidate divisor.  Squares reach bit 2n - 2, which caps
+  this path at n <= 32.
+* every other field with q <= MAX_ENGINE_Q = 2^16 -- the numpy block
+  engine on (rows, n) int64 coefficient matrices: mod-p arithmetic for
+  prime fields; for extensions, products through the log/antilog tables
+  and differences as xor (p = 2) or through a Zech table (odd p).  Rabin
+  survivors finish with a Euclid batched over all survivors of a block.
+
+Both paths are held row for row to the scalar is_irreducible_* tests of
+finitefield, which share no code or table with them.
+"""
+
+from __future__ import annotations
+
+from functools import partial
+
+import numpy as np
+
+from .finitefield import FieldContext, _index_coeffs, _prime_factors, build_field
+
+_BLOCK = 1 << 16
+_GF2_MAX_N = 32  # squares of degree-<32 words reach bit 62 of a uint64
+
+
+# ---------------------------------------------------------------------------
+# Block engine
+# ---------------------------------------------------------------------------
+#
+# Blocks of monic polynomials of degree n >= 2 are held as (rows, n) int64
+# arrays of element codes (free coefficients; the leading 1 is implicit).
+# _Arith supplies the elementwise field arithmetic, so one set of block
+# functions serves every field with q <= MAX_ENGINE_Q.
+
+
+def _primitive_powers(field: FieldContext) -> list[int]:
+    # [g^0, .., g^(q-2)] for the primitive element g of smallest code; for
+    # k >= 2 the codes below p are F_p itself and are skipped
+    p, k, q = field.p, field.k, field.q
+    order = q - 1
+    g = next(
+        g for g in range(p if k > 1 else 1, q)
+        if all(field._power(g, order // r) != 1 for r in _prime_factors(order))
+    )
+    # times_g[a] = a g, as sum_j g_j (a x^j) on the digits of all q codes
+    place = p ** np.arange(k, dtype=np.int64)
+    cur = np.arange(q, dtype=np.int64)[:, None] // place % p
+    mod = np.array(field.modulus[:k], dtype=np.int64)
+    acc = np.zeros_like(cur)
+    rest = g
+    while rest:
+        rest, gj = divmod(rest, p)
+        acc = (acc + gj * cur) % p
+        shifted = np.zeros_like(cur)
+        shifted[:, 1:] = cur[:, :-1]
+        cur = (shifted - cur[:, -1:] * mod) % p
+    times_g = (acc * place).sum(axis=1).tolist()
+    powers = [1]
+    for _ in range(order - 1):
+        powers.append(times_g[powers[-1]])
+    return powers
+
+
+class _Arith:
+    """Elementwise F_q arithmetic on int64 arrays of element codes.
+
+    Prime fields multiply and subtract mod p.  Extensions multiply through
+    log/antilog tables of a primitive element g: log[0] is the sentinel
+    Z = 3(q - 1), exp repeats the powers of g below Z and is zero from Z
+    on, so exp[log a + log b] = a b for every pair of codes without a
+    branch.  They subtract by xor of codes for p = 2, and for odd p
+    through a Zech table: a - b = exp[log a + zech[log b - log a + Z]],
+    with a zero on either side covered by the table too.  inv (inv[0] = 0)
+    and frob (a -> a^p) are tables of q entries.  Every table is O(q).
+    """
+
+    def __init__(self, field: FieldContext):
+        p, k, q = field.p, field.k, field.q
+        self.p, self.k = p, k
+        m = q - 1
+        powers = np.array(_primitive_powers(field), dtype=np.int64)
+        self.log_zero = 3 * m
+        self.exp = np.zeros(6 * m + 1, dtype=np.int64)
+        self.exp[: self.log_zero] = np.tile(powers, 3)
+        self.log = np.empty(q, dtype=np.int64)
+        self.log[powers] = np.arange(m)
+        self.log[0] = self.log_zero
+        self.inv = self.exp[(m - self.log) % m]
+        self.inv[0] = 0
+        self.frob = self.exp[p * self.log % m]
+        self.frob[0] = 0
+        if p > 2 and k > 1:
+            # a - b with log b - log a = d: for a, b != 0 (d in [1 - m, 2m - 2],
+            # as b may be a product with its log unreduced) the result is
+            # a (1 - g^d); for a = 0 (d in [-3m, -m - 2]) it is
+            # -b = exp[log b + m/2]; for b = 0 (d > 2m) it is a, zech 0.  When
+            # both are zero, d >= 0 and every zech entry there is >= 0, so
+            # the exp index reaches Z and the result is 0.
+            place = p ** np.arange(k, dtype=np.int64)
+            digits = np.arange(q, dtype=np.int64)[:, None] // place % p
+            one = np.eye(1, k, dtype=np.int64)  # the digits of 1
+            one_minus = ((one - digits) % p * place).sum(axis=1)  # 1 - a for every code a
+            self.zech = np.zeros(9 * m + 1, dtype=np.int64)
+            d = np.arange(1 - m, 2 * m - 1)
+            self.zech[d + self.log_zero] = self.log[one_minus[self.exp[d % m]]]
+            d = np.arange(-self.log_zero, -m - 1)
+            self.zech[d + self.log_zero] = d + m // 2
+
+    def _minus_log(self, a: np.ndarray, log_b: np.ndarray) -> np.ndarray:
+        # a - b for odd p, b given by its log
+        log_a = self.log[a]
+        return self.exp[log_a + self.zech[log_b - log_a + self.log_zero]]
+
+    def sub(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        if self.p == 2:
+            return a ^ b
+        if self.k == 1:
+            return (a - b) % self.p
+        return self._minus_log(a, self.log[b])
+
+    def mul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        if self.k == 1:
+            return a * b % self.p
+        return self.exp[self.log[a] + self.log[b]]
+
+    def operand(self, g: np.ndarray) -> np.ndarray:
+        # g as axpy takes it: its logs for an extension
+        return g if self.k == 1 else self.log[g]
+
+    def axpy(self, r: np.ndarray, c: np.ndarray, g: np.ndarray) -> np.ndarray:
+        """r - c[:, None] * g, for g prepared by operand."""
+        if self.k == 1:
+            return (r - c[:, None] * g) % self.p
+        log_cg = self.log[c][:, None] + g
+        if self.p == 2:
+            return r ^ self.exp[log_cg]
+        return self._minus_log(r, log_cg)
+
+
+def _arith(field: FieldContext) -> _Arith:
+    # the field's tables, built on its first engine use and kept on it
+    if field._engine_arith is None:
+        field._engine_arith = _Arith(field)
+    return field._engine_arith
+
+
+def _block_coeffs(q: int, n: int, lo: int, hi: int) -> np.ndarray:
+    idx = np.arange(lo, hi, dtype=np.int64)
+    out = np.empty((hi - lo, n), dtype=np.int64)
+    for j in range(n - 1, -1, -1):
+        idx, out[:, j] = np.divmod(idx, q)
+    return out
+
+
+def _trial_flags_block(field: FieldContext, n: int, lo: int, hi: int) -> np.ndarray:
+    q = field.q
+    rows = hi - lo
+    ar = _arith(field)
+    work = np.empty((rows, n + 1), dtype=np.int64)
+    work[:, :n] = _block_coeffs(q, n, lo, hi)
+    work[:, n] = 1
+    reducible = np.zeros(rows, dtype=bool)
+    alive_idx = np.arange(rows)
+    cur = work
+    # rows found reducible stay in cur until dividing them again would cost
+    # about as much as dropping them: a row costs d (n - d + 1) products
+    # per divisor, a drop copies every alive row once
+    stale = 0
+    for d in range(1, n // 2 + 1):
+        for gidx in range(q**d):
+            g = ar.operand(np.array(_index_coeffs(q, d, gidx), dtype=np.int64))
+            r = cur.copy()
+            for j in range(n, d - 1, -1):
+                r[:, j - d : j] = ar.axpy(r[:, j - d : j], r[:, j], g)
+            divisible = ~r[:, :d].any(axis=1)
+            hits = np.count_nonzero(divisible)
+            if hits:
+                reducible[alive_idx[divisible]] = True
+                stale += hits
+                if 4 * stale * d * (n - d + 1) > alive_idx.size:
+                    keep = ~reducible[alive_idx]
+                    alive_idx = alive_idx[keep]
+                    cur = cur[keep]
+                    stale = 0
+                    if alive_idx.size == 0:
+                        return ~reducible
+    return ~reducible
+
+
+def _reduce(ar: _Arith, prod: np.ndarray, f: np.ndarray) -> np.ndarray:
+    # rowwise prod mod f, top column first; f prepared by ar.operand
+    n = f.shape[1]
+    for j in range(prod.shape[1] - 1, n - 1, -1):
+        prod[:, j - n : j] = ar.axpy(prod[:, j - n : j], prod[:, j], f)
+    return prod[:, :n].copy()  # lets prod go
+
+
+def _negated(ar: _Arith, b: np.ndarray) -> np.ndarray:
+    return ar.operand(ar.sub(0, b))
+
+
+def _mulmod(ar: _Arith, a: np.ndarray, neg_b: np.ndarray, f: np.ndarray) -> np.ndarray:
+    # rowwise a b mod f, for neg_b = _negated(ar, b)
+    rows, n = a.shape
+    prod = np.zeros((rows, 2 * n - 1), dtype=np.int64)
+    for i in range(n):
+        prod[:, i : i + n] = ar.axpy(prod[:, i : i + n], a[:, i], neg_b)
+    return _reduce(ar, prod, f)
+
+
+def _x_to_the_p(ar: _Arith, f: np.ndarray) -> np.ndarray:
+    # rowwise x^p mod f by square and multiply, for deg f >= 2
+    x = np.zeros(f.shape, dtype=np.int64)
+    x[:, 1] = 1
+    neg_x = _negated(ar, x)
+    out = x
+    for bit in bin(ar.p)[3:]:
+        out = _mulmod(ar, out, _negated(ar, out), f)
+        if bit == "1":
+            out = _mulmod(ar, out, neg_x, f)
+    return out
+
+
+def _spread(t: np.ndarray, p: int) -> np.ndarray:
+    # sum t_i x^(pi), rowwise
+    out = np.zeros((t.shape[0], p * (t.shape[1] - 1) + 1), dtype=np.int64)
+    out[:, ::p] = t
+    return out
+
+
+def _batch_pow_q(ar: _Arith, t: np.ndarray, f: np.ndarray, neg_xp: np.ndarray | None) -> np.ndarray:
+    # rowwise t^q mod f (f prepared by ar.operand) in k rounds of
+    # t -> t^p = sum t_i^p x^(pi), which holds in characteristic p.  A
+    # round places the t_i^p p columns apart and reduces the whole spread,
+    # (p - 1)(n - 1) steps; with neg_xp = -(x^p mod f) given it runs Horner's
+    # rule in x^p instead, n - 1 products of about 2n steps each.
+    p, k = ar.p, ar.k
+    n = t.shape[1]
+    for _ in range(k):
+        if k > 1:
+            t = ar.frob[t]
+        if neg_xp is None:
+            t = _reduce(ar, _spread(t, p), f)
+        else:
+            c = t
+            t = np.zeros_like(c)
+            t[:, 0] = c[:, n - 1]
+            for i in range(n - 2, -1, -1):
+                t = _mulmod(ar, t, neg_xp, f)
+                t[:, 0] = ar.sub(t[:, 0], ar.sub(0, c[:, i]))
+    return t
+
+
+def _degrees(a: np.ndarray) -> np.ndarray:
+    # rowwise degree of coefficient rows (constant term first); -1 for zero
+    nonzero = a != 0
+    top = a.shape[1] - 1 - np.argmax(nonzero[:, ::-1], axis=1)
+    return np.where(nonzero.any(axis=1), top, -1)
+
+
+def _coprime_rows(ar: _Arith, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Rowwise verdict gcd(a, b) = 1 for coefficient matrices of one
+    shape (rows, m), constant term first.
+
+    Euclid's algorithm on all rows at once, one leading term per step: the
+    row of higher degree loses its leading term to a multiple of the other
+    row shifted into place, so deg a + deg b falls every step and at most
+    2m steps run.  A row is done when one side is zero; the gcd is then
+    the other side, a unit iff it has degree 0.
+    """
+    m = a.shape[1]
+    cols = np.arange(m)
+    out = np.zeros(a.shape[0], dtype=bool)
+    live = np.arange(a.shape[0])
+    while live.size:
+        da, db = _degrees(a), _degrees(b)
+        swap = da < db
+        a, b = np.where(swap[:, None], b, a), np.where(swap[:, None], a, b)
+        da, db = np.maximum(da, db), np.minimum(da, db)
+        done = db < 0
+        if done.any():
+            out[live[done]] = da[done] == 0
+            keep = ~done
+            live, a, b, da, db = live[keep], a[keep], b[keep], da[keep], db[keep]
+        rows = np.arange(live.size)
+        c = ar.mul(a[rows, da], ar.inv[b[rows, db]])
+        # b x^(da - db): columns above deg b are zero, so a cyclic shift
+        # brings only zeros round to the bottom
+        shifted = np.take_along_axis(b, (cols - (da - db)[:, None]) % m, axis=1)
+        a = ar.axpy(a, c, ar.operand(shifted))
+    return out
+
+
+def _rabin_flags_block(field: FieldContext, n: int, lo: int, hi: int) -> np.ndarray:
+    rows = hi - lo
+    ar = _arith(field)
+    fmat = _block_coeffs(field.q, n, lo, hi)
+    f = ar.operand(fmat)
+    x = np.zeros((rows, n), dtype=np.int64)
+    x[:, 1] = 1
+    # Horner's rule is the cheaper round once p > 2n, and the spread of
+    # p (n - 1) + 1 columns per row would grow with p
+    neg_xp = _negated(ar, _x_to_the_p(ar, f)) if field.p > 2 * n else None
+    checkpoints = {n // l for l in _prime_factors(n)}
+    saved: dict[int, np.ndarray] = {}
+    t = x
+    for j in range(1, n + 1):
+        t = _batch_pow_q(ar, t, f, neg_xp)
+        if j in checkpoints:
+            saved[j] = t
+    flags = (t == x).all(axis=1)
+    # survivors have all factor degrees dividing n; finish them with the
+    # gcd conditions on the saved intermediate powers
+    for arr in saved.values():
+        idx = np.nonzero(flags)[0]
+        monic = np.ones((idx.size, n + 1), dtype=np.int64)
+        monic[:, :n] = fmat[idx]
+        h = np.zeros_like(monic)
+        h[:, :n] = ar.sub(arr[idx], x[: idx.size])
+        flags[idx] = _coprime_rows(ar, monic, h)
+    return flags
+
+
+# ---------------------------------------------------------------------------
+# GF(2) word engine
+# ---------------------------------------------------------------------------
+#
+# Over F_2 a monic polynomial of degree n <= 32 is one uint64 word, bit i the
+# coefficient of x^i, the leading bit n included.  Addition is xor; a square
+# spreads bit i to bit 2i, at most bit 62.  Verdicts match the scalar tests
+# row for row.
+
+
+def _gf2_words(n: int, lo: int, hi: int) -> np.ndarray:
+    # enumeration index -> word.  The index has c_0 as its most significant
+    # binary digit, so the free coefficients are its n bits reversed.
+    idx = np.arange(lo, hi, dtype=np.uint64)
+    words = np.full(hi - lo, 1 << n, dtype=np.uint64)
+    for i in range(n):
+        words |= ((idx >> (n - 1 - i)) & 1) << i
+    return words
+
+
+def _gf2_spread_table() -> np.ndarray:
+    # byte b -> its square: bit i of b moved to bit 2i
+    b = np.arange(256, dtype=np.uint64)
+    out = np.zeros(256, dtype=np.uint64)
+    for i in range(8):
+        out |= ((b >> i) & 1) << (2 * i)
+    return out
+
+
+def _gf2_gcd(a: int, b: int) -> int:
+    while b:
+        db = b.bit_length()
+        while (da := a.bit_length()) >= db:
+            a ^= b << (da - db)
+        a, b = b, a
+    return a
+
+
+def _gf2_rabin_flags_block(n: int, lo: int, hi: int) -> np.ndarray:
+    rows = hi - lo
+    f = _gf2_words(n, lo, hi)
+    # f_shift[s] = f * x^s cancels bit n + s of a square
+    f_shift = [f << s for s in range(n - 1)]
+    spread = _gf2_spread_table()
+    nbytes = (n + 7) // 8
+    bit = np.empty(rows, dtype=np.uint64)
+    x = 2  # the word of x, reduced since n >= 2
+    checkpoints = {n // l for l in _prime_factors(n)}
+    saved: dict[int, np.ndarray] = {}
+    t = np.full(rows, x, dtype=np.uint64)
+    for j in range(1, n + 1):
+        sq = spread[t & 255]
+        for b in range(1, nbytes):
+            sq |= spread[(t >> (8 * b)) & 255] << (16 * b)
+        for s in range(n - 2, -1, -1):
+            np.right_shift(sq, n + s, out=bit)
+            bit &= 1
+            bit *= f_shift[s]
+            sq ^= bit
+        t = sq
+        if j in checkpoints:
+            saved[j] = t
+    flags = t == x
+    # survivors have all factor degrees dividing n; finish them with the
+    # gcd conditions on the saved intermediate powers
+    for ridx in np.nonzero(flags)[0]:
+        fi = int(f[ridx])
+        for arr in saved.values():
+            if _gf2_gcd(fi, int(arr[ridx]) ^ x) != 1:
+                flags[ridx] = False
+                break
+    return flags
+
+
+def _gf2_trial_flags_block(n: int, lo: int, hi: int) -> np.ndarray:
+    rows = hi - lo
+    cur = _gf2_words(n, lo, hi)
+    reducible = np.zeros(rows, dtype=bool)
+    alive_idx = np.arange(rows)
+    for d in range(1, n // 2 + 1):
+        for g in range(1 << d, 2 << d):  # every monic divisor of degree d
+            r = cur.copy()
+            bit = np.empty_like(r)
+            for j in range(n, d - 1, -1):
+                np.right_shift(r, j, out=bit)
+                bit &= 1
+                bit *= g << (j - d)
+                r ^= bit
+            divisible = r == 0
+            if divisible.any():
+                reducible[alive_idx[divisible]] = True
+                keep = ~divisible
+                alive_idx = alive_idx[keep]
+                cur = cur[keep]
+                if alive_idx.size == 0:
+                    return ~reducible
+    return ~reducible
+
+
+def _flags_range(field, n, lo, hi, method) -> np.ndarray:
+    if n == 1:
+        return np.ones(hi - lo, dtype=bool)  # every monic linear polynomial
+    if field.q == 2 and n <= _GF2_MAX_N:
+        block = partial(_gf2_trial_flags_block if method == "trial" else _gf2_rabin_flags_block, n)
+    else:
+        block = partial(_trial_flags_block if method == "trial" else _rabin_flags_block, field, n)
+    parts = [block(blk_lo, min(blk_lo + _BLOCK, hi)) for blk_lo in range(lo, hi, _BLOCK)]
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+
+def _count_range(args) -> int:
+    p, k, n, lo, hi, method = args
+    field = build_field(p, k)
+    return int(_flags_range(field, n, lo, hi, method).sum())
+
+

@@ -6,8 +6,7 @@ sum v_i p^i in [0, q).  The modulus is chosen deterministically (the
 lexicographically smallest irreducible, comparing coefficient tuples from
 the constant term upward), so contexts reproduce across runs and
 platforms.  Scalar element arithmetic works on the coefficient vectors
-directly; the counting engine builds its own O(q) log/antilog tables of
-a primitive element on first use.
+directly.
 
 Two independent irreducibility tests are provided:
 
@@ -16,23 +15,17 @@ Two independent irreducibility tests are provided:
 * is_irreducible_rabin -- x^(q^n) == x (mod f) plus
   gcd(x^(q^(n/l)) - x, f) = 1 for each prime l | n.
 
-Counting sweeps the full space of q^n monic polynomials in blocks of
-enumeration indices.  Which engine path serves a sweep depends on (q, n):
+The modulus of an extension is found by Ben-Or's test over F_p and
+checked by Rabin's.
 
-* q = 2, n <= 32 -- the GF(2) word engine: each polynomial is one uint64
-  word, bit i the coefficient of x^i.  Rabin squares by byte-spread lookup
-  and reduces by shift-xor; trial division reduces by shift-xor against
-  one word per candidate divisor.  Squares reach bit 2n - 2, which caps
-  this path at n <= 32.
-* every other field with q <= MAX_ENGINE_Q = 2^16 -- the numpy block
-  engine on (rows, n) int64 coefficient matrices: mod-p arithmetic for
-  prime fields; for extensions, products through the log/antilog tables
-  and differences as xor (p = 2) or through a Zech table (odd p).  Rabin
-  survivors finish with a Euclid batched over all survivors of a block.
-* q > 2^16 -- n = 1 only (every monic linear polynomial is irreducible);
-  check_sweep refuses n >= 2, which would need a budget of 2^34 or more.
+irreducible_flags and count_irreducibles sweep all q^n monic polynomials
+through neckprod.engine, the package's only numpy module, which they
+import once check_sweep has accepted a sweep that needs it; a call that
+sweeps nothing never loads numpy.  count_irreducibles answers n = 1 with q
+without the engine; check_sweep refuses n >= 2 for q > MAX_ENGINE_Q = 2^16
+(such a sweep needs a budget of 2^34 or more).
 
-The scalar tests above are the reference semantics and both engines are
+The scalar tests above are the reference semantics and the engine is
 held to them in the test suite.  check_sweep validates every sweep before
 any work, deciding the budget from bit lengths so that a huge p or k is
 refused without computing p^k; counts above the enumeration budget are
@@ -41,18 +34,15 @@ refused outright rather than truncated.
 
 from __future__ import annotations
 
-import itertools
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from functools import partial
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 DEFAULT_BUDGET = 1 << 24
 MAX_BUDGET = 1 << 63  # enumeration indices are int64
 MAX_ENGINE_Q = 1 << 16  # largest field the engine sweeps at n >= 2
-_BLOCK = 1 << 16
-_GF2_MAX_N = 32  # squares of degree-<32 words reach bit 62 of a uint64
 
 
 class NotPrimeError(ValueError):
@@ -187,46 +177,6 @@ def _prime_factors(n: int) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
-# Polynomials over the prime field F_p (modulus selection, element arithmetic)
-# ---------------------------------------------------------------------------
-
-
-def _fp_rem(f: list[int], g: tuple[int, ...], p: int) -> list[int]:
-    # remainder of f mod monic g, coefficients low-to-high
-    r = list(f)
-    d = len(g) - 1
-    for j in range(len(r) - 1, d - 1, -1):
-        lead = r[j]
-        if lead:
-            for i in range(d):
-                if g[i]:
-                    r[j - d + i] = (r[j - d + i] - lead * g[i]) % p
-            r[j] = 0
-    return r[:d]
-
-
-def _fp_is_irreducible(f: tuple[int, ...], p: int) -> bool:
-    # monic f over F_p, trial division by all monic polys of degree <= deg/2
-    n = len(f) - 1
-    for d in range(1, n // 2 + 1):
-        for free in itertools.product(range(p), repeat=d):
-            g = free + (1,)
-            if not any(_fp_rem(list(f), g, p)):
-                return False
-    return True
-
-
-def _smallest_irreducible(p: int, k: int) -> tuple[int, ...]:
-    # lex-smallest monic irreducible of degree k >= 2, scanning
-    # (c0, .., c_{k-1}); x divides every candidate with c0 = 0
-    for free in itertools.product(range(1, p), *[range(p)] * (k - 1)):
-        candidate = free + (1,)
-        if _fp_is_irreducible(candidate, p):
-            return candidate
-    raise AssertionError(f"no irreducible of degree {k} over F_{p} found")
-
-
-# ---------------------------------------------------------------------------
 # Field contexts
 # ---------------------------------------------------------------------------
 
@@ -241,7 +191,7 @@ class FieldContext:
 
     build_field selects the modulus deterministically; constructing a
     context directly with an explicit modulus is allowed, and the modulus
-    is verified irreducible by trial division either way.
+    is verified irreducible by Rabin's test over F_p either way.
     """
 
     def __init__(self, p: int, k: int, modulus: tuple[int, ...]):
@@ -258,13 +208,13 @@ class FieldContext:
                 raise ValueError(f"modulus must be monic of degree {k}")
             if not all(0 <= c < p for c in modulus):
                 raise ValueError("modulus coefficients must be reduced mod p")
-            if not _fp_is_irreducible(modulus, p):
+            if not is_irreducible_rabin(MonicPoly(FieldContext(p, 1, (0, 1)), modulus)):
                 raise ValueError(f"modulus {modulus} is reducible over F_{p}")
         self.p = p
         self.k = k
         self.q = p**k
         self.modulus = modulus
-        self._engine_arith: _Arith | None = None
+        self._engine_arith = None  # the engine's tables, built on first use
 
     def __repr__(self):
         return f"FieldContext(p={self.p}, k={self.k}, modulus={self.modulus})"
@@ -414,12 +364,6 @@ class FieldContext:
         vec += [0] * (self.k - len(vec))
         return self.element_code(tuple(vec))
 
-    def _arith(self) -> _Arith:
-        # the block engine's tables, built on first use
-        if self._engine_arith is None:
-            self._engine_arith = _Arith(self)
-        return self._engine_arith
-
     # -- element rendering ----------------------------------------------------
 
     def element_str(self, code: int) -> str:
@@ -457,6 +401,25 @@ def build_field(p: int, k: int) -> FieldContext:
     else:
         modulus = _smallest_irreducible(p, k)
     return FieldContext(p, k, modulus)
+
+
+def _smallest_irreducible(p: int, k: int) -> tuple[int, ...]:
+    # lex-smallest monic irreducible of degree k >= 2 over F_p, scanning
+    # (c0, .., c_{k-1}) from c0 = 1 (x divides every candidate with c0 = 0).
+    # Ben-Or's test: f is irreducible iff gcd(x^(p^d) - x, f) = 1 for every
+    # d <= k/2, and most candidates fail at a small d.  FieldContext checks
+    # the result with Rabin's test.
+    base = FieldContext(p, 1, (0, 1))
+    for idx in range(p ** (k - 1), p**k):
+        f = list(_index_coeffs(p, k, idx)) + [1]
+        x = t = _x_rep(base, f)
+        for _ in range(k // 2):
+            t = _poly_powmod(base, t, p, f)
+            if not _poly_gcd_is_one(base, f, [(a - b) % p for a, b in zip(t, x)]):
+                break
+        else:
+            return tuple(f)
+    raise AssertionError(f"no irreducible of degree {k} over F_{p} found")
 
 
 # ---------------------------------------------------------------------------
@@ -671,435 +634,15 @@ def is_irreducible_rabin(f: MonicPoly) -> bool:
     return t == x
 
 
-# ---------------------------------------------------------------------------
-# Vectorized block engine
-# ---------------------------------------------------------------------------
-#
-# Blocks of monic polynomials are held as (rows, n) int64 arrays of element
-# codes (free coefficients; the leading 1 is implicit).  _Arith supplies the
-# elementwise field arithmetic, so one set of block functions serves every
-# field with q <= MAX_ENGINE_Q.  Verdicts match the scalar tests row for row.
-
-
-def _primitive_powers(field: FieldContext) -> list[int]:
-    # [g^0, .., g^(q-2)] for the primitive element g of smallest code; for
-    # k >= 2 the codes below p are F_p itself and are skipped
-    p, k, q = field.p, field.k, field.q
-    order = q - 1
-    g = next(
-        g for g in range(p if k > 1 else 1, q)
-        if all(field._power(g, order // r) != 1 for r in _prime_factors(order))
-    )
-    # times_g[a] = a g, as sum_j g_j (a x^j) on the digits of all q codes
-    place = p ** np.arange(k, dtype=np.int64)
-    cur = np.arange(q, dtype=np.int64)[:, None] // place % p
-    mod = np.array(field.modulus[:k], dtype=np.int64)
-    acc = np.zeros_like(cur)
-    rest = g
-    while rest:
-        rest, gj = divmod(rest, p)
-        acc = (acc + gj * cur) % p
-        shifted = np.zeros_like(cur)
-        shifted[:, 1:] = cur[:, :-1]
-        cur = (shifted - cur[:, -1:] * mod) % p
-    times_g = (acc * place).sum(axis=1).tolist()
-    powers = [1]
-    for _ in range(order - 1):
-        powers.append(times_g[powers[-1]])
-    return powers
-
-
-class _Arith:
-    """Elementwise F_q arithmetic on int64 arrays of element codes.
-
-    Prime fields multiply and subtract mod p.  Extensions multiply through
-    log/antilog tables of a primitive element g: log[0] is the sentinel
-    Z = 3(q - 1), exp repeats the powers of g below Z and is zero from Z
-    on, so exp[log a + log b] = a b for every pair of codes without a
-    branch.  They subtract by xor of codes for p = 2, and for odd p
-    through a Zech table: a - b = exp[log a + zech[log b - log a + Z]],
-    with a zero on either side covered by the table too.  inv (inv[0] = 0)
-    and frob (a -> a^p) are tables of q entries.  Every table is O(q).
-    """
-
-    def __init__(self, field: FieldContext):
-        p, k, q = field.p, field.k, field.q
-        self.p, self.k = p, k
-        m = q - 1
-        powers = np.array(_primitive_powers(field), dtype=np.int64)
-        self.log_zero = 3 * m
-        self.exp = np.zeros(6 * m + 1, dtype=np.int64)
-        self.exp[: self.log_zero] = np.tile(powers, 3)
-        self.log = np.empty(q, dtype=np.int64)
-        self.log[powers] = np.arange(m)
-        self.log[0] = self.log_zero
-        self.inv = self.exp[(m - self.log) % m]
-        self.inv[0] = 0
-        self.frob = self.exp[p * self.log % m]
-        self.frob[0] = 0
-        if p > 2 and k > 1:
-            # a - b with log b - log a = d: for a, b != 0 (d in [1 - m, 2m - 2],
-            # as b may be a product with its log unreduced) the result is
-            # a (1 - g^d); for a = 0 (d in [-3m, -m - 2]) it is
-            # -b = exp[log b + m/2]; for b = 0 (d > 2m) it is a, zech 0.  When
-            # both are zero, d >= 0 and every zech entry there is >= 0, so
-            # the exp index reaches Z and the result is 0.
-            place = p ** np.arange(k, dtype=np.int64)
-            digits = np.arange(q, dtype=np.int64)[:, None] // place % p
-            one = np.eye(1, k, dtype=np.int64)  # the digits of 1
-            one_minus = ((one - digits) % p * place).sum(axis=1)  # 1 - a for every code a
-            self.zech = np.zeros(9 * m + 1, dtype=np.int64)
-            d = np.arange(1 - m, 2 * m - 1)
-            self.zech[d + self.log_zero] = self.log[one_minus[self.exp[d % m]]]
-            d = np.arange(-self.log_zero, -m - 1)
-            self.zech[d + self.log_zero] = d + m // 2
-
-    def _minus_log(self, a: np.ndarray, log_b: np.ndarray) -> np.ndarray:
-        # a - b for odd p, b given by its log
-        log_a = self.log[a]
-        return self.exp[log_a + self.zech[log_b - log_a + self.log_zero]]
-
-    def sub(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        if self.p == 2:
-            return a ^ b
-        if self.k == 1:
-            return (a - b) % self.p
-        return self._minus_log(a, self.log[b])
-
-    def mul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        if self.k == 1:
-            return a * b % self.p
-        return self.exp[self.log[a] + self.log[b]]
-
-    def operand(self, g: np.ndarray) -> np.ndarray:
-        # g as axpy takes it: its logs for an extension
-        return g if self.k == 1 else self.log[g]
-
-    def axpy(self, r: np.ndarray, c: np.ndarray, g: np.ndarray) -> np.ndarray:
-        """r - c[:, None] * g, for g prepared by operand."""
-        if self.k == 1:
-            return (r - c[:, None] * g) % self.p
-        log_cg = self.log[c][:, None] + g
-        if self.p == 2:
-            return r ^ self.exp[log_cg]
-        return self._minus_log(r, log_cg)
-
-
-def _block_coeffs(q: int, n: int, lo: int, hi: int) -> np.ndarray:
-    idx = np.arange(lo, hi, dtype=np.int64)
-    out = np.empty((hi - lo, n), dtype=np.int64)
-    for j in range(n - 1, -1, -1):
-        idx, out[:, j] = np.divmod(idx, q)
-    return out
-
-
-def _trial_flags_block(field: FieldContext, n: int, lo: int, hi: int) -> np.ndarray:
-    q = field.q
-    rows = hi - lo
-    if n == 1:
-        return np.ones(rows, dtype=bool)
-    ar = field._arith()
-    work = np.empty((rows, n + 1), dtype=np.int64)
-    work[:, :n] = _block_coeffs(q, n, lo, hi)
-    work[:, n] = 1
-    reducible = np.zeros(rows, dtype=bool)
-    alive_idx = np.arange(rows)
-    cur = work
-    # rows found reducible stay in cur until dividing them again would cost
-    # about as much as dropping them: a row costs d (n - d + 1) products
-    # per divisor, a drop copies every alive row once
-    stale = 0
-    for d in range(1, n // 2 + 1):
-        for gidx in range(q**d):
-            g = ar.operand(np.array(_index_coeffs(q, d, gidx), dtype=np.int64))
-            r = cur.copy()
-            for j in range(n, d - 1, -1):
-                r[:, j - d : j] = ar.axpy(r[:, j - d : j], r[:, j], g)
-            divisible = ~r[:, :d].any(axis=1)
-            hits = np.count_nonzero(divisible)
-            if hits:
-                reducible[alive_idx[divisible]] = True
-                stale += hits
-                if 4 * stale * d * (n - d + 1) > alive_idx.size:
-                    keep = ~reducible[alive_idx]
-                    alive_idx = alive_idx[keep]
-                    cur = cur[keep]
-                    stale = 0
-                    if alive_idx.size == 0:
-                        return ~reducible
-    return ~reducible
-
-
-def _reduce(ar: _Arith, prod: np.ndarray, f: np.ndarray) -> np.ndarray:
-    # rowwise prod mod f, top column first; f prepared by ar.operand
-    n = f.shape[1]
-    for j in range(prod.shape[1] - 1, n - 1, -1):
-        prod[:, j - n : j] = ar.axpy(prod[:, j - n : j], prod[:, j], f)
-    return prod[:, :n].copy()  # lets prod go
-
-
-def _negated(ar: _Arith, b: np.ndarray) -> np.ndarray:
-    return ar.operand(ar.sub(0, b))
-
-
-def _mulmod(ar: _Arith, a: np.ndarray, neg_b: np.ndarray, f: np.ndarray) -> np.ndarray:
-    # rowwise a b mod f, for neg_b = _negated(ar, b)
-    rows, n = a.shape
-    prod = np.zeros((rows, 2 * n - 1), dtype=np.int64)
-    for i in range(n):
-        prod[:, i : i + n] = ar.axpy(prod[:, i : i + n], a[:, i], neg_b)
-    return _reduce(ar, prod, f)
-
-
-def _x_to_the_p(ar: _Arith, f: np.ndarray) -> np.ndarray:
-    # rowwise x^p mod f by square and multiply, for deg f >= 2
-    x = np.zeros(f.shape, dtype=np.int64)
-    x[:, 1] = 1
-    neg_x = _negated(ar, x)
-    out = x
-    for bit in bin(ar.p)[3:]:
-        out = _mulmod(ar, out, _negated(ar, out), f)
-        if bit == "1":
-            out = _mulmod(ar, out, neg_x, f)
-    return out
-
-
-def _spread(t: np.ndarray, p: int) -> np.ndarray:
-    # sum t_i x^(pi), rowwise
-    out = np.zeros((t.shape[0], p * (t.shape[1] - 1) + 1), dtype=np.int64)
-    out[:, ::p] = t
-    return out
-
-
-def _batch_pow_q(ar: _Arith, t: np.ndarray, f: np.ndarray, neg_xp: np.ndarray | None) -> np.ndarray:
-    # rowwise t^q mod f (f prepared by ar.operand) in k rounds of
-    # t -> t^p = sum t_i^p x^(pi), which holds in characteristic p.  A
-    # round places the t_i^p p columns apart and reduces the whole spread,
-    # (p - 1)(n - 1) steps; with neg_xp = -(x^p mod f) given it runs Horner's
-    # rule in x^p instead, n - 1 products of about 2n steps each.
-    p, k = ar.p, ar.k
-    n = t.shape[1]
-    for _ in range(k):
-        if k > 1:
-            t = ar.frob[t]
-        if neg_xp is None:
-            t = _reduce(ar, _spread(t, p), f)
-        else:
-            c = t
-            t = np.zeros_like(c)
-            t[:, 0] = c[:, n - 1]
-            for i in range(n - 2, -1, -1):
-                t = _mulmod(ar, t, neg_xp, f)
-                t[:, 0] = ar.sub(t[:, 0], ar.sub(0, c[:, i]))
-    return t
-
-
-def _degrees(a: np.ndarray) -> np.ndarray:
-    # rowwise degree of coefficient rows (constant term first); -1 for zero
-    nonzero = a != 0
-    top = a.shape[1] - 1 - np.argmax(nonzero[:, ::-1], axis=1)
-    return np.where(nonzero.any(axis=1), top, -1)
-
-
-def _coprime_rows(ar: _Arith, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Rowwise verdict gcd(a, b) = 1 for coefficient matrices of one
-    shape (rows, m), constant term first.
-
-    Euclid's algorithm on all rows at once, one leading term per step: the
-    row of higher degree loses its leading term to a multiple of the other
-    row shifted into place, so deg a + deg b falls every step and at most
-    2m steps run.  A row is done when one side is zero; the gcd is then
-    the other side, a unit iff it has degree 0.
-    """
-    m = a.shape[1]
-    cols = np.arange(m)
-    out = np.zeros(a.shape[0], dtype=bool)
-    live = np.arange(a.shape[0])
-    while live.size:
-        da, db = _degrees(a), _degrees(b)
-        swap = da < db
-        a, b = np.where(swap[:, None], b, a), np.where(swap[:, None], a, b)
-        da, db = np.maximum(da, db), np.minimum(da, db)
-        done = db < 0
-        if done.any():
-            out[live[done]] = da[done] == 0
-            keep = ~done
-            live, a, b, da, db = live[keep], a[keep], b[keep], da[keep], db[keep]
-        rows = np.arange(live.size)
-        c = ar.mul(a[rows, da], ar.inv[b[rows, db]])
-        # b x^(da - db): columns above deg b are zero, so a cyclic shift
-        # brings only zeros round to the bottom
-        shifted = np.take_along_axis(b, (cols - (da - db)[:, None]) % m, axis=1)
-        a = ar.axpy(a, c, ar.operand(shifted))
-    return out
-
-
-def _rabin_flags_block(field: FieldContext, n: int, lo: int, hi: int) -> np.ndarray:
-    rows = hi - lo
-    if n == 1:
-        return np.ones(rows, dtype=bool)
-    ar = field._arith()
-    fmat = _block_coeffs(field.q, n, lo, hi)
-    f = ar.operand(fmat)
-    x = np.zeros((rows, n), dtype=np.int64)
-    x[:, 1] = 1
-    # Horner's rule is the cheaper round once p > 2n, and the spread of
-    # p (n - 1) + 1 columns per row would grow with p
-    neg_xp = _negated(ar, _x_to_the_p(ar, f)) if field.p > 2 * n else None
-    checkpoints = {n // l for l in _prime_factors(n)}
-    saved: dict[int, np.ndarray] = {}
-    t = x
-    for j in range(1, n + 1):
-        t = _batch_pow_q(ar, t, f, neg_xp)
-        if j in checkpoints:
-            saved[j] = t
-    flags = (t == x).all(axis=1)
-    # survivors have all factor degrees dividing n; finish them with the
-    # gcd conditions on the saved intermediate powers
-    for arr in saved.values():
-        idx = np.nonzero(flags)[0]
-        monic = np.ones((idx.size, n + 1), dtype=np.int64)
-        monic[:, :n] = fmat[idx]
-        h = np.zeros_like(monic)
-        h[:, :n] = ar.sub(arr[idx], x[: idx.size])
-        flags[idx] = _coprime_rows(ar, monic, h)
-    return flags
-
-
-# ---------------------------------------------------------------------------
-# GF(2) word engine
-# ---------------------------------------------------------------------------
-#
-# Over F_2 a monic polynomial of degree n <= 32 is one uint64 word, bit i the
-# coefficient of x^i, the leading bit n included.  Addition is xor; a square
-# spreads bit i to bit 2i, at most bit 62.  Verdicts match the scalar tests
-# row for row.
-
-
-def _gf2_words(n: int, lo: int, hi: int) -> np.ndarray:
-    # enumeration index -> word.  The index has c_0 as its most significant
-    # binary digit, so the free coefficients are its n bits reversed.
-    idx = np.arange(lo, hi, dtype=np.uint64)
-    words = np.full(hi - lo, 1 << n, dtype=np.uint64)
-    for i in range(n):
-        words |= ((idx >> (n - 1 - i)) & 1) << i
-    return words
-
-
-def _gf2_spread_table() -> np.ndarray:
-    # byte b -> its square: bit i of b moved to bit 2i
-    b = np.arange(256, dtype=np.uint64)
-    out = np.zeros(256, dtype=np.uint64)
-    for i in range(8):
-        out |= ((b >> i) & 1) << (2 * i)
-    return out
-
-
-def _gf2_gcd(a: int, b: int) -> int:
-    while b:
-        db = b.bit_length()
-        while (da := a.bit_length()) >= db:
-            a ^= b << (da - db)
-        a, b = b, a
-    return a
-
-
-def _gf2_rabin_flags_block(n: int, lo: int, hi: int) -> np.ndarray:
-    rows = hi - lo
-    if n == 1:
-        return np.ones(rows, dtype=bool)
-    f = _gf2_words(n, lo, hi)
-    # f_shift[s] = f * x^s cancels bit n + s of a square
-    f_shift = [f << s for s in range(n - 1)]
-    spread = _gf2_spread_table()
-    nbytes = (n + 7) // 8
-    bit = np.empty(rows, dtype=np.uint64)
-    x = 2  # the word of x, reduced since n >= 2
-    checkpoints = {n // l for l in _prime_factors(n)}
-    saved: dict[int, np.ndarray] = {}
-    t = np.full(rows, x, dtype=np.uint64)
-    for j in range(1, n + 1):
-        sq = spread[t & 255]
-        for b in range(1, nbytes):
-            sq |= spread[(t >> (8 * b)) & 255] << (16 * b)
-        for s in range(n - 2, -1, -1):
-            np.right_shift(sq, n + s, out=bit)
-            bit &= 1
-            bit *= f_shift[s]
-            sq ^= bit
-        t = sq
-        if j in checkpoints:
-            saved[j] = t
-    flags = t == x
-    # survivors have all factor degrees dividing n; finish them with the
-    # gcd conditions on the saved intermediate powers
-    for ridx in np.nonzero(flags)[0]:
-        fi = int(f[ridx])
-        for arr in saved.values():
-            if _gf2_gcd(fi, int(arr[ridx]) ^ x) != 1:
-                flags[ridx] = False
-                break
-    return flags
-
-
-def _gf2_trial_flags_block(n: int, lo: int, hi: int) -> np.ndarray:
-    rows = hi - lo
-    if n == 1:
-        return np.ones(rows, dtype=bool)
-    cur = _gf2_words(n, lo, hi)
-    reducible = np.zeros(rows, dtype=bool)
-    alive_idx = np.arange(rows)
-    for d in range(1, n // 2 + 1):
-        for g in range(1 << d, 2 << d):  # every monic divisor of degree d
-            r = cur.copy()
-            bit = np.empty_like(r)
-            for j in range(n, d - 1, -1):
-                np.right_shift(r, j, out=bit)
-                bit &= 1
-                bit *= g << (j - d)
-                r ^= bit
-            divisible = r == 0
-            if divisible.any():
-                reducible[alive_idx[divisible]] = True
-                keep = ~divisible
-                alive_idx = alive_idx[keep]
-                cur = cur[keep]
-                if alive_idx.size == 0:
-                    return ~reducible
-    return ~reducible
-
-
-def _scalar_flags_block(field, n, lo, hi, method):
-    test = is_irreducible_trial if method == "trial" else is_irreducible_rabin
-    out = np.empty(hi - lo, dtype=bool)
-    for i, idx in enumerate(range(lo, hi)):
-        poly = MonicPoly(field, _index_coeffs(field.q, n, idx) + (1,))
-        out[i] = test(poly)
-    return out
-
-
-def _flags_range(field, n, lo, hi, method) -> np.ndarray:
-    if field.q == 2 and n <= _GF2_MAX_N:
-        block = partial(_gf2_trial_flags_block if method == "trial" else _gf2_rabin_flags_block, n)
-    else:
-        block = partial(_trial_flags_block if method == "trial" else _rabin_flags_block, field, n)
-    parts = [block(blk_lo, min(blk_lo + _BLOCK, hi)) for blk_lo in range(lo, hi, _BLOCK)]
-    return parts[0] if len(parts) == 1 else np.concatenate(parts)
-
-
 def irreducible_flags(
     field: FieldContext, n: int, method: str = "rabin", budget: int = DEFAULT_BUDGET
 ) -> np.ndarray:
     """Boolean verdict for every monic degree-n polynomial, in
     enumeration order.  Same budget rule as enumerate_monic."""
     total = check_sweep(field.p, field.k, n, method, budget)
-    return _flags_range(field, n, 0, total, method)
+    from . import engine
 
-
-def _count_range(args) -> int:
-    p, k, n, lo, hi, method = args
-    field = build_field(p, k)
-    return int(_flags_range(field, n, lo, hi, method).sum())
+    return engine._flags_range(field, n, 0, total, method)
 
 
 def count_irreducibles(
@@ -1118,13 +661,17 @@ def count_irreducibles(
     total = check_sweep(field.p, field.k, n, method, budget)
     if n == 1:
         return total  # every monic linear polynomial is irreducible
+    from . import engine
+
     if workers <= 1:
-        return int(_flags_range(field, n, 0, total, method).sum())
-    bounds = np.linspace(0, total, workers + 1, dtype=np.int64)
+        return int(engine._flags_range(field, n, 0, total, method).sum())
+    from concurrent.futures import ProcessPoolExecutor
+
+    bounds = [total * i // workers for i in range(workers + 1)]
     jobs = [
-        (field.p, field.k, n, int(lo), int(hi), method)
+        (field.p, field.k, n, lo, hi, method)
         for lo, hi in zip(bounds[:-1], bounds[1:])
         if hi > lo
     ]
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return sum(pool.map(_count_range, jobs))
+        return sum(pool.map(engine._count_range, jobs))

@@ -1,13 +1,22 @@
 """CLI dispatch, output formats, and exit-status contract."""
 
+import contextlib
+import io
 import json
+import os
+import subprocess
+import sys
 import time
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+import neckprod
 import neckprod.verify
 from neckprod.cli import run
 from neckprod.exact import necklace_count
+from neckprod.finitefield import is_prime
 from neckprod.verify import SymbolicReport
 
 
@@ -215,6 +224,13 @@ class TestExitStatus:
         assert (code, out) == (2, "")
         assert "10^12" in err
 
+    def test_large_extension_at_degree_one_answered_at_once(self, capsys):
+        argv = ["field", "count", "--p", "2", "--k", "40", "--n", "1", "--budget", "2199023255552"]
+        start = time.perf_counter()
+        code, out, _ = invoke(capsys, argv)
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (0, "1099511627776\n")
+
     def test_large_field_above_degree_one_refused(self, capsys):
         argv = ["field", "count", "--p", "2", "--k", "20", "--n", "2", "--budget", str(2**40)]
         start = time.perf_counter()
@@ -253,3 +269,83 @@ class TestExitStatus:
         monkeypatch.setattr(neckprod.verify, "verify_symbolic", lambda *a, **k: failing)
         code, out, _ = invoke(capsys, ["verify", "symbolic", "--a", "2", "--degree", "8", "--quiet"])
         assert (code, out) == (1, "")
+
+
+# runs one CLI call in a fresh interpreter and reports, on the last line of
+# stderr, its exit status and which of the watched modules it loaded
+_GUARD = """
+import json, sys
+from neckprod.cli import run
+code = run(sys.argv[1:])
+watched = ("numpy", "concurrent.futures", "neckprod.engine")
+print(json.dumps([code, [m for m in watched if m in sys.modules]]), file=sys.stderr)
+"""
+
+
+def _modules_loaded_by(argv):
+    src = os.path.dirname(os.path.dirname(neckprod.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", _GUARD, *argv], capture_output=True,
+                          text=True, env=env, timeout=60)
+    code, loaded = json.loads(proc.stderr.splitlines()[-1])
+    assert code == 0, proc.stderr
+    return loaded
+
+
+class TestImportGuard:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["mobius", "--n", "30"],
+            ["necklace", "--a", "2", "--n", "4"],
+            ["necklace", "table", "--a", "3", "--degree", "3"],
+            ["expand", "--a", "2", "--degree", "8"],
+            ["expand", "raw", "--exponents", "1,1,1,1,1"],
+            ["verify", "symbolic", "--a", "2", "--degree", "16"],
+            ["verify", "numeric", "--a", "2", "--z", "0.25,0", "--degree", "40"],
+            ["field", "count", "--p", "3", "--k", "2", "--n", "1"],
+        ],
+    )
+    def test_calls_without_a_sweep_leave_numpy_unloaded(self, argv):
+        assert _modules_loaded_by(argv) == []
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["field", "count", "--p", "2", "--k", "1", "--n", "2"],
+            ["verify", "bridge", "--p", "2", "--k", "1", "--n-max", "3"],
+        ],
+    )
+    def test_sweeps_load_the_engine(self, argv):
+        assert "neckprod.engine" in _modules_loaded_by(argv)
+
+
+_PRIMES = [2, 3, 5, 7, 13, 251, 257, 65521, 65537, 2**31 - 1, 2**61 - 1, 2**64 - 59]
+
+
+class TestFieldCountFuzz:
+    # the small-value branches of p, k and n make about one draw in ten an
+    # accepted sweep
+    @given(
+        p=st.one_of(st.sampled_from(_PRIMES), st.integers(0, 64), st.integers(0, 2**64)),
+        k=st.one_of(st.integers(1, 4), st.integers(1, 64)),
+        n=st.one_of(st.integers(1, 4), st.integers(1, 80)),
+        budget=st.one_of(st.integers(1, 2**12), st.just(2**63)),
+        test=st.sampled_from(["rabin", "trial"]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_answers_or_refuses_at_once(self, p, k, n, budget, test):
+        # a sweep the budget accepts runs as long as its size: leave out the
+        # accepted ones beyond 2^12 polynomials
+        assume(n == 1 or p**k > 1 << 16 or not is_prime(p) or not 1 << 12 < p ** (k * n) <= budget)
+        argv = ["field", "count", "--p", str(p), "--k", str(k), "--n", str(n),
+                "--budget", str(budget), "--test", test]
+        out, err = io.StringIO(), io.StringIO()
+        start = time.perf_counter()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = run(argv)
+        assert time.perf_counter() - start < 1.0
+        if code == 0:
+            assert out.getvalue() == f"{necklace_count(p**k, n)}\n"
+        else:
+            assert (code, out.getvalue()) == (2, "")

@@ -20,8 +20,16 @@ from neckprod.finitefield import (
     is_prime,
     prime_power_decomposition,
 )
+import neckprod.engine as engine
 import neckprod.finitefield as ff
-from neckprod.finitefield import _scalar_flags_block
+from neckprod.finitefield import _index_coeffs
+
+
+def _scalar_flags_block(field, n, lo, hi, method):
+    # the scalar test's verdict for each enumeration index in [lo, hi)
+    test = is_irreducible_trial if method == "trial" else is_irreducible_rabin
+    polys = (MonicPoly(field, _index_coeffs(field.q, n, idx) + (1,)) for idx in range(lo, hi))
+    return np.array([test(poly) for poly in polys], dtype=bool)
 
 
 class TestBuildField:
@@ -56,6 +64,27 @@ class TestBuildField:
             ext = build_field(p, k)
             base = build_field(p, 1)
             assert is_irreducible_trial(MonicPoly(base, ext.modulus))
+
+    def test_moduli_are_the_lex_smallest_irreducibles(self):
+        # for every p^k <= 2^12 with k >= 2 the trial oracle accepts the
+        # modulus and rejects every candidate before it in enumeration order
+        for p in filter(is_prime, range(2, 65)):
+            base = build_field(p, 1)
+            k = 2
+            while p**k <= 1 << 12:
+                modulus = build_field(p, k).modulus
+                for poly in enumerate_monic(base, k):
+                    if poly.coeffs == modulus:
+                        assert is_irreducible_trial(poly), (p, k)
+                        break
+                    assert not is_irreducible_trial(poly), (p, k, poly.coeffs)
+                k += 1
+
+    def test_large_extensions_build_at_once(self):
+        for p, k in [(2, 40), (3, 25), (2, 62)]:
+            start = time.perf_counter()
+            build_field(p, k)
+            assert time.perf_counter() - start < 1.0, (p, k)
 
     def test_reducible_modulus_rejected(self):
         with pytest.raises(ValueError, match="reducible"):
@@ -217,8 +246,6 @@ class TestAgreementAndEngine:
     def test_scalar_tests_agree_on_samples_beyond_exhaustive_range(self):
         # random monic polys from domains past the q^deg <= 2^16 sweep
         rng = np.random.default_rng(23)
-        from neckprod.finitefield import _index_coeffs
-
         for p, k, n in [(2, 1, 18), (3, 1, 11), (5, 1, 7), (2, 2, 9)]:
             field = build_field(p, k)
             for idx in rng.integers(0, field.q**n, size=4):
@@ -234,11 +261,9 @@ class TestAgreementAndEngine:
             assert is_irreducible_trial(poly) == bool(flag)
 
     def test_multi_block_concatenation(self, monkeypatch):
-        import neckprod.finitefield as ff
-
         field = build_field(2, 1)
         whole = {m: irreducible_flags(field, 12, m) for m in ("trial", "rabin")}
-        monkeypatch.setattr(ff, "_BLOCK", 500)  # force many blocks
+        monkeypatch.setattr(engine, "_BLOCK", 500)  # force many blocks
         for method in ("trial", "rabin"):
             assert np.array_equal(irreducible_flags(field, 12, method), whole[method])
 
@@ -250,8 +275,6 @@ class TestAgreementAndEngine:
             flags_t = irreducible_flags(field, n, "trial")
             flags_r = irreducible_flags(field, n, "rabin")
             assert np.array_equal(flags_t, flags_r)
-            from neckprod.finitefield import _index_coeffs
-
             for idx in rng.integers(0, field.q**n, size=12):
                 poly = MonicPoly(field, _index_coeffs(field.q, n, int(idx)) + (1,))
                 assert is_irreducible_trial(poly) == bool(flags_t[idx])
@@ -280,7 +303,7 @@ class TestGF2Engine:
     @pytest.mark.parametrize("method", ["trial", "rabin"])
     def test_matches_generic_block_engine(self, method):
         field = build_field(2, 1)
-        generic = ff._trial_flags_block if method == "trial" else ff._rabin_flags_block
+        generic = engine._trial_flags_block if method == "trial" else engine._rabin_flags_block
         for n in (13, 14, 15):
             total = 2**n
             assert np.array_equal(irreducible_flags(field, n, method),
@@ -289,7 +312,7 @@ class TestGF2Engine:
     @pytest.mark.parametrize("n,lo", [(1, 0), (5, 0), (9, 0), (9, 300)])
     def test_words_follow_enumeration_order(self, n, lo):
         polys = list(enumerate_monic(build_field(2, 1), n))[lo:]
-        words = ff._gf2_words(n, lo, 2**n)
+        words = engine._gf2_words(n, lo, 2**n)
         assert len(words) == len(polys)
         for poly, word in zip(polys, words):
             assert int(word) == sum(c << i for i, c in enumerate(poly.coeffs))
@@ -303,23 +326,25 @@ class TestGF2Engine:
         rng = np.random.default_rng(11)
         indices = [_gf2_index(primitive)] + [int(i) for i in rng.integers(0, 2**32, size=5)]
         for idx in indices:
-            flag = ff._flags_range(field, 32, idx, idx + 1, "rabin")[0]
+            flag = engine._flags_range(field, 32, idx, idx + 1, "rabin")[0]
             assert flag == _scalar_flags_block(field, 32, idx, idx + 1, "rabin")[0], idx
-        assert ff._flags_range(field, 32, indices[0], indices[0] + 1, "rabin")[0]
+        assert engine._flags_range(field, 32, indices[0], indices[0] + 1, "rabin")[0]
 
     def test_serves_f2_up_to_the_cap(self, monkeypatch):
         field = build_field(2, 1)
         expected = {m: irreducible_flags(field, 8, m) for m in ("trial", "rabin")}
-        for name in ("_trial_flags_block", "_rabin_flags_block", "_scalar_flags_block"):
+        for name in ("_trial_flags_block", "_rabin_flags_block"):
+            monkeypatch.setattr(engine, name, _refuse)
+        for name in ("is_irreducible_trial", "is_irreducible_rabin"):
             monkeypatch.setattr(ff, name, _refuse)
         for method in ("trial", "rabin"):
             assert np.array_equal(irreducible_flags(field, 8, method), expected[method])
         # rows with c_0 = 0 are divisible by x; trial stops at the first divisor
-        assert not ff._flags_range(field, 32, 0, 4, "trial").any()
+        assert not engine._flags_range(field, 32, 0, 4, "trial").any()
 
     def test_other_fields_keep_their_paths(self, monkeypatch):
-        monkeypatch.setattr(ff, "_gf2_trial_flags_block", _refuse)
-        monkeypatch.setattr(ff, "_gf2_rabin_flags_block", _refuse)
+        monkeypatch.setattr(engine, "_gf2_trial_flags_block", _refuse)
+        monkeypatch.setattr(engine, "_gf2_rabin_flags_block", _refuse)
         for p, k, n in [(2, 2, 3), (2, 4, 2), (3, 1, 4)]:
             field = build_field(p, k)
             for method in ("trial", "rabin"):
@@ -327,13 +352,13 @@ class TestGF2Engine:
         # F_2 above the cap runs on the int64 block engine
         field = build_field(2, 1)
         for method in ("trial", "rabin"):
-            assert np.array_equal(ff._flags_range(field, 33, 0, 4, method),
+            assert np.array_equal(engine._flags_range(field, 33, 0, 4, method),
                                   _scalar_flags_block(field, 33, 0, 4, method))
 
     def test_generic_multi_block_concatenation(self, monkeypatch):
         field = build_field(3, 1)
         whole = {m: irreducible_flags(field, 7, m) for m in ("trial", "rabin")}
-        monkeypatch.setattr(ff, "_BLOCK", 500)
+        monkeypatch.setattr(engine, "_BLOCK", 500)
         for method in ("trial", "rabin"):
             assert np.array_equal(irreducible_flags(field, 7, method), whole[method])
 
@@ -502,7 +527,7 @@ _SUITE_FIELDS = [(2, 1), (3, 1), (5, 1), (7, 1), (2, 2), (2, 3), (3, 2), (2, 4),
 
 
 def _engine_flags(field, n, rows, method):
-    return np.array([ff._flags_range(field, n, i, i + 1, method)[0] for i in rows])
+    return np.array([engine._flags_range(field, n, i, i + 1, method)[0] for i in rows])
 
 
 class TestLogTableEngine:
@@ -540,16 +565,18 @@ class TestLogTableEngine:
         assert expected.any() and not expected.all()
 
     def test_no_scalar_path_above_256(self, monkeypatch):
-        monkeypatch.setattr(ff, "_scalar_flags_block", _refuse)
-        field = build_field(2, 9)
+        f289, f512 = build_field(17, 2), build_field(2, 9)
+        for name in ("is_irreducible_trial", "is_irreducible_rabin"):
+            monkeypatch.setattr(ff, name, _refuse)
+        assert count_irreducibles(f289, 2) == 41616
         rows = range(1000, 1040)
-        assert np.array_equal(_engine_flags(field, 2, rows, "trial"),
-                              _engine_flags(field, 2, rows, "rabin"))
+        assert np.array_equal(_engine_flags(f512, 2, rows, "trial"),
+                              _engine_flags(f512, 2, rows, "rabin"))
 
     @pytest.mark.parametrize("p,k", _SUITE_FIELDS)
     def test_tables_match_direct_arithmetic(self, p, k):
         field = build_field(p, k)
-        ar = field._arith()
+        ar = engine._arith(field)
         q = field.q
         mul = field._mul_direct if k > 1 else field.mul
         inv = field._inv_direct if k > 1 else field.inv
@@ -565,7 +592,7 @@ class TestLogTableEngine:
     def test_axpy_on_all_triples(self, p, k):
         # r - c g through the Zech table, zero operands included
         field = build_field(p, k)
-        ar = field._arith()
+        ar = engine._arith(field)
         r, c, g = (m.ravel() for m in np.meshgrid(*[np.arange(field.q)] * 3))
         got = ar.axpy(r[:, None], c, ar.operand(g[:, None]))[:, 0]
         assert got.tolist() == [field.sub(x, field.mul(y, z))
@@ -574,7 +601,7 @@ class TestLogTableEngine:
     @pytest.mark.parametrize("p,k", [(2, 16), (3, 10)])
     def test_tables_sampled_at_the_field_limit(self, p, k):
         field = build_field(p, k)
-        ar = field._arith()
+        ar = engine._arith(field)
         rng = np.random.default_rng(3)
         a, b = rng.integers(0, field.q, size=(2, 200))
         a[:3] = [0, 1, field.q - 1]
@@ -599,7 +626,7 @@ class TestLogTableEngine:
         f[-10:-5, 0] = h[-10:-5, 0] = 0  # x divides both
         h[-10:-5, 1] = 1
         h[-5:] = 0  # gcd(f, 0) = f has degree n
-        got = ff._coprime_rows(field._arith(), f, h)
+        got = engine._coprime_rows(engine._arith(field), f, h)
         expected = [ff._poly_gcd_is_one(field, fr.tolist(), hr.tolist()) for fr, hr in zip(f, h)]
         assert got.tolist() == expected
         assert not got[-10:].any()
