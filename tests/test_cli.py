@@ -115,6 +115,26 @@ class TestJsonOutput:
         parsed = json.loads(out)
         assert parsed["schema"] == schema
 
+    @pytest.mark.parametrize(
+        "argv,expected",
+        [
+            (
+                ["expand", "--a", "2", "--degree", "6", "--method", "direct", "--json"],
+                '{"schema": "series.expand", "a": 2, "degree_bound": 6, "method": "direct", '
+                '"coefficients": ["1", "-2", "0", "0", "0", "0", "0"]}\n',
+            ),
+            (
+                ["expand", "raw", "--exponents=1,0,-2", "--json"],
+                '{"schema": "series.expand", "exponents": ["1", "0", "-2"], "degree_bound": 3, '
+                '"method": "recursive", "coefficients": ["1", "-1", "0", "2"]}\n',
+            ),
+            (["expand", "--a", "2", "--degree", "6", "--method", "direct"], "1 -2 0 0 0 0 0\n"),
+            (["expand", "raw", "--exponents=1,0,-2"], "1 -1 0 2\n"),
+        ],
+    )
+    def test_expand_bytes_are_pinned(self, capsys, argv, expected):
+        assert invoke(capsys, argv) == (0, expected, "")
+
     def test_exact_integers_are_strings(self, capsys):
         _, out, _ = invoke(capsys, ["necklace", "--a", "10", "--n", "25", "--json"])
         value = json.loads(out)["value"]
