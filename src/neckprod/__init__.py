@@ -23,16 +23,13 @@ from .finitefield import (
     irreducible_flags,
     is_irreducible_rabin,
     is_irreducible_trial,
-    prime_power_decomposition,
 )
 from .series import (
     ExponentSpec,
     TruncatedSeries,
-    binomial_factor,
     eval_complex,
     expand_direct,
     expand_recursive,
-    series_mul,
 )
 from .verify import (
     BridgeReport,
@@ -59,7 +56,6 @@ __all__ = [
     "NumericReport",
     "SymbolicReport",
     "TruncatedSeries",
-    "binomial_factor",
     "build_field",
     "build_necklace_table",
     "count_irreducibles",
@@ -74,8 +70,6 @@ __all__ = [
     "mobius",
     "necklace_count",
     "necklace_exponent_spec",
-    "prime_power_decomposition",
-    "series_mul",
     "tail_bound",
     "verify_count_bridge",
     "verify_numeric",

@@ -165,36 +165,22 @@ def _cmd_necklace(args, out: _Output) -> int:
     return 0
 
 
-def _expand_spec(spec: series.ExponentSpec, method: str) -> series.TruncatedSeries:
-    if method == "direct":
-        return series.expand_direct(spec)
-    return series.expand_recursive(spec)
-
-
 def _cmd_expand(args, out: _Output) -> int:
     if getattr(args, "expand_sub", None) == "raw":
         exponents = _parse_exponents(args.exponents)
         spec = series.ExponentSpec(exponents=exponents)
-        result = _expand_spec(spec, args.method)
-        out.emit(
-            {
-                "schema": "series.expand",
-                "exponents": [str(e) for e in exponents],
-                "degree_bound": spec.degree_bound,
-                "method": args.method,
-                "coefficients": result.to_json(),
-            },
-            [" ".join(str(c) for c in result.coeffs)],
-        )
-        return 0
-    _require(args.a is not None and args.degree is not None, "expand requires --a and --degree")
-    spec = verify.necklace_exponent_spec(args.a, args.degree)
-    result = _expand_spec(spec, args.method)
+        head = {"exponents": [str(e) for e in exponents]}
+    else:
+        _require(args.a is not None and args.degree is not None, "expand requires --a and --degree")
+        spec = verify.necklace_exponent_spec(args.a, args.degree)
+        head = {"a": args.a}
+    expand = series.expand_direct if args.method == "direct" else series.expand_recursive
+    result = expand(spec)
     out.emit(
         {
             "schema": "series.expand",
-            "a": args.a,
-            "degree_bound": args.degree,
+            **head,
+            "degree_bound": spec.degree_bound,
             "method": args.method,
             "coefficients": result.to_json(),
         },

@@ -90,29 +90,6 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def prime_power_decomposition(q: int) -> tuple[int, int] | None:
-    """(p, k) with q = p**k and p prime, or None if q is not a prime power.
-
-    Works by trial-dividing out the smallest prime factor and checking the
-    remaining cofactor is a power of it.
-    """
-    if q < 2:
-        return None
-    p = 2
-    while p * p <= q:
-        if q % p == 0:
-            break
-        p += 1
-    else:
-        return (q, 1)
-    k = 0
-    m = q
-    while m % p == 0:
-        m //= p
-        k += 1
-    return (p, k) if m == 1 else None
-
-
 def check_sweep(p: int, k: int, n: int, method: str = "rabin", budget: int = DEFAULT_BUDGET) -> int:
     """Validate a sweep over the q^n monic degree-n polynomials over
     F_{p^k} and return q^n.
@@ -364,27 +341,6 @@ class FieldContext:
         vec += [0] * (self.k - len(vec))
         return self.element_code(tuple(vec))
 
-    # -- element rendering ----------------------------------------------------
-
-    def element_str(self, code: int) -> str:
-        """Human-readable element: plain integer for prime fields, a
-        polynomial in the generator 'a' for extensions."""
-        if self.k == 1:
-            return str(code)
-        vec = self.element_vector(code)
-        terms = []
-        for i in range(self.k - 1, -1, -1):
-            v = vec[i]
-            if v == 0:
-                continue
-            if i == 0:
-                terms.append(str(v))
-            elif i == 1:
-                terms.append("a" if v == 1 else f"{v}a")
-            else:
-                terms.append(f"a^{i}" if v == 1 else f"{v}a^{i}")
-        return " + ".join(terms) if terms else "0"
-
 
 def build_field(p: int, k: int) -> FieldContext:
     """F_{p^k} with the lexicographically smallest irreducible modulus.
@@ -451,32 +407,6 @@ class MonicPoly:
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1
-
-    def __str__(self):
-        fld = self.field
-        terms = []
-        for i in range(self.degree, -1, -1):
-            c = self.coeffs[i]
-            if c == 0:
-                continue
-            if fld.k == 1 or c in (0, 1):
-                cs = str(c)
-            else:
-                es = fld.element_str(c)
-                cs = f"({es})" if " " in es else es
-            if i == 0:
-                terms.append(cs)
-            else:
-                xs = "x" if i == 1 else f"x^{i}"
-                terms.append(xs if c == 1 else f"{cs}{xs}")
-        return " + ".join(terms) if terms else "0"
-
-    def to_json(self):
-        """JSON coefficient array: plain integers for prime fields, nested
-        coefficient vectors for extensions."""
-        if self.field.k == 1:
-            return list(self.coeffs)
-        return [list(self.field.element_vector(c)) for c in self.coeffs]
 
 
 def _index_coeffs(q: int, n: int, idx: int) -> tuple[int, ...]:

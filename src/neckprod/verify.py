@@ -232,8 +232,7 @@ def verify_numeric(a: int, z: complex, degree_bound: int) -> NumericReport:
             f"|z| < 1/a of the product identity"
         )
     D = degree_bound
-    table = build_necklace_table(a, D)
-    spec = ExponentSpec(exponents=table.values, necklace_base=a)
+    spec = necklace_exponent_spec(a, D)
     expansion = expand_recursive(spec)
     value_series = eval_complex(expansion, z)
 
@@ -243,7 +242,7 @@ def verify_numeric(a: int, z: complex, degree_bound: int) -> NumericReport:
     for n in range(1, D + 1):
         zn *= z
         w = _clog1m(zn)
-        value_product *= cmath.exp(_int_times_complex(table.value(n), w))
+        value_product *= cmath.exp(_int_times_complex(spec.exponent(n), w))
         max_partial = max(max_partial, abs(value_product))
 
     target = 1.0 - a * z

@@ -131,6 +131,7 @@ class TestJsonOutput:
             (["expand", "--a", "2", "--degree", "6", "--method", "direct"], "1 -2 0 0 0 0 0\n"),
             (["expand", "raw", "--exponents=1,0,-2"], "1 -1 0 2\n"),
         ],
+        ids=["expand-json", "raw-json", "expand-text", "raw-text"],
     )
     def test_expand_bytes_are_pinned(self, capsys, argv, expected):
         assert invoke(capsys, argv) == (0, expected, "")
