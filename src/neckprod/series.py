@@ -97,6 +97,7 @@ def expand_direct(spec: ExponentSpec) -> TruncatedSeries:
                 break
             terms.append(b)
         for m in range(D, n - 1, -1):
+            # map stops at the shorter of b_1.. and c[m - n], c[m - 2n], ..
             c[m] += sum(map(mul, terms, c[m - n :: -n]))
     return TruncatedSeries(tuple(c))
 
