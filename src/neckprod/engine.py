@@ -3,20 +3,20 @@ monic polynomials.
 
 finitefield.irreducible_flags and finitefield.count_irreducibles import
 this module when a sweep runs, after check_sweep has accepted it, so numpy
-is loaded by sweeps only.  Which path serves a sweep depends on (q, n):
+is loaded by sweeps only.  Every field with q <= MAX_ENGINE_Q = 2^16 is
+swept on (rows, n) int64 matrices of element codes: mod-p arithmetic for
+prime fields; for extensions, products through the log/antilog tables and
+differences as xor (p = 2) or through a Zech table (odd p).
 
-* q = 2, n <= 32 -- the GF(2) word engine: each polynomial is one uint64
-  word, bit i the coefficient of x^i.  Rabin squares by byte-spread lookup
-  and reduces by shift-xor; trial division reduces by shift-xor against
-  one word per candidate divisor.  Squares reach bit 2n - 2, which caps
-  this path at n <= 32.
-* every other field with q <= MAX_ENGINE_Q = 2^16 -- the numpy block
-  engine on (rows, n) int64 coefficient matrices: mod-p arithmetic for
-  prime fields; for extensions, products through the log/antilog tables
-  and differences as xor (p = 2) or through a Zech table (odd p).  Rabin
-  survivors finish with a Euclid batched over all survivors of a block.
+* trial -- a product sieve on every field: it marks each product g h of a
+  monic irreducible g of degree <= n/2 and a monic h, so the rows left
+  unmarked are those trial division finds no divisor of.
+* rabin -- the Frobenius ladder rowwise; its survivors finish with a
+  Euclid batched over all survivors of a block.  For q = 2 and n <= 32 the
+  GF(2) word engine runs the ladder instead: each polynomial is one uint64
+  word, squared by byte-spread lookup and reduced by shift-xor.
 
-Both paths are held row for row to the scalar is_irreducible_* tests of
+Every path is held row for row to the scalar is_irreducible_* tests of
 finitefield, which share no code or table with them.
 """
 
@@ -26,7 +26,7 @@ from functools import partial
 
 import numpy as np
 
-from .finitefield import FieldContext, _index_coeffs, _prime_factors, build_field
+from .finitefield import FieldContext, _prime_factors, build_field
 
 _BLOCK = 1 << 16
 _GF2_MAX_N = 32  # squares of degree-<32 words reach bit 62 of a uint64
@@ -153,47 +153,12 @@ def _arith(field: FieldContext) -> _Arith:
     return field._engine_arith
 
 
-def _block_coeffs(q: int, n: int, lo: int, hi: int) -> np.ndarray:
-    idx = np.arange(lo, hi, dtype=np.int64)
-    out = np.empty((hi - lo, n), dtype=np.int64)
+def _coeffs(q: int, n: int, idx: np.ndarray) -> np.ndarray:
+    # enumeration indices -> rows of free coefficients, c_0 the top digit
+    out = np.empty((idx.size, n), dtype=np.int64)
     for j in range(n - 1, -1, -1):
         idx, out[:, j] = np.divmod(idx, q)
     return out
-
-
-def _trial_flags_block(field: FieldContext, n: int, lo: int, hi: int) -> np.ndarray:
-    q = field.q
-    rows = hi - lo
-    ar = _arith(field)
-    work = np.empty((rows, n + 1), dtype=np.int64)
-    work[:, :n] = _block_coeffs(q, n, lo, hi)
-    work[:, n] = 1
-    reducible = np.zeros(rows, dtype=bool)
-    alive_idx = np.arange(rows)
-    cur = work
-    # rows found reducible stay in cur until dividing them again would cost
-    # about as much as dropping them: a row costs d (n - d + 1) products
-    # per divisor, a drop copies every alive row once
-    stale = 0
-    for d in range(1, n // 2 + 1):
-        for gidx in range(q**d):
-            g = ar.operand(np.array(_index_coeffs(q, d, gidx), dtype=np.int64))
-            r = cur.copy()
-            for j in range(n, d - 1, -1):
-                r[:, j - d : j] = ar.axpy(r[:, j - d : j], r[:, j], g)
-            divisible = ~r[:, :d].any(axis=1)
-            hits = np.count_nonzero(divisible)
-            if hits:
-                reducible[alive_idx[divisible]] = True
-                stale += hits
-                if 4 * stale * d * (n - d + 1) > alive_idx.size:
-                    keep = ~reducible[alive_idx]
-                    alive_idx = alive_idx[keep]
-                    cur = cur[keep]
-                    stale = 0
-                    if alive_idx.size == 0:
-                        return ~reducible
-    return ~reducible
 
 
 def _reduce(ar: _Arith, prod: np.ndarray, f: np.ndarray) -> np.ndarray:
@@ -303,7 +268,7 @@ def _coprime_rows(ar: _Arith, a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def _rabin_flags_block(field: FieldContext, n: int, lo: int, hi: int) -> np.ndarray:
     rows = hi - lo
     ar = _arith(field)
-    fmat = _block_coeffs(field.q, n, lo, hi)
+    fmat = _coeffs(field.q, n, np.arange(lo, hi, dtype=np.int64))
     f = ar.operand(fmat)
     x = np.zeros((rows, n), dtype=np.int64)
     x[:, 1] = 1
@@ -404,38 +369,72 @@ def _gf2_rabin_flags_block(n: int, lo: int, hi: int) -> np.ndarray:
     return flags
 
 
-def _gf2_trial_flags_block(n: int, lo: int, hi: int) -> np.ndarray:
-    rows = hi - lo
-    cur = _gf2_words(n, lo, hi)
-    reducible = np.zeros(rows, dtype=bool)
-    alive_idx = np.arange(rows)
-    for d in range(1, n // 2 + 1):
-        for g in range(1 << d, 2 << d):  # every monic divisor of degree d
-            r = cur.copy()
-            bit = np.empty_like(r)
-            for j in range(n, d - 1, -1):
-                np.right_shift(r, j, out=bit)
-                bit &= 1
-                bit *= g << (j - d)
-                r ^= bit
-            divisible = r == 0
-            if divisible.any():
-                reducible[alive_idx[divisible]] = True
-                keep = ~divisible
-                alive_idx = alive_idx[keep]
-                cur = cur[keep]
-                if alive_idx.size == 0:
-                    return ~reducible
-    return ~reducible
+# ---------------------------------------------------------------------------
+# Product sieve (--test trial)
+# ---------------------------------------------------------------------------
+#
+# A monic f of degree n >= 2 has a monic divisor of degree 1..n/2 iff it is
+# a product g h with g monic irreducible of degree d <= n/2, so marking every
+# such product decides what trial division decides.  The g of degree d come
+# from the sieve at degree d, never from the Rabin ladder.
+
+
+def _sieve_block(field: FieldContext, n: int, s: int, base: int, factors: list[np.ndarray]) -> np.ndarray:
+    # the block of q^s rows from base, a multiple of q^s, fixes the prefix
+    # c_0..c_{n-s-1}.  That decides whether x divides, and for g_0 != 0 it
+    # fixes the low coefficients of h, so only products in the block are formed.
+    q, ar = field.q, _arith(field)
+    fixed = n - s
+    prefix = _coeffs(q, n, np.array([base]))[0, :fixed]
+    flags = np.ones(q**s, dtype=bool)
+    flags[: max(0, q ** (n - 1) - base)] = False  # c_0 = 0
+    place = q ** np.arange(s - 1, -1, -1, dtype=np.int64)
+    for g in factors:
+        m, d = g.shape[0], g.shape[1] - 1
+        e = n - d
+        known = min(fixed, e)
+        op_g = ar.operand(g)
+        inv_g0 = ar.inv[g[:, 0]]
+        # power series division of the prefix by g, each h_i stored over the
+        # column it clears: columns >= known then hold -g (h_0..h_{known-1} + x^e)
+        f = np.zeros((m, n + 1), dtype=np.int64)
+        f[:, :known] = prefix[:known]
+        f[:, e:] = ar.sub(0, g)
+        for i in range(known):
+            f[:, i] = ar.mul(f[:, i], inv_g0)
+            f[:, i + 1 : i + d + 1] = ar.axpy(f[:, i + 1 : i + d + 1], f[:, i], op_g[:, 1:])
+        f = ar.sub(0, f)
+        # h_t for t in [known, e) takes every value of F_q, a copy of the rows each
+        for t in range(known, e):
+            rows = f.shape[0]
+            f = np.tile(f, (q, 1))
+            c = np.repeat(np.arange(q, dtype=np.int64), rows)
+            f[:, t : t + d + 1] = ar.axpy(f[:, t : t + d + 1], c, np.tile(op_g, (q * rows // m, 1)))
+        match = (f[:, known:fixed] == prefix[known:]).all(axis=1)
+        flags[f[match, fixed:n] @ place] = False
+    return flags
 
 
 def _flags_range(field, n, lo, hi, method) -> np.ndarray:
     if n == 1:
         return np.ones(hi - lo, dtype=bool)  # every monic linear polynomial
-    if field.q == 2 and n <= _GF2_MAX_N:
-        block = partial(_gf2_trial_flags_block if method == "trial" else _gf2_rabin_flags_block, n)
-    else:
-        block = partial(_trial_flags_block if method == "trial" else _rabin_flags_block, field, n)
+    q = field.q
+    if method == "trial":
+        # blocks of q^s rows aligned to q^s, s the largest with q^s <= _BLOCK;
+        # a range that cuts a block computes all of it and keeps its slice
+        s = 0
+        while s < n and q ** (s + 1) <= _BLOCK:
+            s += 1
+        factors = []  # the monic irreducibles of degree d other than x, as rows
+        for d in range(1, n // 2 + 1):
+            idx = np.flatnonzero(_flags_range(field, d, 0, q**d, "trial"))
+            idx = idx[idx >= q ** (d - 1)]  # c_0 != 0
+            factors.append(np.hstack([_coeffs(q, d, idx), np.ones((idx.size, 1), dtype=np.int64)]))
+        start = lo - lo % q**s
+        flags = np.concatenate([_sieve_block(field, n, s, base, factors) for base in range(start, hi, q**s)])
+        return flags[lo - start : hi - start]
+    gf2 = q == 2 and n <= _GF2_MAX_N
+    block = partial(_gf2_rabin_flags_block, n) if gf2 else partial(_rabin_flags_block, field, n)
     parts = [block(blk_lo, min(blk_lo + _BLOCK, hi)) for blk_lo in range(lo, hi, _BLOCK)]
     return parts[0] if len(parts) == 1 else np.concatenate(parts)
 

@@ -34,6 +34,7 @@ refused outright rather than truncated.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -229,33 +230,27 @@ class FieldContext:
 
     # -- element arithmetic ---------------------------------------------------
 
-    def add(self, a: int, b: int) -> int:
-        if self.k == 1:
-            return (a + b) % self.p
+    def _digitwise(self, op, a: int, b: int) -> int:
+        # op(a_i, b_i) mod p on each pair of base-p digits of two codes
         p = self.p
-        out = 0
-        shift = 1
+        if self.k == 1:
+            return op(a, b) % p
+        out, place = 0, 1
         for _ in range(self.k):
-            out += ((a + b) % p) * shift
-            a //= p
-            b //= p
-            shift *= self.p
+            a, da = divmod(a, p)
+            b, db = divmod(b, p)
+            out += op(da, db) % p * place
+            place *= p
         return out
+
+    def add(self, a: int, b: int) -> int:
+        return self._digitwise(operator.add, a, b)
 
     def neg(self, a: int) -> int:
-        if self.k == 1:
-            return (-a) % self.p
-        p = self.p
-        out = 0
-        shift = 1
-        for _ in range(self.k):
-            out += ((-a) % p) * shift
-            a //= p
-            shift *= p
-        return out
+        return self._digitwise(operator.sub, 0, a)
 
     def sub(self, a: int, b: int) -> int:
-        return self.add(a, self.neg(b))
+        return self._digitwise(operator.sub, a, b)
 
     def mul(self, a: int, b: int) -> int:
         if self.k == 1:
@@ -267,7 +262,7 @@ class FieldContext:
             raise ZeroDivisionError("inverse of the zero element")
         if self.k == 1:
             return pow(a, self.p - 2, self.p)
-        return self._inv_direct(a)
+        return self._power(a, self.q - 2)  # Fermat: a^(q-1) = 1
 
     def frobenius(self, a: int) -> int:
         """a**p, the p-power Frobenius on element codes."""
@@ -303,43 +298,6 @@ class FieldContext:
                         prod[j - k + i] = (prod[j - k + i] - lead * mod[i]) % p
                 prod[j] = 0
         return self.element_code(tuple(prod[:k]))
-
-    def _inv_direct(self, a: int) -> int:
-        # extended Euclid over F_p[x] between the element and the modulus
-        p = self.p
-        r0 = list(self.modulus)
-        r1 = list(self.element_vector(a))
-        s0, s1 = [0], [1]
-        while any(r1):
-            while r1 and r1[-1] == 0:
-                r1.pop()
-            d1 = len(r1) - 1
-            lead_inv = pow(r1[-1], p - 2, p)
-            q_poly = [0] * (len(r0) - len(r1) + 1)
-            r = list(r0)
-            for j in range(len(r) - 1, d1 - 1, -1):
-                c = (r[j] * lead_inv) % p
-                if c:
-                    q_poly[j - d1] = c
-                    for i in range(d1 + 1):
-                        r[j - d1 + i] = (r[j - d1 + i] - c * r1[i]) % p
-            # s_next = s0 - q * s1
-            s_next = list(s0) + [0] * max(0, len(q_poly) + len(s1) - 1 - len(s0))
-            for i, qi in enumerate(q_poly):
-                if qi:
-                    for j, sj in enumerate(s1):
-                        if sj:
-                            s_next[i + j] = (s_next[i + j] - qi * sj) % p
-            r0, r1 = r1, [c % p for c in r[:d1]]
-            s0, s1 = s1, s_next
-        while r0 and r0[-1] == 0:
-            r0.pop()
-        if len(r0) != 1:
-            raise ZeroDivisionError("element is not invertible (modulus not irreducible?)")
-        scale = pow(r0[0], p - 2, p)
-        vec = [(c * scale) % p for c in s0[: self.k]]
-        vec += [0] * (self.k - len(vec))
-        return self.element_code(tuple(vec))
 
 
 def build_field(p: int, k: int) -> FieldContext:
@@ -568,7 +526,12 @@ def irreducible_flags(
     field: FieldContext, n: int, method: str = "rabin", budget: int = DEFAULT_BUDGET
 ) -> np.ndarray:
     """Boolean verdict for every monic degree-n polynomial, in
-    enumeration order.  Same budget rule as enumerate_monic."""
+    enumeration order.  Same budget rule as enumerate_monic.
+
+    'trial' is computed as a product sieve on every field: a row is
+    reducible iff it is a product g h with g monic irreducible of degree
+    <= n/2, the question trial division decides.  'rabin' runs Rabin's
+    test rowwise."""
     total = check_sweep(field.p, field.k, n, method, budget)
     from . import engine
 
@@ -583,7 +546,8 @@ def count_irreducibles(
     workers: int = 1,
 ) -> int:
     """Number of monic degree-n irreducibles over F_q by full enumeration
-    with the chosen test ('trial' or 'rabin').
+    with the chosen test ('trial' or 'rabin'), computed as in
+    irreducible_flags.
 
     The q^n sweep may be partitioned into contiguous blocks counted in
     parallel (workers > 1); the result is independent of the worker count.

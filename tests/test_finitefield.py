@@ -279,14 +279,12 @@ class TestGF2Engine:
             gf2 = irreducible_flags(field, n, method)
             assert np.array_equal(gf2, _scalar_flags_block(field, n, 0, total, method)), n
 
-    @pytest.mark.parametrize("method", ["trial", "rabin"])
-    def test_matches_generic_block_engine(self, method):
+    def test_matches_generic_block_engine(self):
         field = build_field(2, 1)
-        generic = engine._trial_flags_block if method == "trial" else engine._rabin_flags_block
         for n in (13, 14, 15):
             total = 2**n
-            assert np.array_equal(irreducible_flags(field, n, method),
-                                  generic(field, n, 0, total)), n
+            assert np.array_equal(irreducible_flags(field, n, "rabin"),
+                                  engine._rabin_flags_block(field, n, 0, total)), n
 
     @pytest.mark.parametrize("n,lo", [(1, 0), (5, 0), (9, 0), (9, 300)])
     def test_words_follow_enumeration_order(self, n, lo):
@@ -312,17 +310,15 @@ class TestGF2Engine:
     def test_serves_f2_up_to_the_cap(self, monkeypatch):
         field = build_field(2, 1)
         expected = {m: irreducible_flags(field, 8, m) for m in ("trial", "rabin")}
-        for name in ("_trial_flags_block", "_rabin_flags_block"):
-            monkeypatch.setattr(engine, name, _refuse)
+        monkeypatch.setattr(engine, "_rabin_flags_block", _refuse)
         for name in ("is_irreducible_trial", "is_irreducible_rabin"):
             monkeypatch.setattr(ff, name, _refuse)
         for method in ("trial", "rabin"):
             assert np.array_equal(irreducible_flags(field, 8, method), expected[method])
-        # rows with c_0 = 0 are divisible by x; trial stops at the first divisor
+        # rows with c_0 = 0 are divisible by x
         assert not engine._flags_range(field, 32, 0, 4, "trial").any()
 
     def test_other_fields_keep_their_paths(self, monkeypatch):
-        monkeypatch.setattr(engine, "_gf2_trial_flags_block", _refuse)
         monkeypatch.setattr(engine, "_gf2_rabin_flags_block", _refuse)
         for p, k, n in [(2, 2, 3), (2, 4, 2), (3, 1, 4)]:
             field = build_field(p, k)
@@ -342,8 +338,63 @@ class TestGF2Engine:
             assert np.array_equal(irreducible_flags(field, 7, method), whole[method])
 
     def test_workers_do_not_change_trial_counts(self):
+        # 2^17 rows are two sieve blocks; three workers cut both of them
         field = build_field(2, 1)
-        assert count_irreducibles(field, 14, method="trial", workers=2) == necklace_count(2, 14)
+        for workers in (1, 2, 3):
+            assert count_irreducibles(field, 17, method="trial", workers=workers) == necklace_count(2, 17)
+
+
+# fields and degrees on which the sieve's blocks are checked
+_SIEVE_CASES = [(2, 1, 14), (3, 1, 9), (3, 2, 4), (5, 2, 3)]
+
+
+class TestProductSieve:
+    @pytest.mark.parametrize("block", [500, 4096, 1 << 16])
+    @pytest.mark.parametrize("p,k,n", _SIEVE_CASES)
+    def test_block_size_does_not_change_flags(self, monkeypatch, p, k, n, block):
+        field = build_field(p, k)
+        rabin = irreducible_flags(field, n, "rabin")
+        monkeypatch.setattr(engine, "_BLOCK", block)
+        assert np.array_equal(irreducible_flags(field, n, "trial"), rabin)
+
+    @pytest.mark.parametrize("p,k,n", [(2, 1, 10), (3, 1, 6), (3, 2, 4)])
+    def test_blocks_of_q_rows(self, monkeypatch, p, k, n):
+        # a factor of degree d > s leaves no coefficient of h free: the
+        # prefix fixes all of h, and only products that match it are marked
+        field = build_field(p, k)
+        rabin = irreducible_flags(field, n, "rabin")
+        monkeypatch.setattr(engine, "_BLOCK", field.q)
+        assert np.array_equal(irreducible_flags(field, n, "trial"), rabin)
+
+    @pytest.mark.parametrize("p,k,n", _SIEVE_CASES)
+    def test_unaligned_ranges(self, monkeypatch, p, k, n):
+        field = build_field(p, k)
+        whole = irreducible_flags(field, n, "trial")
+        monkeypatch.setattr(engine, "_BLOCK", 500)
+        total = field.q**n
+        rng = np.random.default_rng(n)
+        bounds = [(0, 1), (total - 1, total), (499, 1001), (1, total - 1)]
+        bounds += [tuple(sorted(int(b) for b in rng.integers(0, total + 1, size=2))) for _ in range(6)]
+        for lo, hi in bounds:
+            assert np.array_equal(engine._flags_range(field, n, lo, hi, "trial"), whole[lo:hi]), (lo, hi)
+
+    def test_large_fields(self):
+        assert count_irreducibles(build_field(251, 1), 2, "trial") == necklace_count(251, 2)
+        # F_(251^2): a sweep of 63,001 blocks; rows that cross a block edge
+        field = build_field(251, 2)
+        lo = 1000 * field.q + 61001
+        assert np.array_equal(engine._flags_range(field, 2, lo, lo + 4000, "trial"),
+                              engine._flags_range(field, 2, lo, lo + 4000, "rabin"))
+
+    def test_independent_of_rabin_and_scalar_tests(self, monkeypatch):
+        # built first: FieldContext checks an extension's modulus by Rabin's test
+        cases = [(build_field(p, k), n) for p, k, n in [(2, 1, 14), (3, 1, 8), (3, 2, 4)]]
+        for name in ("_rabin_flags_block", "_gf2_rabin_flags_block"):
+            monkeypatch.setattr(engine, name, _refuse)
+        for name in ("is_irreducible_trial", "is_irreducible_rabin"):
+            monkeypatch.setattr(ff, name, _refuse)
+        for field, n in cases:
+            assert count_irreducibles(field, n, "trial") == necklace_count(field.q, n)
 
 
 class TestCheckSweep:
@@ -522,13 +573,12 @@ class TestLogTableEngine:
         ar = engine._arith(field)
         q = field.q
         mul = field._mul_direct if k > 1 else field.mul
-        inv = field._inv_direct if k > 1 else field.inv
         a, b = (m.ravel() for m in np.meshgrid(np.arange(q), np.arange(q)))
         assert ar.exp[ar.log[a] + ar.log[b]].tolist() == [mul(x, y) for x, y in zip(a.tolist(), b.tolist())]
         assert ar.mul(a, b).tolist() == [mul(x, y) for x, y in zip(a.tolist(), b.tolist())]
         assert ar.sub(a, b).tolist() == [field.sub(x, y) for x, y in zip(a.tolist(), b.tolist())]
         assert sorted(ar.exp[: q - 1].tolist()) == list(range(1, q))
-        assert [ar.inv[x] for x in range(1, q)] == [inv(x) for x in range(1, q)]
+        assert [ar.inv[x] for x in range(1, q)] == [field.inv(x) for x in range(1, q)]
         assert ar.frob.tolist() == [field.frobenius(x) for x in range(q)]
 
     @pytest.mark.parametrize("p,k", [(2, 3), (3, 2), (5, 2), (3, 3)])
@@ -554,7 +604,7 @@ class TestLogTableEngine:
             assert ar.exp[ar.log[x] + ar.log[y]] == field._mul_direct(x, y)
             assert ar.frob[x] == field.frobenius(x)
             if x:
-                assert ar.inv[x] == field._inv_direct(x)
+                assert ar.inv[x] == field.inv(x)
 
     @pytest.mark.parametrize("p,k,n", [(2, 1, 6), (3, 1, 5), (2, 2, 4), (3, 2, 3), (2, 8, 2), (17, 2, 2)])
     def test_batched_finish_matches_scalar_gcd(self, p, k, n):
