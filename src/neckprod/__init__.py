@@ -19,7 +19,6 @@ from .finitefield import (
     NotPrimeError,
     build_field,
     count_irreducibles,
-    enumerate_monic,
     irreducible_flags,
     is_irreducible_rabin,
     is_irreducible_trial,
@@ -60,7 +59,6 @@ __all__ = [
     "build_necklace_table",
     "count_irreducibles",
     "divisors",
-    "enumerate_monic",
     "eval_complex",
     "expand_direct",
     "expand_recursive",

@@ -4,17 +4,17 @@ monic polynomials.
 finitefield.irreducible_flags and finitefield.count_irreducibles import
 this module when a sweep runs, after check_sweep has accepted it, so numpy
 is loaded by sweeps only.  Every field with q <= MAX_ENGINE_Q = 2^16 is
-swept on (rows, n) int64 matrices of element codes: mod-p arithmetic for
-prime fields; for extensions, products through the log/antilog tables and
+swept on int64 element codes: mod-p arithmetic for prime fields (lazy in
+the ladder); for extensions, products through log/antilog tables and
 differences as xor (p = 2) or through a Zech table (odd p).
 
 * trial -- a product sieve on every field: it marks each product g h of a
   monic irreducible g of degree <= n/2 and a monic h, so the rows left
   unmarked are those trial division finds no divisor of.
-* rabin -- the Frobenius ladder rowwise; its survivors finish with a
-  Euclid batched over all survivors of a block.  For q = 2 and n <= 32 the
-  GF(2) word engine runs the ladder instead: each polynomial is one uint64
-  word, squared by byte-spread lookup and reduced by shift-xor.
+* rabin -- the Frobenius ladder on (n, rows) blocks, one contiguous vector
+  per coefficient, then one batched Euclid over the block's survivors.  For
+  q = 2 and n <= 32 the GF(2) word engine runs both on one uint64 word per
+  polynomial: squares by byte-spread lookup, shift-xor reduction.
 
 Every path is held row for row to the scalar is_irreducible_* tests of
 finitefield, which share no code or table with them.
@@ -36,10 +36,10 @@ _GF2_MAX_N = 32  # squares of degree-<32 words reach bit 62 of a uint64
 # Block engine
 # ---------------------------------------------------------------------------
 #
-# Blocks of monic polynomials of degree n >= 2 are held as (rows, n) int64
-# arrays of element codes (free coefficients; the leading 1 is implicit).
-# _Arith supplies the elementwise field arithmetic, so one set of block
-# functions serves every field with q <= MAX_ENGINE_Q.
+# The ladder holds a block of monic polynomials of degree n >= 2 as an
+# (n, rows) int64 array of free coefficients, the leading 1 implicit; the
+# sieve and the survivor finish hold rows.  _Arith supplies the elementwise
+# field arithmetic for every field with q <= MAX_ENGINE_Q.
 
 
 def _primitive_powers(field: FieldContext) -> list[int]:
@@ -137,10 +137,10 @@ class _Arith:
         return g if self.k == 1 else self.log[g]
 
     def axpy(self, r: np.ndarray, c: np.ndarray, g: np.ndarray) -> np.ndarray:
-        """r - c[:, None] * g, for g prepared by operand."""
+        """r - c g, for g prepared by operand and c broadcast against it."""
         if self.k == 1:
-            return (r - c[:, None] * g) % self.p
-        log_cg = self.log[c][:, None] + g
+            return (r - c * g) % self.p
+        log_cg = self.log[c] + g
         if self.p == 2:
             return r ^ self.exp[log_cg]
         return self._minus_log(r, log_cg)
@@ -154,19 +154,29 @@ def _arith(field: FieldContext) -> _Arith:
 
 
 def _coeffs(q: int, n: int, idx: np.ndarray) -> np.ndarray:
-    # enumeration indices -> rows of free coefficients, c_0 the top digit
-    out = np.empty((idx.size, n), dtype=np.int64)
+    # enumeration indices -> free coefficients (n, rows), c_0 the top digit
+    out = np.empty((n, idx.size), dtype=np.int64)
     for j in range(n - 1, -1, -1):
-        idx, out[:, j] = np.divmod(idx, q)
+        idx, out[j] = np.divmod(idx, q)
     return out
 
 
 def _reduce(ar: _Arith, prod: np.ndarray, f: np.ndarray) -> np.ndarray:
-    # rowwise prod mod f, top column first; f prepared by ar.operand
-    n = f.shape[1]
-    for j in range(prod.shape[1] - 1, n - 1, -1):
-        prod[:, j - n : j] = ar.axpy(prod[:, j - n : j], prod[:, j], f)
-    return prod[:, :n].copy()  # lets prod go
+    # prod mod f, top coefficient first; f prepared by ar.operand.  Prime
+    # fields subtract lazily, reducing only the coefficient read and the
+    # result: an entry starts within width (p - 1)^2 of zero and takes at
+    # most n subtractions of at most (p - 1)^2, which int64 must hold.
+    width, n = prod.shape[0], f.shape[0]
+    if ar.k == 1:
+        p = ar.p
+        if (width + n) * (p - 1) ** 2 >= 1 << 62:
+            raise OverflowError(f"lazy reduction of {width} coefficients mod {p} could overflow int64")
+        for j in range(width - 1, n - 1, -1):
+            prod[j - n : j] -= prod[j] % p * f
+        return prod[:n] % p
+    for j in range(width - 1, n - 1, -1):
+        prod[j - n : j] = ar.axpy(prod[j - n : j], prod[j], f)
+    return prod[:n].copy()  # lets prod go
 
 
 def _negated(ar: _Arith, b: np.ndarray) -> np.ndarray:
@@ -174,42 +184,42 @@ def _negated(ar: _Arith, b: np.ndarray) -> np.ndarray:
 
 
 def _mulmod(ar: _Arith, a: np.ndarray, neg_b: np.ndarray, f: np.ndarray) -> np.ndarray:
-    # rowwise a b mod f, for neg_b = _negated(ar, b)
-    rows, n = a.shape
-    prod = np.zeros((rows, 2 * n - 1), dtype=np.int64)
+    # a b mod f, coefficient-major, for neg_b = _negated(ar, b); prime fields
+    # accumulate -a_i (-b) unreduced, within n (p - 1)^2 of zero
+    n, rows = a.shape
+    prod = np.zeros((2 * n - 1, rows), dtype=np.int64)
     for i in range(n):
-        prod[:, i : i + n] = ar.axpy(prod[:, i : i + n], a[:, i], neg_b)
+        if ar.k == 1:
+            prod[i : i + n] -= a[i] * neg_b
+        else:
+            prod[i : i + n] = ar.axpy(prod[i : i + n], a[i], neg_b)
     return _reduce(ar, prod, f)
 
 
-def _x_to_the_p(ar: _Arith, f: np.ndarray) -> np.ndarray:
-    # rowwise x^p mod f by square and multiply, for deg f >= 2
-    x = np.zeros(f.shape, dtype=np.int64)
-    x[:, 1] = 1
+def _x_to_the_p(ar: _Arith, x: np.ndarray, f: np.ndarray) -> np.ndarray:
+    # x^p mod f by square and multiply, for deg f >= 2
     neg_x = _negated(ar, x)
-    out = x
     for bit in bin(ar.p)[3:]:
-        out = _mulmod(ar, out, _negated(ar, out), f)
+        x = _mulmod(ar, x, _negated(ar, x), f)
         if bit == "1":
-            out = _mulmod(ar, out, neg_x, f)
-    return out
+            x = _mulmod(ar, x, neg_x, f)
+    return x
 
 
 def _spread(t: np.ndarray, p: int) -> np.ndarray:
-    # sum t_i x^(pi), rowwise
-    out = np.zeros((t.shape[0], p * (t.shape[1] - 1) + 1), dtype=np.int64)
-    out[:, ::p] = t
+    # sum t_i x^(pi), coefficient-major
+    out = np.zeros((p * (t.shape[0] - 1) + 1, t.shape[1]), dtype=np.int64)
+    out[::p] = t
     return out
 
 
 def _batch_pow_q(ar: _Arith, t: np.ndarray, f: np.ndarray, neg_xp: np.ndarray | None) -> np.ndarray:
-    # rowwise t^q mod f (f prepared by ar.operand) in k rounds of
+    # t^q mod f (f prepared by ar.operand) in k rounds of
     # t -> t^p = sum t_i^p x^(pi), which holds in characteristic p.  A
-    # round places the t_i^p p columns apart and reduces the whole spread,
-    # (p - 1)(n - 1) steps; with neg_xp = -(x^p mod f) given it runs Horner's
-    # rule in x^p instead, n - 1 products of about 2n steps each.
+    # round places the t_i^p p coefficients apart and reduces the whole
+    # spread, (p - 1)(n - 1) steps; with neg_xp = -(x^p mod f) given it runs
+    # Horner's rule in x^p instead, n - 1 products of about 2n steps each.
     p, k = ar.p, ar.k
-    n = t.shape[1]
     for _ in range(k):
         if k > 1:
             t = ar.frob[t]
@@ -218,10 +228,10 @@ def _batch_pow_q(ar: _Arith, t: np.ndarray, f: np.ndarray, neg_xp: np.ndarray | 
         else:
             c = t
             t = np.zeros_like(c)
-            t[:, 0] = c[:, n - 1]
-            for i in range(n - 2, -1, -1):
+            t[0] = c[-1]
+            for i in range(c.shape[0] - 2, -1, -1):
                 t = _mulmod(ar, t, neg_xp, f)
-                t[:, 0] = ar.sub(t[:, 0], ar.sub(0, c[:, i]))
+                t[0] = ar.sub(t[0], ar.sub(0, c[i]))
     return t
 
 
@@ -261,7 +271,7 @@ def _coprime_rows(ar: _Arith, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         # b x^(da - db): columns above deg b are zero, so a cyclic shift
         # brings only zeros round to the bottom
         shifted = np.take_along_axis(b, (cols - (da - db)[:, None]) % m, axis=1)
-        a = ar.axpy(a, c, ar.operand(shifted))
+        a = ar.axpy(a, c[:, None], ar.operand(shifted))
     return out
 
 
@@ -270,11 +280,11 @@ def _rabin_flags_block(field: FieldContext, n: int, lo: int, hi: int) -> np.ndar
     ar = _arith(field)
     fmat = _coeffs(field.q, n, np.arange(lo, hi, dtype=np.int64))
     f = ar.operand(fmat)
-    x = np.zeros((rows, n), dtype=np.int64)
-    x[:, 1] = 1
+    x = np.zeros((n, rows), dtype=np.int64)
+    x[1] = 1
     # Horner's rule is the cheaper round once p > 2n, and the spread of
     # p (n - 1) + 1 columns per row would grow with p
-    neg_xp = _negated(ar, _x_to_the_p(ar, f)) if field.p > 2 * n else None
+    neg_xp = _negated(ar, _x_to_the_p(ar, x, f)) if field.p > 2 * n else None
     checkpoints = {n // l for l in _prime_factors(n)}
     saved: dict[int, np.ndarray] = {}
     t = x
@@ -282,15 +292,15 @@ def _rabin_flags_block(field: FieldContext, n: int, lo: int, hi: int) -> np.ndar
         t = _batch_pow_q(ar, t, f, neg_xp)
         if j in checkpoints:
             saved[j] = t
-    flags = (t == x).all(axis=1)
-    # survivors have all factor degrees dividing n; finish them with the
-    # gcd conditions on the saved intermediate powers
+    flags = (t == x).all(axis=0)
+    # survivors have all factor degrees dividing n; finish them, transposed
+    # to rows, with the gcd conditions on the saved intermediate powers
     for arr in saved.values():
-        idx = np.nonzero(flags)[0]
+        idx = np.flatnonzero(flags)
         monic = np.ones((idx.size, n + 1), dtype=np.int64)
-        monic[:, :n] = fmat[idx]
+        monic[:, :n] = fmat[:, idx].T
         h = np.zeros_like(monic)
-        h[:, :n] = ar.sub(arr[idx], x[: idx.size])
+        h[:, :n] = ar.sub(arr[:, idx], x[:, idx]).T
         flags[idx] = _coprime_rows(ar, monic, h)
     return flags
 
@@ -324,13 +334,16 @@ def _gf2_spread_table() -> np.ndarray:
     return out
 
 
-def _gf2_gcd(a: int, b: int) -> int:
-    while b:
-        db = b.bit_length()
-        while (da := a.bit_length()) >= db:
-            a ^= b << (da - db)
-        a, b = b, a
-    return a
+def _gf2_coprime(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    # wordwise verdict gcd(a, b) = 1: Euclid on all words at once, one leading
+    # term per step as in _coprime_rows, until every b is zero.  Bit lengths
+    # come from float64 exponents, exact for words below 2^53.
+    while b.any():
+        da, db = (np.frexp(w.astype(np.float64))[1] for w in (a, b))
+        swap = da < db
+        a, b = np.where(swap, b, a), np.where(swap, a, b)
+        a = a ^ (b << np.abs(da - db).astype(np.uint64))
+    return a == 1
 
 
 def _gf2_rabin_flags_block(n: int, lo: int, hi: int) -> np.ndarray:
@@ -360,12 +373,9 @@ def _gf2_rabin_flags_block(n: int, lo: int, hi: int) -> np.ndarray:
     flags = t == x
     # survivors have all factor degrees dividing n; finish them with the
     # gcd conditions on the saved intermediate powers
-    for ridx in np.nonzero(flags)[0]:
-        fi = int(f[ridx])
-        for arr in saved.values():
-            if _gf2_gcd(fi, int(arr[ridx]) ^ x) != 1:
-                flags[ridx] = False
-                break
+    for arr in saved.values():
+        idx = np.flatnonzero(flags)
+        flags[idx] = _gf2_coprime(f[idx], arr[idx] ^ x)
     return flags
 
 
@@ -385,7 +395,7 @@ def _sieve_block(field: FieldContext, n: int, s: int, base: int, factors: list[n
     # fixes the low coefficients of h, so only products in the block are formed.
     q, ar = field.q, _arith(field)
     fixed = n - s
-    prefix = _coeffs(q, n, np.array([base]))[0, :fixed]
+    prefix = _coeffs(q, n, np.array([base]))[:fixed, 0]
     flags = np.ones(q**s, dtype=bool)
     flags[: max(0, q ** (n - 1) - base)] = False  # c_0 = 0
     place = q ** np.arange(s - 1, -1, -1, dtype=np.int64)
@@ -396,22 +406,24 @@ def _sieve_block(field: FieldContext, n: int, s: int, base: int, factors: list[n
         op_g = ar.operand(g)
         inv_g0 = ar.inv[g[:, 0]]
         # power series division of the prefix by g, each h_i stored over the
-        # column it clears: columns >= known then hold -g (h_0..h_{known-1} + x^e)
+        # column it clears: columns known..n-1, all read from here on, then
+        # hold -g (h_0..h_{known-1} + x^e)
         f = np.zeros((m, n + 1), dtype=np.int64)
         f[:, :known] = prefix[:known]
         f[:, e:] = ar.sub(0, g)
         for i in range(known):
             f[:, i] = ar.mul(f[:, i], inv_g0)
-            f[:, i + 1 : i + d + 1] = ar.axpy(f[:, i + 1 : i + d + 1], f[:, i], op_g[:, 1:])
-        f = ar.sub(0, f)
-        # h_t for t in [known, e) takes every value of F_q, a copy of the rows each
-        for t in range(known, e):
-            rows = f.shape[0]
-            f = np.tile(f, (q, 1))
-            c = np.repeat(np.arange(q, dtype=np.int64), rows)
-            f[:, t : t + d + 1] = ar.axpy(f[:, t : t + d + 1], c, np.tile(op_g, (q * rows // m, 1)))
-        match = (f[:, known:fixed] == prefix[known:]).all(axis=1)
-        flags[f[match, fixed:n] @ place] = False
+            f[:, i + 1 : i + d + 1] = ar.axpy(f[:, i + 1 : i + d + 1], f[:, i, None], op_g[:, 1:])
+        f = ar.sub(0, f[:, known:n])
+        # h_t for t in [known, e) takes every value of F_q, each on a new
+        # leading axis that op_g broadcasts over
+        for t in range(0, e - known):
+            c = np.arange(q, dtype=np.int64).reshape((q,) + (1,) * f.ndim)
+            f = np.broadcast_to(f, (q,) + f.shape).copy()
+            f[..., t : t + d + 1] = ar.axpy(f[..., t : t + d + 1], c, op_g)
+        f = f.reshape(-1, n - known)
+        match = (f[:, : fixed - known] == prefix[known:]).all(axis=1)
+        flags[f[match, fixed - known :] @ place] = False
     return flags
 
 
@@ -429,7 +441,7 @@ def _flags_range(field, n, lo, hi, method) -> np.ndarray:
         for d in range(1, n // 2 + 1):
             idx = np.flatnonzero(_flags_range(field, d, 0, q**d, "trial"))
             idx = idx[idx >= q ** (d - 1)]  # c_0 != 0
-            factors.append(np.hstack([_coeffs(q, d, idx), np.ones((idx.size, 1), dtype=np.int64)]))
+            factors.append(np.hstack([_coeffs(q, d, idx).T, np.ones((idx.size, 1), dtype=np.int64)]))
         start = lo - lo % q**s
         flags = np.concatenate([_sieve_block(field, n, s, base, factors) for base in range(start, hi, q**s)])
         return flags[lo - start : hi - start]

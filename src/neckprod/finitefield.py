@@ -375,18 +375,6 @@ def _index_coeffs(q: int, n: int, idx: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def enumerate_monic(field: FieldContext, n: int, budget: int = DEFAULT_BUDGET):
-    """Yield all q^n monic degree-n polynomials in lexicographic
-    coefficient order (constant term most significant, coefficients
-    ordered by element code).
-
-    Refuses outright when q^n exceeds the enumeration budget.
-    """
-    total = check_sweep(field.p, field.k, n, budget=budget)
-    for idx in range(total):
-        yield MonicPoly(field, _index_coeffs(field.q, n, idx) + (1,))
-
-
 # ---------------------------------------------------------------------------
 # Scalar polynomial arithmetic over F_q (reference irreducibility tests)
 # ---------------------------------------------------------------------------
@@ -526,7 +514,9 @@ def irreducible_flags(
     field: FieldContext, n: int, method: str = "rabin", budget: int = DEFAULT_BUDGET
 ) -> np.ndarray:
     """Boolean verdict for every monic degree-n polynomial, in
-    enumeration order.  Same budget rule as enumerate_monic.
+    enumeration order: lexicographic in the coefficients, constant term
+    most significant, each ordered by element code.  Refused by
+    check_sweep as any sweep is.
 
     'trial' is computed as a product sieve on every field: a row is
     reducible iff it is a product g h with g monic irreducible of degree

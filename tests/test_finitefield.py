@@ -7,13 +7,13 @@ import pytest
 
 from neckprod.exact import divisors, necklace_count
 from neckprod.finitefield import (
+    DEFAULT_BUDGET,
     BudgetExceededError,
     FieldContext,
     MonicPoly,
     NotPrimeError,
     build_field,
     count_irreducibles,
-    enumerate_monic,
     irreducible_flags,
     is_irreducible_rabin,
     is_irreducible_trial,
@@ -22,6 +22,14 @@ from neckprod.finitefield import (
 import neckprod.engine as engine
 import neckprod.finitefield as ff
 from neckprod.finitefield import _index_coeffs
+
+
+def enumerate_monic(field, n, budget=DEFAULT_BUDGET):
+    # the q^n monic degree-n polynomials in enumeration order, the scalar
+    # enumeration the engine's flags are compared against
+    total = ff.check_sweep(field.p, field.k, n, budget=budget)
+    for idx in range(total):
+        yield MonicPoly(field, _index_coeffs(field.q, n, idx) + (1,))
 
 
 def _scalar_flags_block(field, n, lo, hi, method):
@@ -212,7 +220,10 @@ class TestAgreementAndEngine:
             for poly in enumerate_monic(field, n):
                 assert is_irreducible_trial(poly) == is_irreducible_rabin(poly), str(poly)
 
-    @pytest.mark.parametrize("p,k,max_n", [(2, 1, 9), (3, 1, 5), (2, 2, 4), (7, 1, 3), (3, 2, 2)])
+    # F_5 n = 3 runs the Frobenius rounds on the spread, F_7 n = 3 and
+    # F_11 n = 2 by Horner's rule in x^p, the engine's choice once p > 2n
+    @pytest.mark.parametrize("p,k,max_n", [(2, 1, 9), (3, 1, 5), (2, 2, 4), (5, 1, 3), (7, 1, 3),
+                                           (11, 1, 2), (3, 2, 2)])
     def test_block_engine_matches_scalar(self, p, k, max_n):
         field = build_field(p, k)
         for n in range(1, max_n + 1):
@@ -587,9 +598,37 @@ class TestLogTableEngine:
         field = build_field(p, k)
         ar = engine._arith(field)
         r, c, g = (m.ravel() for m in np.meshgrid(*[np.arange(field.q)] * 3))
-        got = ar.axpy(r[:, None], c, ar.operand(g[:, None]))[:, 0]
+        got = ar.axpy(r[:, None], c[:, None], ar.operand(g[:, None]))[:, 0]
         assert got.tolist() == [field.sub(x, field.mul(y, z))
                                 for x, y, z in zip(r.tolist(), c.tolist(), g.tolist())]
+
+    @pytest.mark.parametrize("p,k", [(3, 1), (65521, 1), (2, 2), (3, 2), (17, 2)])
+    def test_mulmod_and_reduce_match_scalar(self, p, k):
+        # coefficient-major blocks against _poly_mulmod column by column; over
+        # a prime field, columns of p - 1 reach the largest lazy intermediates
+        field = build_field(p, k)
+        ar = engine._arith(field)
+        q, n, rows = field.q, 4, 60
+        rng = np.random.default_rng(p + k)
+        a, b, f = rng.integers(0, q, size=(3, n, rows))
+        prod = rng.integers(0, q, size=(2 * n - 1, rows))
+        for m in (a, b, f, prod):
+            m[:, :5] = q - 1
+        got = engine._mulmod(ar, a, engine._negated(ar, b), ar.operand(f))
+        reduced = engine._reduce(ar, prod.copy(), ar.operand(f))
+        for i in range(rows):
+            fi = f[:, i].tolist() + [1]
+            assert got[:, i].tolist() == ff._poly_mulmod(field, a[:, i].tolist(), b[:, i].tolist(), fi)
+            assert reduced[:, i].tolist() == ff._poly_mulmod(field, prod[:, i].tolist(), [1], fi)
+
+    def test_lazy_reduction_bound_is_checked(self):
+        # (width + n) (p - 1)^2 past 2^62 is refused; with no rows the arrays
+        # stay empty, and with width = n there is no step to run
+        ar = engine._arith(build_field(65521, 1))
+        empty = np.zeros((1 << 30, 0), dtype=np.int64)
+        assert (2 << 30) * 65520**2 >= 1 << 62
+        with pytest.raises(OverflowError):
+            engine._reduce(ar, empty, empty)
 
     @pytest.mark.parametrize("p,k", [(2, 16), (3, 10)])
     def test_tables_sampled_at_the_field_limit(self, p, k):
