@@ -4,8 +4,8 @@ monic polynomials.
 finitefield.irreducible_flags and finitefield.count_irreducibles import
 this module when a sweep runs, after check_sweep has accepted it, so numpy
 is loaded by sweeps only.  Every field with q <= MAX_ENGINE_Q = 2^16 is
-swept on int64 element codes: mod-p arithmetic for prime fields (lazy in
-the ladder); for extensions, products through log/antilog tables and
+swept on int64 element codes: mod-p arithmetic for prime fields, reduced
+lazily; for extensions, products through log/antilog tables and
 differences as xor (p = 2) or through a Zech table (odd p).
 
 * trial -- a product sieve on every field: it marks each product g h of a
@@ -26,7 +26,7 @@ from functools import partial
 
 import numpy as np
 
-from .finitefield import FieldContext, _prime_factors, build_field
+from .finitefield import FieldContext, _prime_factors
 
 _BLOCK = 1 << 16
 _GF2_MAX_N = 32  # squares of degree-<32 words reach bit 62 of a uint64
@@ -36,10 +36,10 @@ _GF2_MAX_N = 32  # squares of degree-<32 words reach bit 62 of a uint64
 # Block engine
 # ---------------------------------------------------------------------------
 #
-# The ladder holds a block of monic polynomials of degree n >= 2 as an
-# (n, rows) int64 array of free coefficients, the leading 1 implicit; the
-# sieve and the survivor finish hold rows.  _Arith supplies the elementwise
-# field arithmetic for every field with q <= MAX_ENGINE_Q.
+# Every engine array is coefficient-major, (coefficients, rows) int64; the
+# ladder holds a block of monic polynomials of degree n >= 2 as its n free
+# coefficients, the leading 1 implicit.  _Arith supplies the elementwise field
+# arithmetic for every q <= MAX_ENGINE_Q and alone decides when to reduce.
 
 
 def _primitive_powers(field: FieldContext) -> list[int]:
@@ -81,6 +81,10 @@ class _Arith:
     through a Zech table: a - b = exp[log a + zech[log b - log a + Z]],
     with a zero on either side covered by the table too.  inv (inv[0] = 0)
     and frob (a -> a^p) are tables of q entries.  Every table is O(q).
+
+    Operands of mul and sub and multipliers of axpy are canonical codes.
+    Over a prime field axpy leaves r unreduced until reduce, after a caller
+    has passed the bound on its steps to check_headroom.
     """
 
     def __init__(self, field: FieldContext):
@@ -136,14 +140,27 @@ class _Arith:
         # g as axpy takes it: its logs for an extension
         return g if self.k == 1 else self.log[g]
 
-    def axpy(self, r: np.ndarray, c: np.ndarray, g: np.ndarray) -> np.ndarray:
-        """r - c g, for g prepared by operand and c broadcast against it."""
+    def axpy(self, r: np.ndarray, c: np.ndarray, g: np.ndarray) -> None:
+        # r -= c g in place, for g prepared by operand and c broadcast against it
         if self.k == 1:
-            return (r - c * g) % self.p
-        log_cg = self.log[c] + g
-        if self.p == 2:
-            return r ^ self.exp[log_cg]
-        return self._minus_log(r, log_cg)
+            r -= c * g
+        elif self.p == 2:
+            log_cg = self.log[c] + g
+            # written over log_cg, one temporary fewer; mode clip (indices are in
+            # range) keeps take from buffering out
+            r ^= np.take(self.exp, log_cg, out=log_cg, mode="clip")
+        else:
+            r[...] = self._minus_log(r, self.log[c] + g)
+
+    def reduce(self, a: np.ndarray) -> np.ndarray:
+        # a's canonical codes, as a new array; on int64 floor division beats %,
+        # and numpy reuses the temporary a // p for both later steps
+        return a // self.p * -self.p + a if self.k == 1 else a.copy()
+
+    def check_headroom(self, terms: int) -> None:
+        # an unreduced entry is a sum of at most terms values within (p - 1)^2 of zero
+        if terms * (self.p - 1) ** 2 >= 1 << 62:
+            raise OverflowError(f"lazy reduction of {terms} terms mod {self.p} could overflow int64")
 
 
 def _arith(field: FieldContext) -> _Arith:
@@ -162,21 +179,13 @@ def _coeffs(q: int, n: int, idx: np.ndarray) -> np.ndarray:
 
 
 def _reduce(ar: _Arith, prod: np.ndarray, f: np.ndarray) -> np.ndarray:
-    # prod mod f, top coefficient first; f prepared by ar.operand.  Prime
-    # fields subtract lazily, reducing only the coefficient read and the
-    # result: an entry starts within width (p - 1)^2 of zero and takes at
-    # most n subtractions of at most (p - 1)^2, which int64 must hold.
+    # prod mod f, top coefficient first; f prepared by ar.operand.  An entry
+    # starts within width (p - 1)^2 of zero and takes at most n steps.
     width, n = prod.shape[0], f.shape[0]
-    if ar.k == 1:
-        p = ar.p
-        if (width + n) * (p - 1) ** 2 >= 1 << 62:
-            raise OverflowError(f"lazy reduction of {width} coefficients mod {p} could overflow int64")
-        for j in range(width - 1, n - 1, -1):
-            prod[j - n : j] -= prod[j] % p * f
-        return prod[:n] % p
+    ar.check_headroom(width + n)
     for j in range(width - 1, n - 1, -1):
-        prod[j - n : j] = ar.axpy(prod[j - n : j], prod[j], f)
-    return prod[:n].copy()  # lets prod go
+        ar.axpy(prod[j - n : j], ar.reduce(prod[j]), f)
+    return ar.reduce(prod[:n])
 
 
 def _negated(ar: _Arith, b: np.ndarray) -> np.ndarray:
@@ -184,15 +193,12 @@ def _negated(ar: _Arith, b: np.ndarray) -> np.ndarray:
 
 
 def _mulmod(ar: _Arith, a: np.ndarray, neg_b: np.ndarray, f: np.ndarray) -> np.ndarray:
-    # a b mod f, coefficient-major, for neg_b = _negated(ar, b); prime fields
-    # accumulate -a_i (-b) unreduced, within n (p - 1)^2 of zero
+    # a b mod f, coefficient-major, for neg_b = _negated(ar, b): n steps
+    # accumulate -a_i (-b), within the bound _reduce checks
     n, rows = a.shape
     prod = np.zeros((2 * n - 1, rows), dtype=np.int64)
     for i in range(n):
-        if ar.k == 1:
-            prod[i : i + n] -= a[i] * neg_b
-        else:
-            prod[i : i + n] = ar.axpy(prod[i : i + n], a[i], neg_b)
+        ar.axpy(prod[i : i + n], a[i], neg_b)
     return _reduce(ar, prod, f)
 
 
@@ -206,13 +212,6 @@ def _x_to_the_p(ar: _Arith, x: np.ndarray, f: np.ndarray) -> np.ndarray:
     return x
 
 
-def _spread(t: np.ndarray, p: int) -> np.ndarray:
-    # sum t_i x^(pi), coefficient-major
-    out = np.zeros((p * (t.shape[0] - 1) + 1, t.shape[1]), dtype=np.int64)
-    out[::p] = t
-    return out
-
-
 def _batch_pow_q(ar: _Arith, t: np.ndarray, f: np.ndarray, neg_xp: np.ndarray | None) -> np.ndarray:
     # t^q mod f (f prepared by ar.operand) in k rounds of
     # t -> t^p = sum t_i^p x^(pi), which holds in characteristic p.  A
@@ -222,11 +221,13 @@ def _batch_pow_q(ar: _Arith, t: np.ndarray, f: np.ndarray, neg_xp: np.ndarray | 
     p, k = ar.p, ar.k
     for _ in range(k):
         if k > 1:
-            t = ar.frob[t]
+            t = ar.frob[t]  # rebinding t frees the previous power before the spread
+        c = t
         if neg_xp is None:
-            t = _reduce(ar, _spread(t, p), f)
+            t = np.zeros((p * (c.shape[0] - 1) + 1, c.shape[1]), dtype=np.int64)
+            t[::p] = c
+            t = _reduce(ar, t, f)
         else:
-            c = t
             t = np.zeros_like(c)
             t[0] = c[-1]
             for i in range(c.shape[0] - 2, -1, -1):
@@ -236,54 +237,54 @@ def _batch_pow_q(ar: _Arith, t: np.ndarray, f: np.ndarray, neg_xp: np.ndarray | 
 
 
 def _degrees(a: np.ndarray) -> np.ndarray:
-    # rowwise degree of coefficient rows (constant term first); -1 for zero
+    # columnwise degree of coefficient-major a (constant term first); -1 for zero
     nonzero = a != 0
-    top = a.shape[1] - 1 - np.argmax(nonzero[:, ::-1], axis=1)
-    return np.where(nonzero.any(axis=1), top, -1)
+    top = a.shape[0] - 1 - np.argmax(nonzero[::-1], axis=0)
+    return np.where(nonzero.any(axis=0), top, -1)
 
 
-def _coprime_rows(ar: _Arith, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Rowwise verdict gcd(a, b) = 1 for coefficient matrices of one
-    shape (rows, m), constant term first.
+def _coprime(ar: _Arith, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Columnwise verdict gcd(a, b) = 1 for coefficient-major matrices of one
+    shape (m, rows), constant term first.
 
-    Euclid's algorithm on all rows at once, one leading term per step: the
-    row of higher degree loses its leading term to a multiple of the other
-    row shifted into place, so deg a + deg b falls every step and at most
-    2m steps run.  A row is done when one side is zero; the gcd is then
-    the other side, a unit iff it has degree 0.
+    Euclid's algorithm on all columns at once, one leading term per step:
+    the column of higher degree loses its leading term to a multiple of the
+    other column shifted into place, so deg a + deg b falls every step and
+    at most 2m steps run, each reduced as the next reads degrees.  A column is
+    done when one side is zero; the gcd is the other side, a unit iff constant.
     """
-    m = a.shape[1]
-    cols = np.arange(m)
-    out = np.zeros(a.shape[0], dtype=bool)
-    live = np.arange(a.shape[0])
+    m = a.shape[0]
+    coeffs = np.arange(m)[:, None]
+    out = np.zeros(a.shape[1], dtype=bool)
+    live = np.arange(a.shape[1])
     while live.size:
         da, db = _degrees(a), _degrees(b)
         swap = da < db
-        a, b = np.where(swap[:, None], b, a), np.where(swap[:, None], a, b)
+        a, b = np.where(swap, b, a), np.where(swap, a, b)
         da, db = np.maximum(da, db), np.minimum(da, db)
         done = db < 0
         if done.any():
             out[live[done]] = da[done] == 0
             keep = ~done
-            live, a, b, da, db = live[keep], a[keep], b[keep], da[keep], db[keep]
-        rows = np.arange(live.size)
-        c = ar.mul(a[rows, da], ar.inv[b[rows, db]])
-        # b x^(da - db): columns above deg b are zero, so a cyclic shift
+            live, a, b, da, db = live[keep], a[:, keep], b[:, keep], da[keep], db[keep]
+        cols = np.arange(live.size)
+        c = ar.mul(a[da, cols], ar.inv[b[db, cols]])
+        # b x^(da - db): coefficients above deg b are zero, so a cyclic shift
         # brings only zeros round to the bottom
-        shifted = np.take_along_axis(b, (cols - (da - db)[:, None]) % m, axis=1)
-        a = ar.axpy(a, c[:, None], ar.operand(shifted))
+        shifted = np.take_along_axis(b, (coeffs - (da - db)) % m, axis=0)
+        ar.axpy(a, c, ar.operand(shifted))
+        a = ar.reduce(a)
     return out
 
 
 def _rabin_flags_block(field: FieldContext, n: int, lo: int, hi: int) -> np.ndarray:
-    rows = hi - lo
     ar = _arith(field)
     fmat = _coeffs(field.q, n, np.arange(lo, hi, dtype=np.int64))
     f = ar.operand(fmat)
-    x = np.zeros((n, rows), dtype=np.int64)
+    x = np.zeros((n, hi - lo), dtype=np.int64)
     x[1] = 1
     # Horner's rule is the cheaper round once p > 2n, and the spread of
-    # p (n - 1) + 1 columns per row would grow with p
+    # p (n - 1) + 1 coefficients per polynomial would grow with p
     neg_xp = _negated(ar, _x_to_the_p(ar, x, f)) if field.p > 2 * n else None
     checkpoints = {n // l for l in _prime_factors(n)}
     saved: dict[int, np.ndarray] = {}
@@ -293,15 +294,14 @@ def _rabin_flags_block(field: FieldContext, n: int, lo: int, hi: int) -> np.ndar
         if j in checkpoints:
             saved[j] = t
     flags = (t == x).all(axis=0)
-    # survivors have all factor degrees dividing n; finish them, transposed
-    # to rows, with the gcd conditions on the saved intermediate powers
+    # survivors have all factor degrees dividing n; finish them with the gcd
+    # conditions on the saved intermediate powers
     for arr in saved.values():
         idx = np.flatnonzero(flags)
-        monic = np.ones((idx.size, n + 1), dtype=np.int64)
-        monic[:, :n] = fmat[:, idx].T
+        monic = np.vstack([fmat[:, idx], np.ones_like(idx)])
         h = np.zeros_like(monic)
-        h[:, :n] = ar.sub(arr[:, idx], x[:, idx]).T
-        flags[idx] = _coprime_rows(ar, monic, h)
+        h[:n] = ar.sub(arr[:, idx], x[:, idx])
+        flags[idx] = _coprime(ar, monic, h)
     return flags
 
 
@@ -336,7 +336,7 @@ def _gf2_spread_table() -> np.ndarray:
 
 def _gf2_coprime(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     # wordwise verdict gcd(a, b) = 1: Euclid on all words at once, one leading
-    # term per step as in _coprime_rows, until every b is zero.  Bit lengths
+    # term per step as in _coprime, until every b is zero.  Bit lengths
     # come from float64 exponents, exact for words below 2^53.
     while b.any():
         da, db = (np.frexp(w.astype(np.float64))[1] for w in (a, b))
@@ -394,36 +394,37 @@ def _sieve_block(field: FieldContext, n: int, s: int, base: int, factors: list[n
     # c_0..c_{n-s-1}.  That decides whether x divides, and for g_0 != 0 it
     # fixes the low coefficients of h, so only products in the block are formed.
     q, ar = field.q, _arith(field)
+    ar.check_headroom(n + 1)  # each phase below takes at most n steps from canonical codes
     fixed = n - s
-    prefix = _coeffs(q, n, np.array([base]))[:fixed, 0]
+    prefix = _coeffs(q, n, np.array([base]))[:fixed]
     flags = np.ones(q**s, dtype=bool)
     flags[: max(0, q ** (n - 1) - base)] = False  # c_0 = 0
     place = q ** np.arange(s - 1, -1, -1, dtype=np.int64)
     for g in factors:
-        m, d = g.shape[0], g.shape[1] - 1
+        d = g.shape[0] - 1
         e = n - d
         known = min(fixed, e)
         op_g = ar.operand(g)
-        inv_g0 = ar.inv[g[:, 0]]
+        inv_g0 = ar.inv[g[0]]
         # power series division of the prefix by g, each h_i stored over the
-        # column it clears: columns known..n-1, all read from here on, then
-        # hold -g (h_0..h_{known-1} + x^e)
-        f = np.zeros((m, n + 1), dtype=np.int64)
-        f[:, :known] = prefix[:known]
-        f[:, e:] = ar.sub(0, g)
+        # coefficient it clears: coefficients known..n-1, all read from here
+        # on, then hold -g (h_0..h_{known-1} + x^e)
+        f = np.zeros((n + 1, g.shape[1]), dtype=np.int64)
+        f[:known] = prefix[:known]
+        f[e:] = ar.sub(0, g)
         for i in range(known):
-            f[:, i] = ar.mul(f[:, i], inv_g0)
-            f[:, i + 1 : i + d + 1] = ar.axpy(f[:, i + 1 : i + d + 1], f[:, i, None], op_g[:, 1:])
-        f = ar.sub(0, f[:, known:n])
+            f[i] = ar.mul(ar.reduce(f[i]), inv_g0)
+            ar.axpy(f[i + 1 : i + d + 1], f[i], op_g[1:])
+        f = ar.sub(0, ar.reduce(f[known:n]))
         # h_t for t in [known, e) takes every value of F_q, each on a new
         # leading axis that op_g broadcasts over
-        for t in range(0, e - known):
+        for t in range(e - known):
             c = np.arange(q, dtype=np.int64).reshape((q,) + (1,) * f.ndim)
             f = np.broadcast_to(f, (q,) + f.shape).copy()
-            f[..., t : t + d + 1] = ar.axpy(f[..., t : t + d + 1], c, op_g)
-        f = f.reshape(-1, n - known)
-        match = (f[:, : fixed - known] == prefix[known:]).all(axis=1)
-        flags[f[match, fixed - known :] @ place] = False
+            ar.axpy(f[..., t : t + d + 1, :], c, op_g)
+        f = ar.reduce(f)
+        match = (f[..., : fixed - known, :] == prefix[known:]).all(axis=-2)
+        flags[(place @ f[..., fixed - known :, :])[match]] = False
     return flags
 
 
@@ -437,11 +438,11 @@ def _flags_range(field, n, lo, hi, method) -> np.ndarray:
         s = 0
         while s < n and q ** (s + 1) <= _BLOCK:
             s += 1
-        factors = []  # the monic irreducibles of degree d other than x, as rows
+        factors = []  # the monic irreducibles of degree d other than x, (d + 1, m)
         for d in range(1, n // 2 + 1):
             idx = np.flatnonzero(_flags_range(field, d, 0, q**d, "trial"))
             idx = idx[idx >= q ** (d - 1)]  # c_0 != 0
-            factors.append(np.hstack([_coeffs(q, d, idx).T, np.ones((idx.size, 1), dtype=np.int64)]))
+            factors.append(_coeffs(q, d + 1, idx * q + 1))  # the leading 1 as last digit
         start = lo - lo % q**s
         flags = np.concatenate([_sieve_block(field, n, s, base, factors) for base in range(start, hi, q**s)])
         return flags[lo - start : hi - start]
@@ -452,8 +453,5 @@ def _flags_range(field, n, lo, hi, method) -> np.ndarray:
 
 
 def _count_range(args) -> int:
-    p, k, n, lo, hi, method = args
-    field = build_field(p, k)
-    return int(_flags_range(field, n, lo, hi, method).sum())
-
-
+    (p, k, modulus), n, lo, hi, method = args
+    return int(_flags_range(FieldContext(p, k, modulus), n, lo, hi, method).sum())

@@ -22,8 +22,8 @@ irreducible_flags and count_irreducibles sweep all q^n monic polynomials
 through neckprod.engine, the package's only numpy module, which they
 import once check_sweep has accepted a sweep that needs it; a call that
 sweeps nothing never loads numpy.  count_irreducibles answers n = 1 with q
-without the engine; check_sweep refuses n >= 2 for q > MAX_ENGINE_Q = 2^16
-(such a sweep needs a budget of 2^34 or more).
+without the engine.  For q > MAX_ENGINE_Q = 2^16 check_sweep refuses n >= 2
+(a budget of 2^34 or more) and irreducible_flags refuses n = 1 too.
 
 The scalar tests above are the reference semantics and the engine is
 held to them in the test suite.  check_sweep validates every sweep before
@@ -516,13 +516,15 @@ def irreducible_flags(
     """Boolean verdict for every monic degree-n polynomial, in
     enumeration order: lexicographic in the coefficients, constant term
     most significant, each ordered by element code.  Refused by
-    check_sweep as any sweep is.
+    check_sweep as any sweep is, and for q > MAX_ENGINE_Q at n = 1 too.
 
     'trial' is computed as a product sieve on every field: a row is
     reducible iff it is a product g h with g monic irreducible of degree
     <= n/2, the question trial division decides.  'rabin' runs Rabin's
     test rowwise."""
     total = check_sweep(field.p, field.k, n, method, budget)
+    if field.q > MAX_ENGINE_Q:  # only n = 1 gets here, and would build q flags
+        raise ValueError(f"q = {field.p}^{field.k} exceeds 2^16, the largest field whose flags are built")
     from . import engine
 
     return engine._flags_range(field, n, 0, total, method)
@@ -553,7 +555,7 @@ def count_irreducibles(
 
     bounds = [total * i // workers for i in range(workers + 1)]
     jobs = [
-        (field.p, field.k, n, lo, hi, method)
+        ((field.p, field.k, field.modulus), n, lo, hi, method)
         for lo, hi in zip(bounds[:-1], bounds[1:])
         if hi > lo
     ]

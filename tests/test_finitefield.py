@@ -592,13 +592,16 @@ class TestLogTableEngine:
         assert [ar.inv[x] for x in range(1, q)] == [field.inv(x) for x in range(1, q)]
         assert ar.frob.tolist() == [field.frobenius(x) for x in range(q)]
 
-    @pytest.mark.parametrize("p,k", [(2, 3), (3, 2), (5, 2), (3, 3)])
+    @pytest.mark.parametrize("p,k", [(3, 1), (7, 1), (2, 3), (3, 2), (5, 2), (3, 3)])
     def test_axpy_on_all_triples(self, p, k):
-        # r - c g through the Zech table, zero operands included
+        # r - c g through the Zech table, zero operands included; prime
+        # fields leave r unreduced until reduce
         field = build_field(p, k)
         ar = engine._arith(field)
         r, c, g = (m.ravel() for m in np.meshgrid(*[np.arange(field.q)] * 3))
-        got = ar.axpy(r[:, None], c[:, None], ar.operand(g[:, None]))[:, 0]
+        out = r[:, None].copy()
+        ar.axpy(out, c[:, None], ar.operand(g[:, None]))
+        got = ar.reduce(out)[:, 0]
         assert got.tolist() == [field.sub(x, field.mul(y, z))
                                 for x, y, z in zip(r.tolist(), c.tolist(), g.tolist())]
 
@@ -630,6 +633,18 @@ class TestLogTableEngine:
         with pytest.raises(OverflowError):
             engine._reduce(ar, empty, empty)
 
+    def test_headroom_checked_by_ladder_and_sieve(self, monkeypatch):
+        # both paths that leave prime-field values unreduced ask the one check
+        calls = []
+        monkeypatch.setattr(engine._Arith, "check_headroom", lambda ar, terms: calls.append(terms))
+        field = build_field(3, 1)
+        ar = engine._arith(field)
+        f = ar.operand(np.ones((4, 2), dtype=np.int64))
+        engine._reduce(ar, np.ones((7, 2), dtype=np.int64), f)
+        assert calls == [11]
+        engine._sieve_block(field, 4, 4, 0, [])
+        assert calls == [11, 5]
+
     @pytest.mark.parametrize("p,k", [(2, 16), (3, 10)])
     def test_tables_sampled_at_the_field_limit(self, p, k):
         field = build_field(p, k)
@@ -658,7 +673,7 @@ class TestLogTableEngine:
         f[-10:-5, 0] = h[-10:-5, 0] = 0  # x divides both
         h[-10:-5, 1] = 1
         h[-5:] = 0  # gcd(f, 0) = f has degree n
-        got = engine._coprime_rows(engine._arith(field), f, h)
+        got = engine._coprime(engine._arith(field), f.T, h.T)
         expected = [ff._poly_gcd_is_one(field, fr.tolist(), hr.tolist()) for fr, hr in zip(f, h)]
         assert got.tolist() == expected
         assert not got[-10:].any()
@@ -681,3 +696,23 @@ class TestEngineFieldLimit:
         assert count_irreducibles(field, 1, budget=2**20, workers=2) == 2**20
         assert time.perf_counter() - start < 1.0
         assert field._engine_arith is None  # no tables built for n = 1
+
+    def test_degree_one_flags_refused_above_the_engine_limit(self):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="2\\^16"):
+            irreducible_flags(build_field(2**61 - 1, 1), 1, budget=2**63)
+        assert time.perf_counter() - start < 1.0
+        flags = irreducible_flags(build_field(2, 16), 1)
+        assert flags.size == 65536 and flags.all()
+
+    @pytest.mark.parametrize("method", ["trial", "rabin"])
+    def test_worker_keeps_the_callers_modulus(self, monkeypatch, method):
+        # x^2 + x + 2 is not the modulus build_field picks for F_9, and the
+        # worker must neither search for one nor replace it
+        field = FieldContext(3, 2, (2, 1, 1))
+        assert field.modulus != build_field(3, 2).modulus
+        monkeypatch.setattr(engine, "build_field", _refuse, raising=False)
+        monkeypatch.setattr(ff, "build_field", _refuse)
+        monkeypatch.setattr(ff, "_smallest_irreducible", _refuse)
+        job = ((field.p, field.k, field.modulus), 3, 0, 9**3, method)
+        assert engine._count_range(job) == necklace_count(9, 3)
