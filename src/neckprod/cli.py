@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import exact, finitefield, series, verify
@@ -172,6 +173,8 @@ def _cmd_expand(args, out: _Output) -> int:
         head = {"exponents": [str(e) for e in exponents]}
     else:
         _require(args.a is not None and args.degree is not None, "expand requires --a and --degree")
+        if args.method == "direct":
+            verify._check_direct(args.a, args.degree)
         spec = verify.necklace_exponent_spec(args.a, args.degree)
         head = {"a": args.a}
     expand = series.expand_direct if args.method == "direct" else series.expand_recursive
@@ -291,6 +294,10 @@ def run(argv: list[str]) -> int:
 
 
 def main() -> None:
+    # the engine never calls BLAS (its one matmul is on integers), and one
+    # OpenBLAS thread makes importing numpy about 70 ms cheaper; forked pool
+    # workers inherit it, and a value the user set wins
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     sys.exit(run(sys.argv[1:]))
 
 

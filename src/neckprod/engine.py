@@ -4,9 +4,10 @@ monic polynomials.
 finitefield.irreducible_flags and finitefield.count_irreducibles import
 this module when a sweep runs, after check_sweep has accepted it, so numpy
 is loaded by sweeps only.  Every field with q <= MAX_ENGINE_Q = 2^16 is
-swept on int64 element codes: mod-p arithmetic for prime fields, reduced
-lazily; for extensions, products through log/antilog tables and
-differences as xor (p = 2) or through a Zech table (odd p).
+swept on integer codes: for prime fields mod-p arithmetic, reduced lazily in
+the narrowest of int16/int32/int64 its checked bound admits; for extensions
+int64, products through log/antilog tables and differences as xor (p = 2)
+or through a Zech table (odd p).
 
 * trial -- a product sieve on every field: it marks each product g h of a
   monic irreducible g of degree <= n/2 and a monic h, so the rows left
@@ -36,8 +37,8 @@ _GF2_MAX_N = 32  # squares of degree-<32 words reach bit 62 of a uint64
 # Block engine
 # ---------------------------------------------------------------------------
 #
-# Every engine array is coefficient-major, (coefficients, rows) int64; the
-# ladder holds a block of monic polynomials of degree n >= 2 as its n free
+# Every engine array is coefficient-major, (coefficients, rows); the ladder
+# holds a block of monic polynomials of degree n >= 2 as its n free
 # coefficients, the leading 1 implicit.  _Arith supplies the elementwise field
 # arithmetic for every q <= MAX_ENGINE_Q and alone decides when to reduce.
 
@@ -71,7 +72,7 @@ def _primitive_powers(field: FieldContext) -> list[int]:
 
 
 class _Arith:
-    """Elementwise F_q arithmetic on int64 arrays of element codes.
+    """Elementwise F_q arithmetic on integer arrays of element codes.
 
     Prime fields multiply and subtract mod p.  Extensions multiply through
     log/antilog tables of a primitive element g: log[0] is the sentinel
@@ -84,7 +85,8 @@ class _Arith:
 
     Operands of mul and sub and multipliers of axpy are canonical codes.
     Over a prime field axpy leaves r unreduced until reduce, after a caller
-    has passed the bound on its steps to check_headroom.
+    has passed the bound on its steps and r's dtype to check_headroom, which
+    names the narrowest dtype for a bound (int64 for extension gather indices).
     """
 
     def __init__(self, field: FieldContext):
@@ -153,14 +155,18 @@ class _Arith:
             r[...] = self._minus_log(r, self.log[c] + g)
 
     def reduce(self, a: np.ndarray) -> np.ndarray:
-        # a's canonical codes, as a new array; on int64 floor division beats %,
-        # and numpy reuses the temporary a // p for both later steps
+        # a's canonical codes, as a new array; floor division beats % on every
+        # width, and numpy reuses the temporary a // p for both later steps
         return a // self.p * -self.p + a if self.k == 1 else a.copy()
 
-    def check_headroom(self, terms: int) -> None:
-        # an unreduced entry is a sum of at most terms values within (p - 1)^2 of zero
-        if terms * (self.p - 1) ** 2 >= 1 << 62:
-            raise OverflowError(f"lazy reduction of {terms} terms mod {self.p} could overflow int64")
+    def check_headroom(self, terms: int, dtype=np.int64) -> np.dtype:
+        # the narrowest dtype keeping a sum of terms values within (p - 1)^2 of zero
+        # below 2^(bits - 2), as int64's 2^62; refused if wider than dtype
+        bits = (terms * (self.p - 1) ** 2).bit_length() + 2
+        need = np.dtype(np.int64 if self.k > 1 or bits > 32 else np.int32 if bits > 16 else np.int16)
+        if bits > 64 or need.itemsize > np.dtype(dtype).itemsize:
+            raise OverflowError(f"lazy reduction of {terms} terms mod {self.p} could overflow {np.dtype(dtype)}")
+        return need
 
 
 def _arith(field: FieldContext) -> _Arith:
@@ -170,9 +176,9 @@ def _arith(field: FieldContext) -> _Arith:
     return field._engine_arith
 
 
-def _coeffs(q: int, n: int, idx: np.ndarray) -> np.ndarray:
+def _coeffs(q: int, n: int, idx: np.ndarray, dtype) -> np.ndarray:
     # enumeration indices -> free coefficients (n, rows), c_0 the top digit
-    out = np.empty((n, idx.size), dtype=np.int64)
+    out = np.empty((n, idx.size), dtype=dtype)
     for j in range(n - 1, -1, -1):
         idx, out[j] = np.divmod(idx, q)
     return out
@@ -182,7 +188,7 @@ def _reduce(ar: _Arith, prod: np.ndarray, f: np.ndarray) -> np.ndarray:
     # prod mod f, top coefficient first; f prepared by ar.operand.  An entry
     # starts within width (p - 1)^2 of zero and takes at most n steps.
     width, n = prod.shape[0], f.shape[0]
-    ar.check_headroom(width + n)
+    ar.check_headroom(width + n, prod.dtype)
     for j in range(width - 1, n - 1, -1):
         ar.axpy(prod[j - n : j], ar.reduce(prod[j]), f)
     return ar.reduce(prod[:n])
@@ -196,7 +202,7 @@ def _mulmod(ar: _Arith, a: np.ndarray, neg_b: np.ndarray, f: np.ndarray) -> np.n
     # a b mod f, coefficient-major, for neg_b = _negated(ar, b): n steps
     # accumulate -a_i (-b), within the bound _reduce checks
     n, rows = a.shape
-    prod = np.zeros((2 * n - 1, rows), dtype=np.int64)
+    prod = np.zeros((2 * n - 1, rows), dtype=a.dtype)
     for i in range(n):
         ar.axpy(prod[i : i + n], a[i], neg_b)
     return _reduce(ar, prod, f)
@@ -224,7 +230,7 @@ def _batch_pow_q(ar: _Arith, t: np.ndarray, f: np.ndarray, neg_xp: np.ndarray | 
             t = ar.frob[t]  # rebinding t frees the previous power before the spread
         c = t
         if neg_xp is None:
-            t = np.zeros((p * (c.shape[0] - 1) + 1, c.shape[1]), dtype=np.int64)
+            t = np.zeros((p * (c.shape[0] - 1) + 1, c.shape[1]), dtype=c.dtype)
             t[::p] = c
             t = _reduce(ar, t, f)
         else:
@@ -278,14 +284,15 @@ def _coprime(ar: _Arith, a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _rabin_flags_block(field: FieldContext, n: int, lo: int, hi: int) -> np.ndarray:
-    ar = _arith(field)
-    fmat = _coeffs(field.q, n, np.arange(lo, hi, dtype=np.int64))
+    ar, p = _arith(field), field.p
+    # Horner's rule is the cheaper round once p > 2n, and the spread of p (n - 1) + 1
+    # coefficients would grow with p; the largest _reduce, n steps on either, sizes the block
+    dtype = ar.check_headroom(3 * n - 1 if p > 2 * n else p * (n - 1) + 1 + n)
+    fmat = _coeffs(field.q, n, np.arange(lo, hi, dtype=np.int64), dtype)
     f = ar.operand(fmat)
-    x = np.zeros((n, hi - lo), dtype=np.int64)
+    x = np.zeros((n, hi - lo), dtype=dtype)
     x[1] = 1
-    # Horner's rule is the cheaper round once p > 2n, and the spread of
-    # p (n - 1) + 1 coefficients per polynomial would grow with p
-    neg_xp = _negated(ar, _x_to_the_p(ar, x, f)) if field.p > 2 * n else None
+    neg_xp = _negated(ar, _x_to_the_p(ar, x, f)) if p > 2 * n else None
     checkpoints = {n // l for l in _prime_factors(n)}
     saved: dict[int, np.ndarray] = {}
     t = x
@@ -298,7 +305,7 @@ def _rabin_flags_block(field: FieldContext, n: int, lo: int, hi: int) -> np.ndar
     # conditions on the saved intermediate powers
     for arr in saved.values():
         idx = np.flatnonzero(flags)
-        monic = np.vstack([fmat[:, idx], np.ones_like(idx)])
+        monic = np.vstack([fmat[:, idx], np.ones_like(idx, dtype)])
         h = np.zeros_like(monic)
         h[:n] = ar.sub(arr[:, idx], x[:, idx])
         flags[idx] = _coprime(ar, monic, h)
@@ -394,9 +401,10 @@ def _sieve_block(field: FieldContext, n: int, s: int, base: int, factors: list[n
     # c_0..c_{n-s-1}.  That decides whether x divides, and for g_0 != 0 it
     # fixes the low coefficients of h, so only products in the block are formed.
     q, ar = field.q, _arith(field)
-    ar.check_headroom(n + 1)  # each phase below takes at most n steps from canonical codes
+    dtype = np.result_type(np.int16, *factors)  # the dtype of every array below
+    ar.check_headroom(n + 1, dtype)  # each phase below takes at most n steps from canonical codes
     fixed = n - s
-    prefix = _coeffs(q, n, np.array([base]))[:fixed]
+    prefix = _coeffs(q, n, np.array([base]), dtype)[:fixed]
     flags = np.ones(q**s, dtype=bool)
     flags[: max(0, q ** (n - 1) - base)] = False  # c_0 = 0
     place = q ** np.arange(s - 1, -1, -1, dtype=np.int64)
@@ -409,7 +417,7 @@ def _sieve_block(field: FieldContext, n: int, s: int, base: int, factors: list[n
         # power series division of the prefix by g, each h_i stored over the
         # coefficient it clears: coefficients known..n-1, all read from here
         # on, then hold -g (h_0..h_{known-1} + x^e)
-        f = np.zeros((n + 1, g.shape[1]), dtype=np.int64)
+        f = np.zeros((n + 1, g.shape[1]), dtype=dtype)
         f[:known] = prefix[:known]
         f[e:] = ar.sub(0, g)
         for i in range(known):
@@ -419,7 +427,7 @@ def _sieve_block(field: FieldContext, n: int, s: int, base: int, factors: list[n
         # h_t for t in [known, e) takes every value of F_q, each on a new
         # leading axis that op_g broadcasts over
         for t in range(e - known):
-            c = np.arange(q, dtype=np.int64).reshape((q,) + (1,) * f.ndim)
+            c = np.arange(q, dtype=dtype).reshape((q,) + (1,) * f.ndim)
             f = np.broadcast_to(f, (q,) + f.shape).copy()
             ar.axpy(f[..., t : t + d + 1, :], c, op_g)
         f = ar.reduce(f)
@@ -438,11 +446,12 @@ def _flags_range(field, n, lo, hi, method) -> np.ndarray:
         s = 0
         while s < n and q ** (s + 1) <= _BLOCK:
             s += 1
+        dtype = _arith(field).check_headroom(n + 1)
         factors = []  # the monic irreducibles of degree d other than x, (d + 1, m)
         for d in range(1, n // 2 + 1):
             idx = np.flatnonzero(_flags_range(field, d, 0, q**d, "trial"))
             idx = idx[idx >= q ** (d - 1)]  # c_0 != 0
-            factors.append(_coeffs(q, d + 1, idx * q + 1))  # the leading 1 as last digit
+            factors.append(_coeffs(q, d + 1, idx * q + 1, dtype))  # the leading 1 as last digit
         start = lo - lo % q**s
         flags = np.concatenate([_sieve_block(field, n, s, base, factors) for base in range(start, hi, q**s)])
         return flags[lo - start : hi - start]

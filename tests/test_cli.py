@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 import neckprod
 import neckprod.verify
-from neckprod.cli import run
+from neckprod.cli import main, run
 from neckprod.exact import necklace_count
 from neckprod.finitefield import is_prime
 from neckprod.verify import SymbolicReport
@@ -245,6 +245,22 @@ class TestExitStatus:
         assert (code, out) == (2, "")
         assert "10^12" in err
 
+    @pytest.mark.parametrize(
+        "argv,feasible",
+        [
+            (["verify", "symbolic", "--a", "2", "--degree", "100000", "--cross-check"], 3535),
+            (["verify", "symbolic", "--a", "2", "--degree", str(10**30), "--cross-check"], 3535),
+            (["expand", "--a", "3", "--degree", "50000", "--method", "direct"], 2808),
+            (["expand", "--a", str(10**100), "--degree", "1000", "--method", "direct", "--json"], 193),
+        ],
+    )
+    def test_oversize_direct_expansion_refused_at_once(self, capsys, argv, feasible):
+        start = time.perf_counter()
+        code, out, err = invoke(capsys, argv)
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (2, "")
+        assert f"largest feasible degree is {feasible}" in err
+
     def test_large_extension_at_degree_one_answered_at_once(self, capsys):
         argv = ["field", "count", "--p", "2", "--k", "40", "--n", "1", "--budget", "2199023255552"]
         start = time.perf_counter()
@@ -339,6 +355,18 @@ class TestImportGuard:
     )
     def test_sweeps_load_the_engine(self, argv):
         assert "neckprod.engine" in _modules_loaded_by(argv)
+
+
+class TestBlasDefault:
+    @pytest.mark.parametrize("env,expected", [({}, "1"), ({"OPENBLAS_NUM_THREADS": "3"}, "3")])
+    def test_main_sets_one_thread_unless_set(self, monkeypatch, capsys, env, expected):
+        monkeypatch.setattr(os, "environ", dict(env))
+        monkeypatch.setattr(sys, "argv", ["neckprod", "mobius", "--n", "6"])
+        with pytest.raises(SystemExit) as exc:
+            main()
+        assert exc.value.code == 0
+        assert os.environ == {"OPENBLAS_NUM_THREADS": expected}
+        assert capsys.readouterr().out == "1\n"
 
 
 _PRIMES = [2, 3, 5, 7, 13, 251, 257, 65521, 65537, 2**31 - 1, 2**61 - 1, 2**64 - 59]

@@ -636,7 +636,7 @@ class TestLogTableEngine:
     def test_headroom_checked_by_ladder_and_sieve(self, monkeypatch):
         # both paths that leave prime-field values unreduced ask the one check
         calls = []
-        monkeypatch.setattr(engine._Arith, "check_headroom", lambda ar, terms: calls.append(terms))
+        monkeypatch.setattr(engine._Arith, "check_headroom", lambda ar, terms, dtype=None: calls.append(terms))
         field = build_field(3, 1)
         ar = engine._arith(field)
         f = ar.operand(np.ones((4, 2), dtype=np.int64))
@@ -678,6 +678,136 @@ class TestLogTableEngine:
         assert got.tolist() == expected
         assert not got[-10:].any()
         assert 0 < got.sum() < rows - 5
+
+
+# (p, k, n, route, dtype of the Rabin ladder's blocks).  Its largest _reduce
+# takes p (n - 1) + 1 + n terms on the spread route and 3n - 1 on Horner's
+# (p > 2n); neighbouring cases sit on either side of the int16 or int32 edge.
+_LADDER_WIDTHS = [
+    (3, 1, 10, "spread", np.int16),      # 38 terms of 2^2
+    (13, 1, 7, "spread", np.int16),      # 86 terms of 12^2 = 12,384 < 2^14
+    (17, 1, 9, "spread", np.int32),      # 146 terms of 16^2 = 37,376
+    (53, 1, 2, "horner", np.int16),      # 5 * 52^2 = 13,520 < 2^14
+    (59, 1, 2, "horner", np.int32),      # 5 * 58^2 = 16,820
+    (4093, 1, 2, "horner", np.int32),
+    (14653, 1, 2, "horner", np.int32),   # 5 * 14652^2 < 2^30
+    (14657, 1, 2, "horner", np.int64),   # 5 * 14656^2 >= 2^30
+    (2, 2, 5, "spread", np.int64),       # extension codes stay int64
+]
+# (p, k, n, dtype of the sieve's blocks), from n + 1 terms
+_SIEVE_WIDTHS = [
+    (3, 1, 10, np.int16),
+    (73, 1, 2, np.int16),                # 3 * 72^2 = 15,552 < 2^14
+    (79, 1, 2, np.int32),                # 3 * 78^2 = 18,252
+    (4093, 1, 2, np.int32),
+    (18919, 1, 2, np.int32),             # 3 * 18918^2 < 2^30
+    (18947, 1, 2, np.int64),             # 3 * 18946^2 >= 2^30
+    (2, 2, 5, np.int64),
+]
+_WIDTHS = [np.int16, np.int32, np.int64]
+
+
+def _assert_narrowest(p, k, terms, dtype):
+    # terms values within (p - 1)^2 of zero sum below 2^(bits - 2) in dtype,
+    # and not in the next narrower one; extensions always take int64
+    if k > 1:
+        assert dtype is np.int64
+        return
+    i = _WIDTHS.index(dtype)
+    assert terms * (p - 1) ** 2 < 1 << (np.iinfo(dtype).bits - 2)
+    assert i == 0 or terms * (p - 1) ** 2 >= 1 << (np.iinfo(_WIDTHS[i - 1]).bits - 2)
+
+
+def _scalar_rem(field, a, f):
+    # a mod monic f by schoolbook division on single field elements
+    a, n = list(a), len(f) - 1
+    for j in range(len(a) - 1, n - 1, -1):
+        lead, a[j] = a[j], 0
+        for i in range(n):
+            a[j - n + i] = field.sub(a[j - n + i], field.mul(lead, f[i]))
+    return a[:n]
+
+
+def _sample_range(field, n, rows, seed):
+    # a contiguous window of rows with c_0 != 0
+    q = field.q
+    lo = int(np.random.default_rng(seed).integers(q ** (n - 1), q**n - rows))
+    return lo, lo + rows
+
+
+class TestNarrowCodes:
+    @pytest.mark.parametrize("p,k,n,route,dtype", _LADDER_WIDTHS)
+    def test_ladder_blocks_take_the_narrowest_width(self, monkeypatch, p, k, n, route, dtype):
+        field = build_field(p, k)
+        ar = engine._arith(field)
+        assert route == ("horner" if p > 2 * n else "spread")
+        terms = 3 * n - 1 if route == "horner" else p * (n - 1) + 1 + n
+        _assert_narrowest(p, k, terms, dtype)
+        assert ar.check_headroom(terms) == dtype
+        seen = set()
+        reduce = engine._reduce
+
+        def spy(ar, prod, f):
+            seen.add(prod.dtype)
+            return reduce(ar, prod, f)
+
+        monkeypatch.setattr(engine, "_reduce", spy)
+        lo, hi = _sample_range(field, n, 200, p + n)
+        got = engine._rabin_flags_block(field, n, lo, hi)
+        expected = _scalar_flags_block(field, n, lo, hi, "rabin")
+        assert seen == {np.dtype(dtype)}
+        assert np.array_equal(got, expected)
+        assert expected.any() and not expected.all()
+
+    @pytest.mark.parametrize("p,k,n,route,dtype", _LADDER_WIDTHS)
+    def test_mulmod_and_reduce_at_the_width(self, p, k, n, route, dtype):
+        # columns of p - 1 reach the largest lazy intermediates the width must hold
+        field = build_field(p, k)
+        ar = engine._arith(field)
+        q, rows = field.q, 30
+        width = 2 * n - 1 if route == "horner" else p * (n - 1) + 1
+        rng = np.random.default_rng(p * 10 + n)
+        a, b, f = rng.integers(0, q, size=(3, n, rows)).astype(dtype)
+        prod = rng.integers(0, q, size=(width, rows)).astype(dtype)
+        for m in (a, b, f, prod):
+            m[:, :5] = q - 1
+        got = engine._mulmod(ar, a, engine._negated(ar, b), ar.operand(f))
+        reduced = engine._reduce(ar, prod.copy(), ar.operand(f))
+        assert got.dtype == reduced.dtype == dtype
+        for i in range(rows):
+            fi = f[:, i].tolist() + [1]
+            assert got[:, i].tolist() == ff._poly_mulmod(field, a[:, i].tolist(), b[:, i].tolist(), fi)
+            assert reduced[:, i].tolist() == _scalar_rem(field, prod[:, i].tolist(), fi)
+        if dtype is not np.int16:
+            narrower = _WIDTHS[_WIDTHS.index(dtype) - 1]
+            with pytest.raises(OverflowError):
+                engine._reduce(ar, prod.astype(narrower), ar.operand(f).astype(narrower))
+
+    @pytest.mark.parametrize("p,k,n,dtype", _SIEVE_WIDTHS)
+    def test_sieve_blocks_take_the_narrowest_width(self, monkeypatch, p, k, n, dtype):
+        field = build_field(p, k)
+        ar = engine._arith(field)
+        _assert_narrowest(p, k, n + 1, dtype)
+        assert ar.check_headroom(n + 1) == dtype
+        seen = set()
+        sieve_block = engine._sieve_block
+
+        def spy(field, n, s, base, factors):
+            seen.update(g.dtype for g in factors)
+            return sieve_block(field, n, s, base, factors)
+
+        monkeypatch.setattr(engine, "_sieve_block", spy)
+        # the scalar trial test tries every divisor, so few rows for large p
+        lo, hi = _sample_range(field, n, 200 if p < 1000 else 16, p + n)
+        got = engine._flags_range(field, n, lo, hi, "trial")
+        expected = _scalar_flags_block(field, n, lo, hi, "trial")
+        assert seen == {np.dtype(dtype)}
+        assert np.array_equal(got, expected)
+        assert expected.any() and not expected.all()
+        if dtype is not np.int16:
+            narrower = _WIDTHS[_WIDTHS.index(dtype) - 1]
+            with pytest.raises(OverflowError):
+                sieve_block(field, n, 1, 0, [np.ones((2, 3), dtype=narrower)])
 
 
 class TestEngineFieldLimit:

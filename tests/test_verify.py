@@ -1,10 +1,12 @@
 """Tests for the symbolic and numeric identity verifiers and the count bridge."""
 
 import cmath
+import math
 import random
 
 import pytest
 
+import neckprod.verify as verify
 from neckprod.finitefield import BudgetExceededError
 from neckprod.verify import (
     necklace_exponent_spec,
@@ -40,6 +42,21 @@ class TestVerifySymbolic:
         with pytest.raises(ValueError):
             verify_symbolic(2, 0)
 
+    def test_cross_check_size_limit(self, monkeypatch):
+        # D^2 log2(a) <= the limit is admitted; past it the refusal names the
+        # largest feasible degree and comes before any work
+        feasible = math.isqrt(verify._DIRECT_LIMIT)  # log2(2) = 1
+        verify._check_direct(2, feasible)
+        monkeypatch.setattr(verify, "necklace_exponent_spec", _refuse)
+        with pytest.raises(ValueError, match=f"largest feasible degree is {feasible}$"):
+            verify_symbolic(2, feasible + 1, cross_check=True)
+
+    @pytest.mark.parametrize("a,degree", [(1, 10**9), (2, 300), (3, 300), (3, 400), (2, 3000)])
+    def test_direct_sizes_admitted(self, a, degree):
+        # the direct expansions of perfbench's identity workload, one near the
+        # limit, and base 1, whose product has a single factor
+        verify._check_direct(a, degree)
+
     def test_json_shape(self):
         d = verify_symbolic(2, 8).to_json_dict()
         assert d["schema"] == "verify.symbolic"
@@ -50,6 +67,10 @@ class TestVerifySymbolic:
         spec = necklace_exponent_spec(5, 10)
         assert spec.necklace_base == 5
         assert spec.exponents[0] == 5
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("work started before the size check")
 
 
 class TestTailBound:
