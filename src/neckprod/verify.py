@@ -43,13 +43,14 @@ _DIRECT_LIMIT = 12_500_000
 
 def _check_direct(a: int, degree_bound: int) -> None:
     # refuse, naming the largest feasible degree, a direct expansion of the
-    # necklace product past the limit; a = 1 has one nonzero exponent
+    # necklace product past the limit; a = 1 has one nonzero exponent.  The
+    # message leaves out a, whose decimal form takes quadratic time to write.
     if a < 2:
         return
     feasible = math.isqrt(int(_DIRECT_LIMIT / math.log2(a)))
     if degree_bound > feasible:
         raise ValueError(
-            f"direct expansion for a = {a} at degree {degree_bound} exceeds the size limit "
+            f"direct expansion at degree {degree_bound} exceeds the size limit "
             f"D^2 log2(a) <= {_DIRECT_LIMIT} (about a minute); largest feasible degree is {feasible}"
         )
 

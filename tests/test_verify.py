@@ -50,6 +50,8 @@ class TestVerifySymbolic:
         monkeypatch.setattr(verify, "necklace_exponent_spec", _refuse)
         with pytest.raises(ValueError, match=f"largest feasible degree is {feasible}$"):
             verify_symbolic(2, feasible + 1, cross_check=True)
+        with pytest.raises(ValueError, match="largest feasible degree is 0$"):
+            verify_symbolic(2 ** (verify._DIRECT_LIMIT + 1), 1, cross_check=True)
 
     @pytest.mark.parametrize("a,degree", [(1, 10**9), (2, 300), (3, 300), (3, 400), (2, 3000)])
     def test_direct_sizes_admitted(self, a, degree):
