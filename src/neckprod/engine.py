@@ -13,9 +13,9 @@ or through a Zech table (odd p).
   monic irreducible g of degree <= n/2 and a monic h, so the rows left
   unmarked are those trial division finds no divisor of.
 * rabin -- the Frobenius ladder on (n, rows) blocks, one contiguous vector
-  per coefficient, then one batched Euclid over the block's survivors.  For
-  q = 2 and n <= 32 the GF(2) word engine runs both on one uint64 word per
-  polynomial: squares by byte-spread lookup, shift-xor reduction.
+  per coefficient, then one batched Euclid over the block's survivors.  Over
+  F_2 the ladder runs bit-sliced, 64 rows to a uint64 word, and the survivors
+  finish as one word each.
 
 Every path is held row for row to the scalar is_irreducible_* tests of
 finitefield, which share no code or table with them.
@@ -23,14 +23,11 @@ finitefield, which share no code or table with them.
 
 from __future__ import annotations
 
-from functools import partial
-
 import numpy as np
 
 from .finitefield import FieldContext, _prime_factors
 
 _BLOCK = 1 << 16
-_GF2_MAX_N = 32  # squares of degree-<32 words reach bit 62 of a uint64
 
 
 # ---------------------------------------------------------------------------
@@ -74,7 +71,10 @@ def _primitive_powers(field: FieldContext) -> list[int]:
 class _Arith:
     """Elementwise F_q arithmetic on integer arrays of element codes.
 
-    Prime fields multiply and subtract mod p.  Extensions multiply through
+    Odd prime fields multiply and subtract mod p.  F_2 adds by xor and
+    multiplies by and, which is the same arithmetic on 0/1 codes and on
+    words holding one code per bit (the ladder's bit-sliced blocks).
+    Extensions multiply through
     log/antilog tables of a primitive element g: log[0] is the sentinel
     Z = 3(q - 1), exp repeats the powers of g below Z and is zero from Z
     on, so exp[log a + log b] = a b for every pair of codes without a
@@ -84,7 +84,7 @@ class _Arith:
     and frob (a -> a^p) are tables of q entries.  Every table is O(q).
 
     Operands of mul and sub and multipliers of axpy are canonical codes.
-    Over a prime field axpy leaves r unreduced until reduce, after a caller
+    Over an odd prime field axpy leaves r unreduced until reduce, after a caller
     has passed the bound on its steps and r's dtype to check_headroom, which
     names the narrowest dtype for a bound (int64 for extension gather indices).
     """
@@ -92,6 +92,7 @@ class _Arith:
     def __init__(self, field: FieldContext):
         p, k, q = field.p, field.k, field.q
         self.p, self.k = p, k
+        self.lazy = k == 1 and p > 2  # mod-p values reduced only by reduce
         m = q - 1
         powers = np.array(_primitive_powers(field), dtype=np.int64)
         self.log_zero = 3 * m
@@ -130,12 +131,12 @@ class _Arith:
         if self.p == 2:
             return a ^ b
         if self.k == 1:
-            return (a - b) % self.p
+            return self.reduce(a - b)
         return self._minus_log(a, self.log[b])
 
     def mul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         if self.k == 1:
-            return a * b % self.p
+            return self.reduce(a * b)
         return self.exp[self.log[a] + self.log[b]]
 
     def operand(self, g: np.ndarray) -> np.ndarray:
@@ -144,8 +145,10 @@ class _Arith:
 
     def axpy(self, r: np.ndarray, c: np.ndarray, g: np.ndarray) -> None:
         # r -= c g in place, for g prepared by operand and c broadcast against it
-        if self.k == 1:
+        if self.lazy:
             r -= c * g
+        elif self.k == 1:
+            r ^= c & g
         elif self.p == 2:
             log_cg = self.log[c] + g
             # written over log_cg, one temporary fewer; mode clip (indices are in
@@ -157,7 +160,7 @@ class _Arith:
     def reduce(self, a: np.ndarray) -> np.ndarray:
         # a's canonical codes, as a new array; floor division beats % on every
         # width, and numpy reuses the temporary a // p for both later steps
-        return a // self.p * -self.p + a if self.k == 1 else a.copy()
+        return a // self.p * -self.p + a if self.lazy else a.copy()
 
     def check_headroom(self, terms: int, dtype=np.int64) -> np.dtype:
         # the narrowest dtype keeping a sum of terms values within (p - 1)^2 of zero
@@ -283,106 +286,74 @@ def _coprime(ar: _Arith, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def _rabin_flags_block(field: FieldContext, n: int, lo: int, hi: int) -> np.ndarray:
-    ar, p = _arith(field), field.p
-    # Horner's rule is the cheaper round once p > 2n, and the spread of p (n - 1) + 1
-    # coefficients would grow with p; the largest _reduce, n steps on either, sizes the block
-    dtype = ar.check_headroom(3 * n - 1 if p > 2 * n else p * (n - 1) + 1 + n)
-    fmat = _coeffs(field.q, n, np.arange(lo, hi, dtype=np.int64), dtype)
-    f = ar.operand(fmat)
-    x = np.zeros((n, hi - lo), dtype=dtype)
-    x[1] = 1
-    neg_xp = _negated(ar, _x_to_the_p(ar, x, f)) if p > 2 * n else None
-    checkpoints = {n // l for l in _prime_factors(n)}
-    saved: dict[int, np.ndarray] = {}
-    t = x
-    for j in range(1, n + 1):
-        t = _batch_pow_q(ar, t, f, neg_xp)
-        if j in checkpoints:
-            saved[j] = t
-    flags = (t == x).all(axis=0)
-    # survivors have all factor degrees dividing n; finish them with the gcd
-    # conditions on the saved intermediate powers
-    for arr in saved.values():
-        idx = np.flatnonzero(flags)
-        monic = np.vstack([fmat[:, idx], np.ones_like(idx, dtype)])
-        h = np.zeros_like(monic)
-        h[:n] = ar.sub(arr[:, idx], x[:, idx])
-        flags[idx] = _coprime(ar, monic, h)
-    return flags
-
-
-# ---------------------------------------------------------------------------
-# GF(2) word engine
-# ---------------------------------------------------------------------------
-#
-# Over F_2 a monic polynomial of degree n <= 32 is one uint64 word, bit i the
-# coefficient of x^i, the leading bit n included.  Addition is xor; a square
-# spreads bit i to bit 2i, at most bit 62.  Verdicts match the scalar tests
-# row for row.
-
-
-def _gf2_words(n: int, lo: int, hi: int) -> np.ndarray:
-    # enumeration index -> word.  The index has c_0 as its most significant
-    # binary digit, so the free coefficients are its n bits reversed.
-    idx = np.arange(lo, hi, dtype=np.uint64)
-    words = np.full(hi - lo, 1 << n, dtype=np.uint64)
-    for i in range(n):
-        words |= ((idx >> (n - 1 - i)) & 1) << i
-    return words
-
-
-def _gf2_spread_table() -> np.ndarray:
-    # byte b -> its square: bit i of b moved to bit 2i
-    b = np.arange(256, dtype=np.uint64)
-    out = np.zeros(256, dtype=np.uint64)
-    for i in range(8):
-        out |= ((b >> i) & 1) << (2 * i)
-    return out
-
-
 def _gf2_coprime(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    # wordwise verdict gcd(a, b) = 1: Euclid on all words at once, one leading
-    # term per step as in _coprime, until every b is zero.  Bit lengths
-    # come from float64 exponents, exact for words below 2^53.
+    # wordwise verdict gcd(a, b) = 1 over F_2, bit i of a word the coefficient
+    # of x^i: Euclid on all words at once, one leading term per step as in
+    # _coprime, until every b is zero
     while b.any():
-        da, db = (np.frexp(w.astype(np.float64))[1] for w in (a, b))
+        da, db = (_bit_lengths(w) for w in (a, b))
         swap = da < db
         a, b = np.where(swap, b, a), np.where(swap, a, b)
         a = a ^ (b << np.abs(da - db).astype(np.uint64))
     return a == 1
 
 
-def _gf2_rabin_flags_block(n: int, lo: int, hi: int) -> np.ndarray:
-    rows = hi - lo
-    f = _gf2_words(n, lo, hi)
-    # f_shift[s] = f * x^s cancels bit n + s of a square
-    f_shift = [f << s for s in range(n - 1)]
-    spread = _gf2_spread_table()
-    nbytes = (n + 7) // 8
-    bit = np.empty(rows, dtype=np.uint64)
-    x = 2  # the word of x, reduced since n >= 2
+def _bit_lengths(w: np.ndarray) -> np.ndarray:
+    # exact for every uint64 word (zero gets -1): float64 keeps 53 bits, so a
+    # word just below 2^k may round up to 2^k, and then its top bit is k - 1
+    e = np.frexp(w.astype(np.float64))[1]
+    return e - (w >> np.maximum(e - 1, 0).astype(np.uint64) == 0)
+
+
+def _words(bits: np.ndarray) -> np.ndarray:
+    # coefficient-major 0/1 codes (m <= 64, rows) -> one uint64 word per row
+    shifts = np.arange(bits.shape[0], dtype=np.uint64)[:, None]
+    return np.bitwise_or.reduce(bits.astype(np.uint64) << shifts, axis=0)
+
+
+def _pack(bits: np.ndarray) -> np.ndarray:
+    # (m, rows) 0/1 codes -> (m, ceil(rows / 64)) bit-sliced words: bit j of
+    # word w is row 64 w + j, rows past the end are zero (packbits reads bool
+    # about 10x faster than int16)
+    words = np.zeros((bits.shape[0], -(-bits.shape[1] // 64)), dtype="<u8")
+    words.view(np.uint8)[:, : -(-bits.shape[1] // 8)] = np.packbits(bits != 0, axis=-1, bitorder="little")
+    return words
+
+
+def _unpack(words: np.ndarray, rows: int) -> np.ndarray:
+    # the first rows codes of each row of words, as uint8 0/1
+    return np.unpackbits(words.view(np.uint8), axis=-1, count=rows, bitorder="little")
+
+
+def _rabin_flags_block(field: FieldContext, n: int, lo: int, hi: int) -> np.ndarray:
+    ar, p = _arith(field), field.p
+    # Horner's rule is the cheaper round once p > 2n, and the spread of p (n - 1) + 1
+    # coefficients would grow with p; the largest _reduce, n steps on either, sizes the block
+    dtype = ar.check_headroom(3 * n - 1 if p > 2 * n else p * (n - 1) + 1 + n)
+    fmat = _coeffs(field.q, n, np.arange(lo, hi, dtype=np.int64), dtype)
+    x = np.zeros((n, hi - lo), dtype=dtype)
+    x[1] = 1
+    # over F_2 the ladder runs on bit-sliced words, 64 rows each, through the
+    # same xor arithmetic, and its powers are unpacked for the finish
+    packed = field.q == 2
+    f = ar.operand(_pack(fmat) if packed else fmat)
+    neg_xp = _negated(ar, _x_to_the_p(ar, x, f)) if p > 2 * n else None
     checkpoints = {n // l for l in _prime_factors(n)}
     saved: dict[int, np.ndarray] = {}
-    t = np.full(rows, x, dtype=np.uint64)
+    t = _pack(x) if packed else x
     for j in range(1, n + 1):
-        sq = spread[t & 255]
-        for b in range(1, nbytes):
-            sq |= spread[(t >> (8 * b)) & 255] << (16 * b)
-        for s in range(n - 2, -1, -1):
-            np.right_shift(sq, n + s, out=bit)
-            bit &= 1
-            bit *= f_shift[s]
-            sq ^= bit
-        t = sq
+        t = _batch_pow_q(ar, t, f, neg_xp)
         if j in checkpoints:
-            saved[j] = t
-    flags = t == x
-    # survivors have all factor degrees dividing n; finish them with the
-    # gcd conditions on the saved intermediate powers
+            saved[j] = _unpack(t, hi - lo) if packed else t
+    flags = ((_unpack(t, hi - lo) if packed else t) == x).all(axis=0)
+    # survivors have all factor degrees dividing n; finish them with the gcd
+    # conditions on the saved intermediate powers, over F_2 one word each
     for arr in saved.values():
         idx = np.flatnonzero(flags)
-        flags[idx] = _gf2_coprime(f[idx], arr[idx] ^ x)
+        monic = np.vstack([fmat[:, idx], np.ones_like(idx, dtype)])
+        h = np.zeros_like(monic)
+        h[:n] = ar.sub(arr[:, idx], x[:, idx])
+        flags[idx] = _gf2_coprime(_words(monic), _words(h)) if packed else _coprime(ar, monic, h)
     return flags
 
 
@@ -455,9 +426,7 @@ def _flags_range(field, n, lo, hi, method) -> np.ndarray:
         start = lo - lo % q**s
         flags = np.concatenate([_sieve_block(field, n, s, base, factors) for base in range(start, hi, q**s)])
         return flags[lo - start : hi - start]
-    gf2 = q == 2 and n <= _GF2_MAX_N
-    block = partial(_gf2_rabin_flags_block, n) if gf2 else partial(_rabin_flags_block, field, n)
-    parts = [block(blk_lo, min(blk_lo + _BLOCK, hi)) for blk_lo in range(lo, hi, _BLOCK)]
+    parts = [_rabin_flags_block(field, n, blk_lo, min(blk_lo + _BLOCK, hi)) for blk_lo in range(lo, hi, _BLOCK)]
     return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 

@@ -291,22 +291,37 @@ class TestGF2Engine:
             assert np.array_equal(gf2, _scalar_flags_block(field, n, 0, total, method)), n
 
     def test_matches_generic_block_engine(self):
+        # worker-style cuts (total * i // workers), which split blocks and
+        # words of 64 rows, give the slices of the full sweep
         field = build_field(2, 1)
-        for n in (13, 14, 15):
+        for n in (13, 14, 17):
             total = 2**n
-            assert np.array_equal(irreducible_flags(field, n, "rabin"),
-                                  engine._rabin_flags_block(field, n, 0, total)), n
+            whole = irreducible_flags(field, n, "rabin")
+            for workers in (3, 7):
+                bounds = [total * i // workers for i in range(workers + 1)]
+                for lo, hi in zip(bounds[:-1], bounds[1:]):
+                    assert lo % 64 or hi % 64
+                    assert np.array_equal(engine._flags_range(field, n, lo, hi, "rabin"), whole[lo:hi]), (n, lo)
 
-    @pytest.mark.parametrize("n,lo", [(1, 0), (5, 0), (9, 0), (9, 300)])
+    @pytest.mark.parametrize("n,lo", [(1, 0), (5, 0), (9, 0), (9, 300), (12, 1000)])
     def test_words_follow_enumeration_order(self, n, lo):
-        polys = list(enumerate_monic(build_field(2, 1), n))[lo:]
-        words = engine._gf2_words(n, lo, 2**n)
-        assert len(words) == len(polys)
-        for poly, word in zip(polys, words):
-            assert int(word) == sum(c << i for i, c in enumerate(poly.coeffs))
+        # the ladder's bit-sliced F_2 layout: coefficient i of row lo + 64 w + j
+        # is bit j of word (i, w), the rows past the end are zero, and
+        # unpacking gives the rows back
+        polys = list(enumerate_monic(build_field(2, 1), n))
+        for width in (1, 63, 64, 65, 300):
+            if lo + width > len(polys):
+                continue
+            rows = np.array([poly.coeffs[:n] for poly in polys[lo : lo + width]], dtype=np.int16).T
+            words = engine._pack(rows)
+            assert words.dtype == np.uint64 and words.shape == (n, -(-width // 64))
+            for i in range(n):
+                bits = [(int(words[i, r // 64]) >> (r % 64)) & 1 for r in range(words.shape[1] * 64)]
+                assert bits == rows[i].tolist() + [0] * (words.shape[1] * 64 - width), (i, width)
+            assert np.array_equal(engine._unpack(words, width), rows), width
 
     def test_rabin_at_the_word_cap(self):
-        # n = 32 squares reach bit 62, the top of the word layout
+        # a primitive polynomial of degree 32 and random rows
         field = build_field(2, 1)
         primitive = [0] * 33
         for i in (0, 1, 2, 22, 32):  # x^32 + x^22 + x^2 + x + 1
@@ -319,27 +334,66 @@ class TestGF2Engine:
         assert engine._flags_range(field, 32, indices[0], indices[0] + 1, "rabin")[0]
 
     def test_serves_f2_up_to_the_cap(self, monkeypatch):
+        # one Rabin block function serves F_2 at every degree, n = 33 (past
+        # the 32 of a one-word-per-polynomial layout) included
         field = build_field(2, 1)
-        expected = {m: irreducible_flags(field, 8, m) for m in ("trial", "rabin")}
-        monkeypatch.setattr(engine, "_rabin_flags_block", _refuse)
+        rows = [0, 1, 2, 3] + [int(i) for i in np.random.default_rng(33).integers(2**32, 2**33, size=6)]
+        expected = {m: _scalar_flags_block(field, 8, 0, 2**8, m) for m in ("trial", "rabin")}
+        expected_33 = {m: np.array([_scalar_flags_block(field, 33, i, i + 1, m)[0] for i in rows])
+                       for m in ("trial", "rabin")}
+        degrees = []
+        block = engine._rabin_flags_block
+        monkeypatch.setattr(engine, "_rabin_flags_block",
+                            lambda field, n, lo, hi: degrees.append(n) or block(field, n, lo, hi))
         for name in ("is_irreducible_trial", "is_irreducible_rabin"):
             monkeypatch.setattr(ff, name, _refuse)
+        for n in range(2, 17):
+            assert count_irreducibles(field, n, "rabin") == necklace_count(2, n), n
+        assert sorted(set(degrees)) == list(range(2, 17))
         for method in ("trial", "rabin"):
             assert np.array_equal(irreducible_flags(field, 8, method), expected[method])
+            assert np.array_equal(_engine_flags(field, 33, rows, method), expected_33[method])
         # rows with c_0 = 0 are divisible by x
         assert not engine._flags_range(field, 32, 0, 4, "trial").any()
 
     def test_other_fields_keep_their_paths(self, monkeypatch):
-        monkeypatch.setattr(engine, "_gf2_rabin_flags_block", _refuse)
+        # only F_2 Rabin blocks are bit-sliced
+        monkeypatch.setattr(engine, "_pack", _refuse)
         for p, k, n in [(2, 2, 3), (2, 4, 2), (3, 1, 4)]:
             field = build_field(p, k)
             for method in ("trial", "rabin"):
                 assert count_irreducibles(field, n, method=method) == necklace_count(field.q, n)
-        # F_2 above the cap runs on the int64 block engine
+        assert count_irreducibles(build_field(2, 1), 12, "trial") == necklace_count(2, 12)
+
+    @pytest.mark.parametrize("n,irreducible", [(53, (0, 1, 2, 6, 53)), (60, (0, 1, 60)), (63, (0, 1, 63))])
+    def test_rabin_rows_past_the_float_exact_width(self, n, irreducible):
+        # the survivors' words reach n + 1 bits; rows from the upper half of
+        # the range, since every row with c_0 = 0 is divisible by x
         field = build_field(2, 1)
-        for method in ("trial", "rabin"):
-            assert np.array_equal(engine._flags_range(field, 33, 0, 4, method),
-                                  _scalar_flags_block(field, 33, 0, 4, method))
+        coeffs = [1 if i in irreducible else 0 for i in range(n + 1)]
+        rng = np.random.default_rng(n)
+        rows = [_gf2_index(coeffs)] + [int(i) for i in rng.integers(2 ** (n - 1), 2**n - 1, size=12)]
+        expected = [is_irreducible_rabin(MonicPoly(field, _index_coeffs(2, n, i) + (1,))) for i in rows]
+        assert expected[0]
+        assert _engine_flags(field, n, rows, "rabin").tolist() == expected
+
+    def test_word_euclid_exact_to_64_bits(self):
+        # float64 holds 53 bits, so the bit lengths of words just below 2^k,
+        # k > 53, are read from a rounded value; all-ones words among them
+        field = build_field(2, 1)
+        crafted = [2**61 - 1] + [2**k - 1 - d for k in range(54, 65) for d in (0, 1, 6)]
+        rng = np.random.default_rng(64)
+        randoms = [int(w) >> int(s) for w, s in zip(rng.integers(0, 2**63, size=200), rng.integers(0, 60, size=200))]
+        randoms = [2 * w + 1 for w in randoms]  # odd, so never zero
+        words = np.array(crafted + randoms, dtype=np.uint64)
+        assert engine._bit_lengths(words).tolist() == [w.bit_length() for w in crafted + randoms]
+        pairs = list(zip(crafted, crafted[1:] + crafted[:1])) + list(zip(crafted, randoms))
+        pairs += list(zip(randoms[::2], randoms[1::2])) + [(w, w) for w in crafted[:3]]
+        a, b = (np.array(side, dtype=np.uint64) for side in zip(*pairs))
+        bits = lambda w: [(w >> i) & 1 for i in range(w.bit_length())]
+        expected = [ff._poly_gcd_is_one(field, bits(u), bits(v)) for u, v in pairs]
+        assert engine._gf2_coprime(a, b).tolist() == expected
+        assert 0 < sum(expected) < len(pairs)
 
     def test_generic_multi_block_concatenation(self, monkeypatch):
         field = build_field(3, 1)
@@ -400,8 +454,7 @@ class TestProductSieve:
     def test_independent_of_rabin_and_scalar_tests(self, monkeypatch):
         # built first: FieldContext checks an extension's modulus by Rabin's test
         cases = [(build_field(p, k), n) for p, k, n in [(2, 1, 14), (3, 1, 8), (3, 2, 4)]]
-        for name in ("_rabin_flags_block", "_gf2_rabin_flags_block"):
-            monkeypatch.setattr(engine, name, _refuse)
+        monkeypatch.setattr(engine, "_rabin_flags_block", _refuse)
         for name in ("is_irreducible_trial", "is_irreducible_rabin"):
             monkeypatch.setattr(ff, name, _refuse)
         for field, n in cases:

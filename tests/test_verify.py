@@ -1,13 +1,18 @@
 """Tests for the symbolic and numeric identity verifiers and the count bridge."""
 
 import cmath
+import json
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
 import neckprod.verify as verify
+from neckprod.cli import run
+from neckprod.exact import necklace_count
 from neckprod.finitefield import BudgetExceededError
+from neckprod.series import TruncatedSeries
 from neckprod.verify import (
     necklace_exponent_spec,
     tail_bound,
@@ -186,3 +191,73 @@ class TestCountBridge:
         assert d["schema"] == "verify.bridge"
         assert d["rows"][0] == {"n": 1, "formula": "2", "measured": "2", "equal": True}
         assert d["pass"] is True
+
+
+def _plus_one_at(expand, index):
+    # expand with coefficient index of its result raised by one
+    def perturbed(spec):
+        coeffs = list(expand(spec).coeffs)
+        coeffs[index] += 1
+        return TruncatedSeries(tuple(coeffs))
+    return perturbed
+
+
+def _cli(capsys, argv):
+    # exit status, text lines and JSON object of one CLI call
+    code, text = run(argv), capsys.readouterr().out.splitlines()
+    assert run(argv + ["--json"]) == code
+    return code, text, json.loads(capsys.readouterr().out)
+
+
+class TestReportedFailures:
+    """The identity and the counts hold, so a failure is forced by perturbing
+    one routine's result; the report, exit status 1 and both outputs name it."""
+
+    def test_symbolic_recursion_mismatch(self, monkeypatch, capsys):
+        monkeypatch.setattr(verify, "expand_recursive", _plus_one_at(verify.expand_recursive, 3))
+        report = verify_symbolic(2, 8)
+        assert (report.passed, report.first_failure) == (False, (3, 0, 1))
+        code, text, obj = _cli(capsys, ["verify", "symbolic", "--a", "2", "--degree", "8"])
+        assert code == 1
+        assert text[-2:] == ["pass           false", "first_failure  index 3: expected 0, got 1"]
+        assert obj["pass"] is False
+        assert obj["first_failure"] == {"index": 3, "expected": "0", "actual": "1"}
+
+    def test_symbolic_cross_check_mismatch(self, monkeypatch, capsys):
+        # the recursion matches 1 - 2z; the direct product disagrees with it
+        monkeypatch.setattr(verify, "expand_direct", _plus_one_at(verify.expand_direct, 1))
+        report = verify_symbolic(2, 8, cross_check=True)
+        assert (report.passed, report.first_failure) == (False, (1, -2, -1))
+        code, text, obj = _cli(capsys, ["verify", "symbolic", "--a", "2", "--degree", "8", "--cross-check"])
+        assert code == 1
+        assert "cross_checked  true" in text
+        assert text[-1] == "first_failure  index 1: expected -2, got -1"
+        assert (obj["pass"], obj["cross_checked"]) == (False, True)
+        assert obj["first_failure"] == {"index": 1, "expected": "-2", "actual": "-1"}
+
+    def test_bridge_count_mismatch(self, monkeypatch, capsys):
+        count = verify.count_irreducibles
+        monkeypatch.setattr(verify, "count_irreducibles",
+                            lambda field, n, **kw: count(field, n, **kw) + (n == 3))
+        report = verify_count_bridge(2, 1, 4)
+        assert not report.passed
+        assert report.rows == ((1, 2, 2), (2, 1, 1), (3, 2, 3), (4, 3, 3))
+        code, text, obj = _cli(capsys, ["verify", "bridge", "--p", "2", "--k", "1", "--n-max", "4"])
+        assert code == 1
+        assert text[3] == f"{3:>4}  {2:>16}  {3:>16}  false"
+        assert text[-1] == "pass: false"
+        assert [row["equal"] for row in obj["rows"]] == [True, True, False, True]
+        assert obj["rows"][2] == {"n": 3, "formula": "2", "measured": "3", "equal": False}
+        assert obj["pass"] is False
+
+
+def test_int_times_complex_past_1000_bits():
+    # the exponent is scaled to its top 64 bits; the result is within a few
+    # roundings of the exact product
+    n = necklace_count(2, 1500)
+    assert n.bit_length() > 1000
+    w = complex(3e-301, -7.5e-302)
+    got = verify._int_times_complex(n, w)
+    for part, x in ((got.real, w.real), (got.imag, w.imag)):
+        exact = Fraction(n) * Fraction(x)
+        assert abs(Fraction(part) - exact) <= abs(exact) * Fraction(1, 2**50)
