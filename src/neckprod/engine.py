@@ -12,10 +12,9 @@ or through a Zech table (odd p).
 * trial -- a product sieve on every field: it marks each product g h of a
   monic irreducible g of degree <= n/2 and a monic h, so the rows left
   unmarked are those trial division finds no divisor of.
-* rabin -- the Frobenius ladder on (n, rows) blocks, one contiguous vector
-  per coefficient, then one batched Euclid over the block's survivors.  Over
-  F_2 the ladder runs bit-sliced, 64 rows to a uint64 word, and the survivors
-  finish as one word each.
+* rabin -- the Frobenius ladder t -> t^q = sum_i t_i (x^(iq) mod f) on (n, rows)
+  blocks, then one batched Euclid over the survivors.  Over F_2 the ladder is
+  bit-sliced, 64 rows to a uint64 word, and survivors finish one word each.
 
 Every path is held row for row to the scalar is_irreducible_* tests of
 finitefield, which share no code or table with them.
@@ -74,14 +73,13 @@ class _Arith:
     Odd prime fields multiply and subtract mod p.  F_2 adds by xor and
     multiplies by and, which is the same arithmetic on 0/1 codes and on
     words holding one code per bit (the ladder's bit-sliced blocks).
-    Extensions multiply through
-    log/antilog tables of a primitive element g: log[0] is the sentinel
-    Z = 3(q - 1), exp repeats the powers of g below Z and is zero from Z
-    on, so exp[log a + log b] = a b for every pair of codes without a
-    branch.  They subtract by xor of codes for p = 2, and for odd p
-    through a Zech table: a - b = exp[log a + zech[log b - log a + Z]],
+    Extensions multiply through log/antilog tables of a primitive element g:
+    log[0] is the sentinel Z = 3(q - 1), exp repeats the powers of g below Z
+    and is zero from Z on, so exp[log a + log b] = a b for every pair of
+    codes without a branch.  They subtract by xor of codes for p = 2, and for
+    odd p through a Zech table: a - b = exp[log a + zech[log b - log a + Z]],
     with a zero on either side covered by the table too.  inv (inv[0] = 0)
-    and frob (a -> a^p) are tables of q entries.  Every table is O(q).
+    has q entries.  Every table is O(q).
 
     Operands of mul and sub and multipliers of axpy are canonical codes.
     Over an odd prime field axpy leaves r unreduced until reduce, after a caller
@@ -103,8 +101,6 @@ class _Arith:
         self.log[0] = self.log_zero
         self.inv = self.exp[(m - self.log) % m]
         self.inv[0] = 0
-        self.frob = self.exp[p * self.log % m]
-        self.frob[0] = 0
         if p > 2 and k > 1:
             # a - b with log b - log a = d: for a, b != 0 (d in [1 - m, 2m - 2],
             # as b may be a product with its log unreduced) the result is
@@ -211,38 +207,28 @@ def _mulmod(ar: _Arith, a: np.ndarray, neg_b: np.ndarray, f: np.ndarray) -> np.n
     return _reduce(ar, prod, f)
 
 
-def _x_to_the_p(ar: _Arith, x: np.ndarray, f: np.ndarray) -> np.ndarray:
-    # x^p mod f by square and multiply, for deg f >= 2
-    neg_x = _negated(ar, x)
-    for bit in bin(ar.p)[3:]:
-        x = _mulmod(ar, x, _negated(ar, x), f)
+def _frobenius_columns(ar: _Arith, q: int, x: np.ndarray, f: np.ndarray) -> np.ndarray:
+    # C_i = x^(iq) mod f for i < n, stacked (n, n, rows): up to q = 2n C_(i-1)
+    # shifted up q degrees, at most n - 1 at a time, above C_(i-1) x^q with x^q
+    # by square and multiply.  Every _reduce takes at most 3n - 1 terms.
+    n = x.shape[0]
+    cols = np.zeros((n,) + x.shape, dtype=x.dtype)
+    cols[0, 0] = x[1]  # the constant 1, with x's zero padding past the last row
+    if q <= 2 * n:
+        for i in range(1, n):
+            cols[i] = cols[i - 1]
+            for done in range(0, q, n - 1):
+                cols[i] = _reduce(ar, np.pad(cols[i], ((min(n - 1, q - done), 0), (0, 0))), f)
+        return cols
+    xq, neg_x = x, _negated(ar, x)
+    for bit in bin(q)[3:]:
+        xq = _mulmod(ar, xq, _negated(ar, xq), f)
         if bit == "1":
-            x = _mulmod(ar, x, neg_x, f)
-    return x
-
-
-def _batch_pow_q(ar: _Arith, t: np.ndarray, f: np.ndarray, neg_xp: np.ndarray | None) -> np.ndarray:
-    # t^q mod f (f prepared by ar.operand) in k rounds of
-    # t -> t^p = sum t_i^p x^(pi), which holds in characteristic p.  A
-    # round places the t_i^p p coefficients apart and reduces the whole
-    # spread, (p - 1)(n - 1) steps; with neg_xp = -(x^p mod f) given it runs
-    # Horner's rule in x^p instead, n - 1 products of about 2n steps each.
-    p, k = ar.p, ar.k
-    for _ in range(k):
-        if k > 1:
-            t = ar.frob[t]  # rebinding t frees the previous power before the spread
-        c = t
-        if neg_xp is None:
-            t = np.zeros((p * (c.shape[0] - 1) + 1, c.shape[1]), dtype=c.dtype)
-            t[::p] = c
-            t = _reduce(ar, t, f)
-        else:
-            t = np.zeros_like(c)
-            t[0] = c[-1]
-            for i in range(c.shape[0] - 2, -1, -1):
-                t = _mulmod(ar, t, neg_xp, f)
-                t[0] = ar.sub(t[0], ar.sub(0, c[i]))
-    return t
+            xq = _mulmod(ar, xq, neg_x, f)
+    cols[1], neg_xq = xq, _negated(ar, xq)
+    for i in range(2, n):
+        cols[i] = _mulmod(ar, cols[i - 1], neg_xq, f)
+    return cols
 
 
 def _degrees(a: np.ndarray) -> np.ndarray:
@@ -326,10 +312,8 @@ def _unpack(words: np.ndarray, rows: int) -> np.ndarray:
 
 
 def _rabin_flags_block(field: FieldContext, n: int, lo: int, hi: int) -> np.ndarray:
-    ar, p = _arith(field), field.p
-    # Horner's rule is the cheaper round once p > 2n, and the spread of p (n - 1) + 1
-    # coefficients would grow with p; the largest _reduce, n steps on either, sizes the block
-    dtype = ar.check_headroom(3 * n - 1 if p > 2 * n else p * (n - 1) + 1 + n)
+    ar = _arith(field)
+    dtype = ar.check_headroom(3 * n - 1)  # the largest _reduce, of a column or of a product
     fmat = _coeffs(field.q, n, np.arange(lo, hi, dtype=np.int64), dtype)
     x = np.zeros((n, hi - lo), dtype=dtype)
     x[1] = 1
@@ -337,12 +321,16 @@ def _rabin_flags_block(field: FieldContext, n: int, lo: int, hi: int) -> np.ndar
     # same xor arithmetic, and its powers are unpacked for the finish
     packed = field.q == 2
     f = ar.operand(_pack(fmat) if packed else fmat)
-    neg_xp = _negated(ar, _x_to_the_p(ar, x, f)) if p > 2 * n else None
+    t = _pack(x) if packed else x
+    # t -> t^q is F_q-linear: t^q = sum_i t_i C_i, n lazy terms
+    neg_cols = _negated(ar, _frobenius_columns(ar, field.q, t, f))
     checkpoints = {n // l for l in _prime_factors(n)}
     saved: dict[int, np.ndarray] = {}
-    t = _pack(x) if packed else x
     for j in range(1, n + 1):
-        t = _batch_pow_q(ar, t, f, neg_xp)
+        acc = np.zeros_like(t)
+        for i in range(n):
+            ar.axpy(acc, t[i], neg_cols[i])
+        t = ar.reduce(acc)
         if j in checkpoints:
             saved[j] = _unpack(t, hi - lo) if packed else t
     flags = ((_unpack(t, hi - lo) if packed else t) == x).all(axis=0)
@@ -426,7 +414,9 @@ def _flags_range(field, n, lo, hi, method) -> np.ndarray:
         start = lo - lo % q**s
         flags = np.concatenate([_sieve_block(field, n, s, base, factors) for base in range(start, hi, q**s)])
         return flags[lo - start : hi - start]
-    parts = [_rabin_flags_block(field, n, blk_lo, min(blk_lo + _BLOCK, hi)) for blk_lo in range(lo, hi, _BLOCK)]
+    # the columns hold n^2 codes a row: _BLOCK // n rows a block, but _BLOCK for packed F_2
+    step = _BLOCK if q == 2 else _BLOCK // n
+    parts = [_rabin_flags_block(field, n, blk_lo, min(blk_lo + step, hi)) for blk_lo in range(lo, hi, step)]
     return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 

@@ -264,10 +264,6 @@ class FieldContext:
             return pow(a, self.p - 2, self.p)
         return self._power(a, self.q - 2)  # Fermat: a^(q-1) = 1
 
-    def frobenius(self, a: int) -> int:
-        """a**p, the p-power Frobenius on element codes."""
-        return self._power(a, self.p)
-
     def _power(self, a: int, e: int) -> int:
         """a**e for e >= 0, by square and multiply."""
         result = 1

@@ -117,13 +117,6 @@ class TestElementArithmetic:
                 assert f.mul(a, b) == f.mul(b, a)
                 assert f.add(a, b) == f.add(b, a)
 
-    @pytest.mark.parametrize("p,k", [(2, 2), (3, 2), (5, 2)])
-    def test_frobenius_is_additive(self, p, k):
-        f = build_field(p, k)
-        for a in range(f.q):
-            for b in range(f.q):
-                assert f.frobenius(f.add(a, b)) == f.add(f.frobenius(a), f.frobenius(b))
-
     def test_vector_code_round_trip(self):
         f = build_field(3, 2)
         for code in range(f.q):
@@ -220,8 +213,8 @@ class TestAgreementAndEngine:
             for poly in enumerate_monic(field, n):
                 assert is_irreducible_trial(poly) == is_irreducible_rabin(poly), str(poly)
 
-    # F_5 n = 3 runs the Frobenius rounds on the spread, F_7 n = 3 and
-    # F_11 n = 2 by Horner's rule in x^p, the engine's choice once p > 2n
+    # F_5 n = 3 steps its Frobenius columns up from x, F_7 n = 3 and
+    # F_11 n = 2 multiply them from x^q, the engine's choice once q > 2n
     @pytest.mark.parametrize("p,k,max_n", [(2, 1, 9), (3, 1, 5), (2, 2, 4), (5, 1, 3), (7, 1, 3),
                                            (11, 1, 2), (3, 2, 2)])
     def test_block_engine_matches_scalar(self, p, k, max_n):
@@ -256,6 +249,34 @@ class TestAgreementAndEngine:
         monkeypatch.setattr(engine, "_BLOCK", 500)  # force many blocks
         for method in ("trial", "rabin"):
             assert np.array_equal(irreducible_flags(field, 12, method), whole[method])
+
+    def test_rabin_blocks_hold_block_over_n_rows(self, monkeypatch):
+        # the Frobenius columns hold n^2 codes per row: F_2, packed 64 rows
+        # to a word, keeps _BLOCK rows a block, other fields take _BLOCK // n
+        ranges = []
+        block = engine._rabin_flags_block
+        monkeypatch.setattr(engine, "_rabin_flags_block",
+                            lambda field, n, lo, hi: ranges.append((lo, hi)) or block(field, n, lo, hi))
+        assert count_irreducibles(build_field(2, 1), 17, "rabin") == necklace_count(2, 17)
+        assert ranges == [(0, engine._BLOCK), (engine._BLOCK, 2 * engine._BLOCK)]
+        ranges.clear()
+        assert count_irreducibles(build_field(3, 1), 10, "rabin") == necklace_count(3, 10)
+        rows = engine._BLOCK // 10
+        assert ranges == [(lo, min(lo + rows, 3**10)) for lo in range(0, 3**10, rows)]
+
+    @pytest.mark.parametrize("block", [4096, 1 << 16])
+    @pytest.mark.parametrize("p,k,n", [(3, 1, 9), (2, 2, 5), (17, 1, 3)])
+    def test_rabin_cut_ranges_match_the_full_sweep(self, monkeypatch, p, k, n, block):
+        # worker-style cuts (total * i // workers) end inside blocks
+        field = build_field(p, k)
+        total = field.q**n
+        whole = irreducible_flags(field, n, "rabin")
+        monkeypatch.setattr(engine, "_BLOCK", block)
+        for workers in (3, 7):
+            bounds = [total * i // workers for i in range(workers + 1)]
+            for lo, hi in zip(bounds[:-1], bounds[1:]):
+                assert lo % (block // n) or hi % (block // n)
+                assert np.array_equal(engine._flags_range(field, n, lo, hi, "rabin"), whole[lo:hi]), (workers, lo)
 
     def test_block_engine_matches_scalar_sampled_large(self):
         # spot checks at the top of the exhaustive-agreement domain
@@ -613,7 +634,7 @@ class TestLogTableEngine:
             assert np.array_equal(_engine_flags(field, 2, rows, method), expected), method
 
     def test_large_characteristic(self):
-        # p > 2n runs the Frobenius rounds by Horner's rule in x^p
+        # q > 2n builds the Frobenius columns from x^q by square and multiply
         assert count_irreducibles(build_field(257, 1), 2) == necklace_count(257, 2)
         field = build_field(4093, 1)
         rng = np.random.default_rng(9)
@@ -643,7 +664,6 @@ class TestLogTableEngine:
         assert ar.sub(a, b).tolist() == [field.sub(x, y) for x, y in zip(a.tolist(), b.tolist())]
         assert sorted(ar.exp[: q - 1].tolist()) == list(range(1, q))
         assert [ar.inv[x] for x in range(1, q)] == [field.inv(x) for x in range(1, q)]
-        assert ar.frob.tolist() == [field.frobenius(x) for x in range(q)]
 
     @pytest.mark.parametrize("p,k", [(3, 1), (7, 1), (2, 3), (3, 2), (5, 2), (3, 3)])
     def test_axpy_on_all_triples(self, p, k):
@@ -677,6 +697,34 @@ class TestLogTableEngine:
             assert got[:, i].tolist() == ff._poly_mulmod(field, a[:, i].tolist(), b[:, i].tolist(), fi)
             assert reduced[:, i].tolist() == ff._poly_mulmod(field, prod[:, i].tolist(), [1], fi)
 
+    # q = 2n (F_4 n = 2, F_16 n = 8) is the last to step its columns up from
+    # x, q = 2n + 1 (F_5 n = 2, F_17 n = 8) the first to multiply them from x^q
+    @pytest.mark.parametrize("p,k,n", [(2, 1, 2), (2, 1, 5), (2, 1, 9), (3, 1, 4), (7, 1, 4), (2, 2, 2),
+                                       (2, 4, 8), (3, 2, 5), (5, 1, 2), (17, 1, 8), (2, 4, 3), (5, 2, 2)])
+    def test_frobenius_columns_match_scalar_powers(self, p, k, n):
+        # C_i = x^(iq) mod f against _poly_powmod row by row; F_2 on packed
+        # words, unpacked to compare; rows of f of code q - 1 reach the
+        # largest lazy intermediates
+        field = build_field(p, k)
+        ar = engine._arith(field)
+        q, rows = field.q, 30
+        dtype = ar.check_headroom(3 * n - 1)
+        f = np.random.default_rng(q + n).integers(0, q, size=(n, rows)).astype(dtype)
+        f[:, :5] = q - 1
+        x = np.zeros((n, rows), dtype=dtype)
+        x[1] = 1
+        if q == 2:
+            cols = engine._frobenius_columns(ar, q, engine._pack(x), ar.operand(engine._pack(f)))
+            cols = np.stack([engine._unpack(c, rows) for c in cols])
+        else:
+            cols = engine._frobenius_columns(ar, q, x, ar.operand(f))
+            assert cols.dtype == dtype
+        assert cols.shape == (n, n, rows)
+        for r in range(rows):
+            fr = f[:, r].tolist() + [1]
+            for i in range(n):
+                assert cols[i, :, r].tolist() == ff._poly_powmod(field, [0, 1] + [0] * (n - 2), i * q, fr), (r, i)
+
     def test_lazy_reduction_bound_is_checked(self):
         # (width + n) (p - 1)^2 past 2^62 is refused; with no rows the arrays
         # stay empty, and with width = n there is no step to run
@@ -709,7 +757,6 @@ class TestLogTableEngine:
         assert ar.sub(a, b).tolist() == [field.sub(x, y) for x, y in zip(a.tolist(), b.tolist())]
         for x, y in zip(a.tolist(), b.tolist()):
             assert ar.exp[ar.log[x] + ar.log[y]] == field._mul_direct(x, y)
-            assert ar.frob[x] == field.frobenius(x)
             if x:
                 assert ar.inv[x] == field.inv(x)
 
@@ -733,19 +780,26 @@ class TestLogTableEngine:
         assert 0 < got.sum() < rows - 5
 
 
-# (p, k, n, route, dtype of the Rabin ladder's blocks).  Its largest _reduce
-# takes p (n - 1) + 1 + n terms on the spread route and 3n - 1 on Horner's
-# (p > 2n); neighbouring cases sit on either side of the int16 or int32 edge.
+# (p, k, n, dtype of the Rabin ladder's blocks).  Its largest _reduce takes
+# 3n - 1 terms whether the Frobenius columns are stepped up from x (q <= 2n)
+# or multiplied from x^q; neighbouring cases sit on either side of the int16
+# or int32 edge.
 _LADDER_WIDTHS = [
-    (3, 1, 10, "spread", np.int16),      # 38 terms of 2^2
-    (13, 1, 7, "spread", np.int16),      # 86 terms of 12^2 = 12,384 < 2^14
-    (17, 1, 9, "spread", np.int32),      # 146 terms of 16^2 = 37,376
-    (53, 1, 2, "horner", np.int16),      # 5 * 52^2 = 13,520 < 2^14
-    (59, 1, 2, "horner", np.int32),      # 5 * 58^2 = 16,820
-    (4093, 1, 2, "horner", np.int32),
-    (14653, 1, 2, "horner", np.int32),   # 5 * 14652^2 < 2^30
-    (14657, 1, 2, "horner", np.int64),   # 5 * 14656^2 >= 2^30
-    (2, 2, 5, "spread", np.int64),       # extension codes stay int64
+    (3, 1, 10, np.int16),      # 29 terms of 2^2
+    (13, 1, 7, np.int16),      # 20 terms of 12^2
+    (17, 1, 9, np.int16),      # 26 terms of 16^2 = 6,656
+    (19, 1, 12, np.int16),     # 35 * 18^2 = 11,340 < 2^14, stepped
+    (23, 1, 12, np.int32),     # 35 * 22^2 = 16,940, stepped
+    (43, 1, 3, np.int16),      # 8 * 42^2 = 14,112 < 2^14
+    (47, 1, 3, np.int32),      # 8 * 46^2 = 16,928
+    (53, 1, 2, np.int16),      # 5 * 52^2 = 13,520 < 2^14
+    (59, 1, 2, np.int32),      # 5 * 58^2 = 16,820
+    (4093, 1, 2, np.int32),
+    (11579, 1, 3, np.int32),   # 8 * 11578^2 < 2^30
+    (11587, 1, 3, np.int64),   # 8 * 11586^2 >= 2^30
+    (14653, 1, 2, np.int32),   # 5 * 14652^2 < 2^30
+    (14657, 1, 2, np.int64),   # 5 * 14656^2 >= 2^30
+    (2, 2, 5, np.int64),       # extension codes stay int64
 ]
 # (p, k, n, dtype of the sieve's blocks), from n + 1 terms
 _SIEVE_WIDTHS = [
@@ -789,14 +843,12 @@ def _sample_range(field, n, rows, seed):
 
 
 class TestNarrowCodes:
-    @pytest.mark.parametrize("p,k,n,route,dtype", _LADDER_WIDTHS)
-    def test_ladder_blocks_take_the_narrowest_width(self, monkeypatch, p, k, n, route, dtype):
+    @pytest.mark.parametrize("p,k,n,dtype", _LADDER_WIDTHS)
+    def test_ladder_blocks_take_the_narrowest_width(self, monkeypatch, p, k, n, dtype):
         field = build_field(p, k)
         ar = engine._arith(field)
-        assert route == ("horner" if p > 2 * n else "spread")
-        terms = 3 * n - 1 if route == "horner" else p * (n - 1) + 1 + n
-        _assert_narrowest(p, k, terms, dtype)
-        assert ar.check_headroom(terms) == dtype
+        _assert_narrowest(p, k, 3 * n - 1, dtype)
+        assert ar.check_headroom(3 * n - 1) == dtype
         seen = set()
         reduce = engine._reduce
 
@@ -805,32 +857,37 @@ class TestNarrowCodes:
             return reduce(ar, prod, f)
 
         monkeypatch.setattr(engine, "_reduce", spy)
-        lo, hi = _sample_range(field, n, 200, p + n)
+        # the scalar Rabin test runs about n powerings per row
+        lo, hi = _sample_range(field, n, 200 if n < 12 else 60, p + n)
         got = engine._rabin_flags_block(field, n, lo, hi)
         expected = _scalar_flags_block(field, n, lo, hi, "rabin")
         assert seen == {np.dtype(dtype)}
         assert np.array_equal(got, expected)
         assert expected.any() and not expected.all()
 
-    @pytest.mark.parametrize("p,k,n,route,dtype", _LADDER_WIDTHS)
-    def test_mulmod_and_reduce_at_the_width(self, p, k, n, route, dtype):
-        # columns of p - 1 reach the largest lazy intermediates the width must hold
+    @pytest.mark.parametrize("p,k,n,dtype", _LADDER_WIDTHS)
+    def test_mulmod_and_reduce_at_the_width(self, p, k, n, dtype):
+        # columns of p - 1 reach the largest lazy intermediates the width must
+        # hold; _mulmod reduces 2n - 1 coefficients, a column step n + 1 to 2n - 1
         field = build_field(p, k)
         ar = engine._arith(field)
         q, rows = field.q, 30
-        width = 2 * n - 1 if route == "horner" else p * (n - 1) + 1
         rng = np.random.default_rng(p * 10 + n)
         a, b, f = rng.integers(0, q, size=(3, n, rows)).astype(dtype)
-        prod = rng.integers(0, q, size=(width, rows)).astype(dtype)
+        prod = rng.integers(0, q, size=(2 * n - 1, rows)).astype(dtype)
         for m in (a, b, f, prod):
             m[:, :5] = q - 1
         got = engine._mulmod(ar, a, engine._negated(ar, b), ar.operand(f))
-        reduced = engine._reduce(ar, prod.copy(), ar.operand(f))
-        assert got.dtype == reduced.dtype == dtype
+        assert got.dtype == dtype
+        for width in (2 * n - 1, n + 1):
+            reduced = engine._reduce(ar, prod[:width].copy(), ar.operand(f))
+            assert reduced.dtype == dtype
+            for i in range(rows):
+                fi = f[:, i].tolist() + [1]
+                assert reduced[:, i].tolist() == _scalar_rem(field, prod[:width, i].tolist(), fi)
         for i in range(rows):
             fi = f[:, i].tolist() + [1]
             assert got[:, i].tolist() == ff._poly_mulmod(field, a[:, i].tolist(), b[:, i].tolist(), fi)
-            assert reduced[:, i].tolist() == _scalar_rem(field, prod[:, i].tolist(), fi)
         if dtype is not np.int16:
             narrower = _WIDTHS[_WIDTHS.index(dtype) - 1]
             with pytest.raises(OverflowError):
