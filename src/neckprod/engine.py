@@ -208,12 +208,12 @@ def _mulmod(ar: _Arith, a: np.ndarray, neg_b: np.ndarray, f: np.ndarray) -> np.n
 
 
 def _frobenius_columns(ar: _Arith, q: int, x: np.ndarray, f: np.ndarray) -> np.ndarray:
-    # C_i = x^(iq) mod f for i < n, stacked (n, n, rows): up to q = 2n C_(i-1)
-    # shifted up q degrees, at most n - 1 at a time, above C_(i-1) x^q with x^q
-    # by square and multiply.  Every _reduce takes at most 3n - 1 terms.
+    # -C_i for C_i = x^(iq) mod f, i < n, stacked (n, n, rows): up to q = 2n
+    # -C_(i-1) shifted up q degrees, at most n - 1 at a time, above -C_(i-1) x^q
+    # with x^q by square and multiply.  Every _reduce takes at most 3n - 1 terms.
     n = x.shape[0]
     cols = np.zeros((n,) + x.shape, dtype=x.dtype)
-    cols[0, 0] = x[1]  # the constant 1, with x's zero padding past the last row
+    cols[0, 0] = ar.sub(0, x[1])  # -1, with x's zero padding past the last row
     if q <= 2 * n:
         for i in range(1, n):
             cols[i] = cols[i - 1]
@@ -225,7 +225,7 @@ def _frobenius_columns(ar: _Arith, q: int, x: np.ndarray, f: np.ndarray) -> np.n
         xq = _mulmod(ar, xq, _negated(ar, xq), f)
         if bit == "1":
             xq = _mulmod(ar, xq, neg_x, f)
-    cols[1], neg_xq = xq, _negated(ar, xq)
+    cols[1], neg_xq = ar.sub(0, xq), _negated(ar, xq)
     for i in range(2, n):
         cols[i] = _mulmod(ar, cols[i - 1], neg_xq, f)
     return cols
@@ -323,7 +323,7 @@ def _rabin_flags_block(field: FieldContext, n: int, lo: int, hi: int) -> np.ndar
     f = ar.operand(_pack(fmat) if packed else fmat)
     t = _pack(x) if packed else x
     # t -> t^q is F_q-linear: t^q = sum_i t_i C_i, n lazy terms
-    neg_cols = _negated(ar, _frobenius_columns(ar, field.q, t, f))
+    neg_cols = ar.operand(_frobenius_columns(ar, field.q, t, f))
     checkpoints = {n // l for l in _prime_factors(n)}
     saved: dict[int, np.ndarray] = {}
     for j in range(1, n + 1):

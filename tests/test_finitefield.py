@@ -702,8 +702,8 @@ class TestLogTableEngine:
     @pytest.mark.parametrize("p,k,n", [(2, 1, 2), (2, 1, 5), (2, 1, 9), (3, 1, 4), (7, 1, 4), (2, 2, 2),
                                        (2, 4, 8), (3, 2, 5), (5, 1, 2), (17, 1, 8), (2, 4, 3), (5, 2, 2)])
     def test_frobenius_columns_match_scalar_powers(self, p, k, n):
-        # C_i = x^(iq) mod f against _poly_powmod row by row; F_2 on packed
-        # words, unpacked to compare; rows of f of code q - 1 reach the
+        # -C_i for C_i = x^(iq) mod f against _poly_powmod row by row; F_2 on
+        # packed words, unpacked to compare; rows of f of code q - 1 reach the
         # largest lazy intermediates
         field = build_field(p, k)
         ar = engine._arith(field)
@@ -723,7 +723,8 @@ class TestLogTableEngine:
         for r in range(rows):
             fr = f[:, r].tolist() + [1]
             for i in range(n):
-                assert cols[i, :, r].tolist() == ff._poly_powmod(field, [0, 1] + [0] * (n - 2), i * q, fr), (r, i)
+                power = ff._poly_powmod(field, [0, 1] + [0] * (n - 2), i * q, fr)
+                assert cols[i, :, r].tolist() == [field.neg(c) for c in power], (r, i)
 
     def test_lazy_reduction_bound_is_checked(self):
         # (width + n) (p - 1)^2 past 2^62 is refused; with no rows the arrays
