@@ -13,8 +13,8 @@ or through a Zech table (odd p).
   monic irreducible g of degree <= n/2 and a monic h, so the rows left
   unmarked are those trial division finds no divisor of.
 * rabin -- the Frobenius ladder t -> t^q = sum_i t_i (x^(iq) mod f) on (n, rows)
-  blocks, then one batched Euclid over the survivors.  Over F_2 the ladder is
-  bit-sliced, 64 rows to a uint64 word, and survivors finish one word each.
+  blocks, then Bernstein-Yang divsteps batched over the survivors.  Over F_2
+  both are bit-sliced, 64 rows to a uint64 word.
 
 Every path is held row for row to the scalar is_irreducible_* tests of
 finitefield, which share no code or table with them.
@@ -79,7 +79,7 @@ class _Arith:
     codes without a branch.  They subtract by xor of codes for p = 2, and for
     odd p through a Zech table: a - b = exp[log a + zech[log b - log a + Z]],
     with a zero on either side covered by the table too.  inv (inv[0] = 0)
-    has q entries.  Every table is O(q).
+    has q entries and serves the sieve only.  Every table is O(q).
 
     Operands of mul and sub and multipliers of axpy are canonical codes.
     Over an odd prime field axpy leaves r unreduced until reduce, after a caller
@@ -131,9 +131,9 @@ class _Arith:
         return self._minus_log(a, self.log[b])
 
     def mul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        if self.k == 1:
-            return self.reduce(a * b)
-        return self.exp[self.log[a] + self.log[b]]
+        if self.k > 1:
+            return self.exp[self.log[a] + self.log[b]]
+        return self.reduce(a * b) if self.lazy else a & b
 
     def operand(self, g: np.ndarray) -> np.ndarray:
         # g as axpy takes it: its logs for an extension
@@ -231,72 +231,6 @@ def _frobenius_columns(ar: _Arith, q: int, x: np.ndarray, f: np.ndarray) -> np.n
     return cols
 
 
-def _degrees(a: np.ndarray) -> np.ndarray:
-    # columnwise degree of coefficient-major a (constant term first); -1 for zero
-    nonzero = a != 0
-    top = a.shape[0] - 1 - np.argmax(nonzero[::-1], axis=0)
-    return np.where(nonzero.any(axis=0), top, -1)
-
-
-def _coprime(ar: _Arith, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Columnwise verdict gcd(a, b) = 1 for coefficient-major matrices of one
-    shape (m, rows), constant term first.
-
-    Euclid's algorithm on all columns at once, one leading term per step:
-    the column of higher degree loses its leading term to a multiple of the
-    other column shifted into place, so deg a + deg b falls every step and
-    at most 2m steps run, each reduced as the next reads degrees.  A column is
-    done when one side is zero; the gcd is the other side, a unit iff constant.
-    """
-    m = a.shape[0]
-    coeffs = np.arange(m)[:, None]
-    out = np.zeros(a.shape[1], dtype=bool)
-    live = np.arange(a.shape[1])
-    while live.size:
-        da, db = _degrees(a), _degrees(b)
-        swap = da < db
-        a, b = np.where(swap, b, a), np.where(swap, a, b)
-        da, db = np.maximum(da, db), np.minimum(da, db)
-        done = db < 0
-        if done.any():
-            out[live[done]] = da[done] == 0
-            keep = ~done
-            live, a, b, da, db = live[keep], a[:, keep], b[:, keep], da[keep], db[keep]
-        cols = np.arange(live.size)
-        c = ar.mul(a[da, cols], ar.inv[b[db, cols]])
-        # b x^(da - db): coefficients above deg b are zero, so a cyclic shift
-        # brings only zeros round to the bottom
-        shifted = np.take_along_axis(b, (coeffs - (da - db)) % m, axis=0)
-        ar.axpy(a, c, ar.operand(shifted))
-        a = ar.reduce(a)
-    return out
-
-
-def _gf2_coprime(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    # wordwise verdict gcd(a, b) = 1 over F_2, bit i of a word the coefficient
-    # of x^i: Euclid on all words at once, one leading term per step as in
-    # _coprime, until every b is zero
-    while b.any():
-        da, db = (_bit_lengths(w) for w in (a, b))
-        swap = da < db
-        a, b = np.where(swap, b, a), np.where(swap, a, b)
-        a = a ^ (b << np.abs(da - db).astype(np.uint64))
-    return a == 1
-
-
-def _bit_lengths(w: np.ndarray) -> np.ndarray:
-    # exact for every uint64 word (zero gets -1): float64 keeps 53 bits, so a
-    # word just below 2^k may round up to 2^k, and then its top bit is k - 1
-    e = np.frexp(w.astype(np.float64))[1]
-    return e - (w >> np.maximum(e - 1, 0).astype(np.uint64) == 0)
-
-
-def _words(bits: np.ndarray) -> np.ndarray:
-    # coefficient-major 0/1 codes (m <= 64, rows) -> one uint64 word per row
-    shifts = np.arange(bits.shape[0], dtype=np.uint64)[:, None]
-    return np.bitwise_or.reduce(bits.astype(np.uint64) << shifts, axis=0)
-
-
 def _pack(bits: np.ndarray) -> np.ndarray:
     # (m, rows) 0/1 codes -> (m, ceil(rows / 64)) bit-sliced words: bit j of
     # word w is row 64 w + j, rows past the end are zero (packbits reads bool
@@ -311,6 +245,34 @@ def _unpack(words: np.ndarray, rows: int) -> np.ndarray:
     return np.unpackbits(words.view(np.uint8), axis=-1, count=rows, bitorder="little")
 
 
+def _coprime(ar: _Arith, a: np.ndarray, b: np.ndarray, rows: int | None = None) -> np.ndarray:
+    """Columnwise verdict gcd(a, b) = 1 for coefficient-major matrices of one
+    shape (m, columns), constant term first, a monic of degree m - 1 and b of
+    lower degree; for rows given, a and b are rows polynomials _pack'ed into
+    bit-sliced words.
+
+    Bernstein and Yang's divsteps (2019, theorem 6.2) on the reversed
+    polynomials f = x^(m-1) a(1/x), f_0 = 1, and g = x^(m-2) b(1/x): from
+    delta = 1, 2m - 3 identical steps on every column, each a conditional
+    swap and g <- (f_0 g - g_0 f) / x, with no inverse and no degree scan.
+    The gcd then has degree delta / 2.  Step i reads no coefficient of f or
+    g past 2m - 4 - i, so the arrays shrink once that is below m.
+    """
+    m = a.shape[0]
+    f, g = a[::-1].copy(), np.zeros_like(b)
+    g[: m - 1] = b[m - 2 :: -1]
+    delta = np.ones(a.shape[1] if rows is None else rows, dtype=np.int16)
+    for step in range(2 * m - 3):
+        f, g = f[: 2 * m - 3 - step], g[: 2 * m - 3 - step]
+        swap = (delta > 0) & ((g[0] if rows is None else _unpack(g[:1], rows)[0]) != 0)
+        delta = np.where(swap, -delta, delta) + 1
+        h = ar.mul(f[0], g[1:])
+        ar.axpy(h, g[0], ar.operand(f[1:]))
+        f ^= (f ^ g) & (-swap.astype(f.dtype) if rows is None else _pack(swap[None])[0])
+        g[:-1], g[-1] = ar.reduce(h), 0
+    return delta == 0
+
+
 def _rabin_flags_block(field: FieldContext, n: int, lo: int, hi: int) -> np.ndarray:
     ar = _arith(field)
     dtype = ar.check_headroom(3 * n - 1)  # the largest _reduce, of a column or of a product
@@ -318,7 +280,7 @@ def _rabin_flags_block(field: FieldContext, n: int, lo: int, hi: int) -> np.ndar
     x = np.zeros((n, hi - lo), dtype=dtype)
     x[1] = 1
     # over F_2 the ladder runs on bit-sliced words, 64 rows each, through the
-    # same xor arithmetic, and its powers are unpacked for the finish
+    # same xor arithmetic, and its powers are unpacked to gather the survivors
     packed = field.q == 2
     f = ar.operand(_pack(fmat) if packed else fmat)
     t = _pack(x) if packed else x
@@ -335,13 +297,13 @@ def _rabin_flags_block(field: FieldContext, n: int, lo: int, hi: int) -> np.ndar
             saved[j] = _unpack(t, hi - lo) if packed else t
     flags = ((_unpack(t, hi - lo) if packed else t) == x).all(axis=0)
     # survivors have all factor degrees dividing n; finish them with the gcd
-    # conditions on the saved intermediate powers, over F_2 one word each
+    # conditions on the saved intermediate powers, over F_2 packed again
     for arr in saved.values():
         idx = np.flatnonzero(flags)
         monic = np.vstack([fmat[:, idx], np.ones_like(idx, dtype)])
         h = np.zeros_like(monic)
         h[:n] = ar.sub(arr[:, idx], x[:, idx])
-        flags[idx] = _gf2_coprime(_words(monic), _words(h)) if packed else _coprime(ar, monic, h)
+        flags[idx] = _coprime(ar, _pack(monic), _pack(h), idx.size) if packed else _coprime(ar, monic, h)
     return flags
 
 

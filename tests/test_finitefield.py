@@ -388,8 +388,8 @@ class TestGF2Engine:
 
     @pytest.mark.parametrize("n,irreducible", [(53, (0, 1, 2, 6, 53)), (60, (0, 1, 60)), (63, (0, 1, 63))])
     def test_rabin_rows_past_the_float_exact_width(self, n, irreducible):
-        # the survivors' words reach n + 1 bits; rows from the upper half of
-        # the range, since every row with c_0 = 0 is divisible by x
+        # the survivors reach n + 1 coefficients, up to a whole word; rows from
+        # the upper half of the range, since every row with c_0 = 0 is divisible by x
         field = build_field(2, 1)
         coeffs = [1 if i in irreducible else 0 for i in range(n + 1)]
         rng = np.random.default_rng(n)
@@ -399,21 +399,27 @@ class TestGF2Engine:
         assert _engine_flags(field, n, rows, "rabin").tolist() == expected
 
     def test_word_euclid_exact_to_64_bits(self):
-        # float64 holds 53 bits, so the bit lengths of words just below 2^k,
-        # k > 53, are read from a rounded value; all-ones words among them
+        # the packed divstep finish on monic a of every degree up to 63, all-ones
+        # words among them, each with a b of lower degree: a's bits cut below
+        # its top one, or zero, where the gcd is a itself
         field = build_field(2, 1)
+        ar = engine._arith(field)
         crafted = [2**61 - 1] + [2**k - 1 - d for k in range(54, 65) for d in (0, 1, 6)]
         rng = np.random.default_rng(64)
         randoms = [int(w) >> int(s) for w, s in zip(rng.integers(0, 2**63, size=200), rng.integers(0, 60, size=200))]
         randoms = [2 * w + 1 for w in randoms]  # odd, so never zero
-        words = np.array(crafted + randoms, dtype=np.uint64)
-        assert engine._bit_lengths(words).tolist() == [w.bit_length() for w in crafted + randoms]
         pairs = list(zip(crafted, crafted[1:] + crafted[:1])) + list(zip(crafted, randoms))
-        pairs += list(zip(randoms[::2], randoms[1::2])) + [(w, w) for w in crafted[:3]]
-        a, b = (np.array(side, dtype=np.uint64) for side in zip(*pairs))
-        bits = lambda w: [(w >> i) & 1 for i in range(w.bit_length())]
-        expected = [ff._poly_gcd_is_one(field, bits(u), bits(v)) for u, v in pairs]
-        assert engine._gf2_coprime(a, b).tolist() == expected
+        pairs += list(zip(randoms[::2], randoms[1::2])) + [(w, w) for w in crafted[:3]] + [(w, 0) for w in crafted[:3]]
+        pairs = [(u, v % (1 << (u.bit_length() - 1))) for u, v in pairs if u > 1]
+        bits = lambda w, m: [(w >> i) & 1 for i in range(m)]
+        got, expected = [], []
+        for m in sorted({u.bit_length() for u, _ in pairs}):
+            group = [(u, v) for u, v in pairs if u.bit_length() == m]
+            a, b = (engine._pack(np.array([bits(w, m) for w in side], dtype=np.int16).T) for side in zip(*group))
+            got += engine._coprime(ar, a, b, len(group)).tolist()
+            expected += [ff._poly_gcd_is_one(field, bits(u, m), bits(v, m)) for u, v in group]
+        assert max(u.bit_length() for u, _ in pairs) == 64
+        assert got == expected
         assert 0 < sum(expected) < len(pairs)
 
     def test_generic_multi_block_concatenation(self, monkeypatch):
@@ -764,6 +770,7 @@ class TestLogTableEngine:
     @pytest.mark.parametrize("p,k,n", [(2, 1, 6), (3, 1, 5), (2, 2, 4), (3, 2, 3), (2, 8, 2), (17, 2, 2)])
     def test_batched_finish_matches_scalar_gcd(self, p, k, n):
         field = build_field(p, k)
+        ar = engine._arith(field)
         rng = np.random.default_rng(p * 100 + k * 10 + n)
         rows = 300
         f = np.ones((rows, n + 1), dtype=np.int64)
@@ -774,11 +781,20 @@ class TestLogTableEngine:
         f[-10:-5, 0] = h[-10:-5, 0] = 0  # x divides both
         h[-10:-5, 1] = 1
         h[-5:] = 0  # gcd(f, 0) = f has degree n
-        got = engine._coprime(engine._arith(field), f.T, h.T)
+        got = engine._coprime(ar, f.T, h.T)
         expected = [ff._poly_gcd_is_one(field, fr.tolist(), hr.tolist()) for fr, hr in zip(f, h)]
         assert got.tolist() == expected
         assert not got[-10:].any()
         assert 0 < got.sum() < rows - 5
+        assert engine._coprime(ar, f.T[:, :0], h.T[:, :0]).shape == (0,)
+        if field.q == 2:
+            # packed words, the last one ragged but for 64 rows, give the same
+            # verdicts; rows=0 is the packed form with no rows
+            for width in (64, 65, 300):
+                a, b = (engine._pack(m[-width:].T) for m in (f, h))
+                assert engine._coprime(ar, a, b, width).tolist() == expected[-width:], width
+            assert engine._coprime(ar, engine._pack(f.T[:, :0]), engine._pack(h.T[:, :0]), 0).shape == (0,)
+            assert np.array_equal(ar.mul(engine._pack(f.T), engine._pack(h.T)), engine._pack(ar.mul(f.T, h.T)))
 
 
 # (p, k, n, dtype of the Rabin ladder's blocks).  Its largest _reduce takes
