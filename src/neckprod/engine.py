@@ -248,8 +248,8 @@ def _unpack(words: np.ndarray, rows: int) -> np.ndarray:
 def _coprime(ar: _Arith, a: np.ndarray, b: np.ndarray, rows: int | None = None) -> np.ndarray:
     """Columnwise verdict gcd(a, b) = 1 for coefficient-major matrices of one
     shape (m, columns), constant term first, a monic of degree m - 1 and b of
-    lower degree; for rows given, a and b are rows polynomials _pack'ed into
-    bit-sliced words.
+    lower degree.  With rows given, a and b hold that many polynomials over
+    F_2, packed into bit-sliced words by _pack.
 
     Bernstein and Yang's divsteps (2019, theorem 6.2) on the reversed
     polynomials f = x^(m-1) a(1/x), f_0 = 1, and g = x^(m-2) b(1/x): from
@@ -296,6 +296,7 @@ def _rabin_flags_block(field: FieldContext, n: int, lo: int, hi: int) -> np.ndar
         if j in checkpoints:
             saved[j] = _unpack(t, hi - lo) if packed else t
     flags = ((_unpack(t, hi - lo) if packed else t) == x).all(axis=0)
+    del neg_cols  # n^2 codes a row, which the finish's arrays need not stack on
     # survivors have all factor degrees dividing n; finish them with the gcd
     # conditions on the saved intermediate powers, over F_2 packed again
     for arr in saved.values():
