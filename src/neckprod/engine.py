@@ -296,7 +296,6 @@ def _rabin_flags_block(field: FieldContext, n: int, lo: int, hi: int) -> np.ndar
         if j in checkpoints:
             saved[j] = _unpack(t, hi - lo) if packed else t
     flags = ((_unpack(t, hi - lo) if packed else t) == x).all(axis=0)
-    del neg_cols  # n^2 codes a row, which the finish's arrays need not stack on
     # survivors have all factor degrees dividing n; finish them with the gcd
     # conditions on the saved intermediate powers, over F_2 packed again
     for arr in saved.values():

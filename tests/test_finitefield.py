@@ -388,8 +388,9 @@ class TestGF2Engine:
 
     @pytest.mark.parametrize("n,irreducible", [(53, (0, 1, 2, 6, 53)), (60, (0, 1, 60)), (63, (0, 1, 63))])
     def test_rabin_rows_past_the_float_exact_width(self, n, irreducible):
-        # the survivors reach n + 1 coefficients, up to a whole word; rows from
-        # the upper half of the range, since every row with c_0 = 0 is divisible by x
+        # degrees up to 63 through the whole Rabin path, finish included; rows
+        # from the upper half of the range, since every row with c_0 = 0 is
+        # divisible by x
         field = build_field(2, 1)
         coeffs = [1 if i in irreducible else 0 for i in range(n + 1)]
         rng = np.random.default_rng(n)
@@ -399,9 +400,9 @@ class TestGF2Engine:
         assert _engine_flags(field, n, rows, "rabin").tolist() == expected
 
     def test_word_euclid_exact_to_64_bits(self):
-        # the packed divstep finish on monic a of every degree up to 63, all-ones
-        # words among them, each with a b of lower degree: a's bits cut below
-        # its top one, or zero, where the gcd is a itself
+        # the packed divstep finish on monic a of degree up to 63, all-ones
+        # words among them, each with a b of lower degree: another word's bits
+        # below a's top one, or zero, where the gcd is a itself
         field = build_field(2, 1)
         ar = engine._arith(field)
         crafted = [2**61 - 1] + [2**k - 1 - d for k in range(54, 65) for d in (0, 1, 6)]
