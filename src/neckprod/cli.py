@@ -10,12 +10,10 @@ including infeasible requests such as exceeded enumeration budgets.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
-from . import exact, finitefield, series, verify
-from .finitefield import DEFAULT_BUDGET
+# each handler imports the modules it calls: mobius and necklace load exact alone
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -96,7 +94,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _add_sweep_options(parser: argparse.ArgumentParser):
     parser.add_argument("--test", choices=["trial", "rabin"], default="rabin")
-    parser.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    parser.add_argument("--budget", type=int)  # None: finitefield.DEFAULT_BUDGET
     parser.add_argument("--workers", type=int, default=1)
 
 
@@ -126,6 +124,7 @@ class _Output:
         if self.quiet:
             return
         if self.json_mode:
+            import json
             print(json.dumps(obj))
         else:
             for line in text_lines:
@@ -138,12 +137,14 @@ def _require(condition: bool, message: str):
 
 
 def _cmd_mobius(args, out: _Output) -> int:
+    from . import exact
     value = exact.mobius(args.n)
     out.emit({"schema": "mobius", "n": args.n, "value": str(value)}, [str(value)])
     return 0
 
 
 def _cmd_necklace(args, out: _Output) -> int:
+    from . import exact
     if getattr(args, "necklace_sub", None) == "table":
         table = exact.build_necklace_table(args.a, args.degree)
         lines = [f"{n}\t{table.value(n)}" for n in range(1, args.degree + 1)]
@@ -167,12 +168,14 @@ def _cmd_necklace(args, out: _Output) -> int:
 
 
 def _cmd_expand(args, out: _Output) -> int:
+    from . import series
     if getattr(args, "expand_sub", None) == "raw":
         exponents = _parse_exponents(args.exponents)
         spec = series.ExponentSpec(exponents=exponents)
         head = {"exponents": [str(e) for e in exponents]}
     else:
         _require(args.a is not None and args.degree is not None, "expand requires --a and --degree")
+        from . import verify
         if args.method == "direct":
             verify._check_direct(args.a, args.degree)
         spec = verify.necklace_exponent_spec(args.a, args.degree)
@@ -193,11 +196,13 @@ def _cmd_expand(args, out: _Output) -> int:
 
 
 def _cmd_field(args, out: _Output) -> int:
+    from . import finitefield
     _require(args.workers >= 1, "--workers must be >= 1")
-    finitefield.check_sweep(args.p, args.k, args.n, args.test, args.budget)
+    budget = finitefield.DEFAULT_BUDGET if args.budget is None else args.budget
+    finitefield.check_sweep(args.p, args.k, args.n, args.test, budget)
     fieldctx = finitefield.build_field(args.p, args.k)
     count = finitefield.count_irreducibles(
-        fieldctx, args.n, method=args.test, budget=args.budget, workers=args.workers
+        fieldctx, args.n, method=args.test, budget=budget, workers=args.workers
     )
     out.emit(
         {
@@ -220,6 +225,7 @@ def _report_lines(pairs: list[tuple[str, str]]) -> list[str]:
 
 
 def _cmd_verify(args, out: _Output) -> int:
+    from . import verify
     if args.verify_sub == "symbolic":
         report = verify.verify_symbolic(args.a, args.degree, cross_check=args.cross_check)
         pairs = [
@@ -253,8 +259,10 @@ def _cmd_verify(args, out: _Output) -> int:
         return 0 if report.passed else 1
 
     _require(args.workers >= 1, "--workers must be >= 1")
+    from .finitefield import DEFAULT_BUDGET
     report = verify.verify_count_bridge(
-        args.p, args.k, args.n_max, method=args.test, budget=args.budget, workers=args.workers
+        args.p, args.k, args.n_max, method=args.test, workers=args.workers,
+        budget=DEFAULT_BUDGET if args.budget is None else args.budget,
     )
     lines = [f"{'n':>4}  {'formula':>16}  {'measured':>16}  equal"]
     for n, formula, measured in report.rows:
@@ -288,7 +296,12 @@ def run(argv: list[str]) -> int:
     }
     try:
         return handlers[args.command](args, out)
-    except (ValueError, finitefield.BudgetExceededError) as exc:
+    except (ValueError, RuntimeError) as exc:
+        # the one RuntimeError that is a refusal, BudgetExceededError, can only
+        # come from a finitefield already loaded
+        budget_error = getattr(sys.modules.get(f"{__package__}.finitefield"), "BudgetExceededError", ())
+        if not isinstance(exc, (ValueError, budget_error)):
+            raise
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

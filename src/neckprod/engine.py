@@ -286,11 +286,13 @@ def _rabin_flags_block(field: FieldContext, n: int, lo: int, hi: int) -> np.ndar
     t = _pack(x) if packed else x
     # t -> t^q is F_q-linear: t^q = sum_i t_i C_i, n lazy terms
     neg_cols = ar.operand(_frobenius_columns(ar, field.q, t, f))
+    placed = -(-n // field.q)  # C_i = x^(iq) is a single 1 for iq < n: t_i is placed
     checkpoints = {n // l for l in _prime_factors(n)}
     saved: dict[int, np.ndarray] = {}
     for j in range(1, n + 1):
         acc = np.zeros_like(t)
-        for i in range(n):
+        acc[:: field.q] = t[:placed]
+        for i in range(placed, n):
             ar.axpy(acc, t[i], neg_cols[i])
         t = ar.reduce(acc)
         if j in checkpoints:

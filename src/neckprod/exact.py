@@ -10,7 +10,7 @@ treated as an internal bug, never a recoverable condition.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 # trial division up to sqrt(n) is the cost of mobius and divisors; above
 # this bound it would run for minutes, so such n are refused
@@ -108,16 +108,14 @@ def mobius_sieve(limit: int) -> list[int]:
     return mu
 
 
-@dataclass(frozen=True)
-class NecklaceTable:
+class NecklaceTable(namedtuple("NecklaceTable", "base degree_bound values")):
     """Cached necklace counts N(a, 1) .. N(a, D) for a fixed base a.
 
     values[n-1] holds N(a, n).  Immutable; safe to share between threads.
+    (A namedtuple: importing dataclasses would cost mobius/necklace calls.)
     """
 
-    base: int
-    degree_bound: int
-    values: tuple[int, ...]
+    __slots__ = ()
 
     def value(self, n: int) -> int:
         """N(a, n) for 1 <= n <= degree_bound."""

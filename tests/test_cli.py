@@ -309,21 +309,23 @@ class TestExitStatus:
 
 
 # runs one CLI call in a fresh interpreter and reports, on the last line of
-# stderr, its exit status and which of the watched modules it loaded
+# stderr, its exit status and which of the watched modules it loaded; json
+# is imported only after the call, as it is watched too
 _GUARD = """
-import json, sys
+import sys
 from neckprod.cli import run
 code = run(sys.argv[1:])
-watched = ("numpy", "concurrent.futures", "neckprod.engine")
-print(json.dumps([code, [m for m in watched if m in sys.modules]]), file=sys.stderr)
+watched = ("numpy", "concurrent.futures", "neckprod.engine", "neckprod.exact", "neckprod.finitefield",
+           "neckprod.series", "neckprod.verify", "dataclasses", "json")
+loaded = [m for m in watched if m in sys.modules]
+import json
+print(json.dumps([code, loaded]), file=sys.stderr)
 """
+_SWEEP_MODULES = {"numpy", "concurrent.futures", "neckprod.engine"}
 
 
 def _modules_loaded_by(argv):
-    src = os.path.dirname(os.path.dirname(neckprod.__file__))
-    env = dict(os.environ, PYTHONPATH=src)
-    proc = subprocess.run([sys.executable, "-c", _GUARD, *argv], capture_output=True,
-                          text=True, env=env, timeout=60)
+    proc = _run_fresh(_GUARD, *argv)
     code, loaded = json.loads(proc.stderr.splitlines()[-1])
     assert code == 0, proc.stderr
     return loaded
@@ -344,7 +346,26 @@ class TestImportGuard:
         ],
     )
     def test_calls_without_a_sweep_leave_numpy_unloaded(self, argv):
-        assert _modules_loaded_by(argv) == []
+        assert not _SWEEP_MODULES & set(_modules_loaded_by(argv))
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["mobius", "--n", "30"],
+            ["necklace", "--a", "2", "--n", "4"],
+            ["necklace", "table", "--a", "3", "--degree", "3"],
+        ],
+    )
+    def test_exact_calls_load_exact_alone(self, argv):
+        assert _modules_loaded_by(argv) == ["neckprod.exact"]
+
+    def test_json_is_loaded_for_json_output_only(self):
+        assert _modules_loaded_by(["mobius", "--n", "30", "--json"]) == ["neckprod.exact", "json"]
+
+    def test_field_count_without_a_sweep_loads_no_series_or_verify(self):
+        loaded = _modules_loaded_by(["field", "count", "--n", "1", "--p", "3", "--k", "2"])
+        assert "neckprod.finitefield" in loaded
+        assert not {"neckprod.series", "neckprod.verify"} & set(loaded)
 
     @pytest.mark.parametrize(
         "argv",
@@ -355,6 +376,57 @@ class TestImportGuard:
     )
     def test_sweeps_load_the_engine(self, argv):
         assert "neckprod.engine" in _modules_loaded_by(argv)
+
+
+# the package's public surface, checked in a fresh interpreter so that no
+# module of the package is loaded beforehand
+_SURFACE = """
+import importlib, sys
+import neckprod
+assert [m for m in sys.modules if m.startswith("neckprod.")] == [], sys.modules
+homes = ("exact", "finitefield", "series", "verify")
+for name in neckprod.__all__:
+    owners = [h for h in homes if getattr(importlib.import_module("neckprod." + h), name, None) is not None]
+    assert getattr(neckprod, name) is getattr(importlib.import_module("neckprod." + owners[0]), name), name
+star = {}
+exec("from neckprod import *", star)
+assert set(star) - {"__builtins__"} == set(neckprod.__all__), star.keys()
+assert all(star[name] is getattr(neckprod, name) for name in neckprod.__all__)
+try:
+    neckprod.no_such_name
+except AttributeError as exc:
+    assert "no_such_name" in str(exc)
+else:
+    raise AssertionError("unknown name resolved")
+"""
+
+
+def _run_fresh(code, *argv):
+    src = os.path.dirname(os.path.dirname(neckprod.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    return subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True,
+                          env=env, timeout=60)
+
+
+class TestLazyPackage:
+    def test_public_names_resolve_to_their_home_objects(self):
+        proc = _run_fresh(_SURFACE)
+        assert proc.returncode == 0, proc.stderr
+
+    @pytest.mark.parametrize("module", ["exact", "finitefield", "series", "verify"])
+    def test_submodules_are_attributes_after_a_bare_import(self, module):
+        code = "import sys, neckprod; m = getattr(neckprod, sys.argv[1]); print(m.__name__)"
+        proc = _run_fresh(code, module)
+        assert (proc.returncode, proc.stdout) == (0, f"neckprod.{module}\n"), proc.stderr
+
+    def test_other_runtime_errors_are_not_refusals(self, monkeypatch):
+        # only BudgetExceededError among RuntimeErrors maps to exit status 2
+        def broken(n):
+            raise RuntimeError("internal")
+
+        monkeypatch.setattr(neckprod.exact, "mobius", broken)
+        with pytest.raises(RuntimeError, match="internal"):
+            run(["mobius", "--n", "6"])
 
 
 class TestBlasDefault:

@@ -186,3 +186,9 @@ class TestNecklaceTable:
         with pytest.raises(AttributeError):
             table.base = 3
         assert isinstance(table, NecklaceTable)
+
+    def test_equal_tables_hash_alike(self):
+        a, b = build_necklace_table(3, 6), build_necklace_table(3, 6)
+        assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+        assert a != build_necklace_table(3, 5) and a != build_necklace_table(2, 6)
+        assert repr(a) == f"NecklaceTable(base=3, degree_bound=6, values={a.values})"
