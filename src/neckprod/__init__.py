@@ -59,3 +59,7 @@ def __getattr__(name: str):
     if name not in _MODULE_OF:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     return getattr(importlib.import_module(f"{__name__}.{_MODULE_OF[name]}"), name)
+
+
+def __dir__() -> list[str]:  # the lazy names too, importing none of them
+    return sorted(set(globals()) | set(__all__) | set(_HOME))

@@ -49,7 +49,10 @@ def mobius(n: int) -> int:
 
 def divisors(n: int) -> list[int]:
     """All positive divisors of n, ascending.  Raises ValueError for
-    n < 1 or n > MAX_FACTOR_N."""
+    n < 1 or n > MAX_FACTOR_N.
+
+    Public because necklace_count sums over exactly this list, on which
+    the tests check sum_{d | n} d N(a, d) = a^n."""
     _check_factor_arg("divisors", n)
     small = []
     large = []

@@ -192,7 +192,6 @@ class FieldContext:
         self.k = k
         self.q = p**k
         self.modulus = modulus
-        self._engine_arith = None  # the engine's tables, built on first use
 
     def __repr__(self):
         return f"FieldContext(p={self.p}, k={self.k}, modulus={self.modulus})"
@@ -517,7 +516,8 @@ def irreducible_flags(
     'trial' is computed as a product sieve on every field: a row is
     reducible iff it is a product g h with g monic irreducible of degree
     <= n/2, the question trial division decides.  'rabin' runs Rabin's
-    test rowwise."""
+    test rowwise.  Kept public, with no CLI caller, as the rows the tests
+    hold to the scalar oracles; it alone refuses n = 1 above MAX_ENGINE_Q."""
     total = check_sweep(field.p, field.k, n, method, budget)
     if field.q > MAX_ENGINE_Q:  # only n = 1 gets here, and would build q flags
         raise ValueError(f"q = {field.p}^{field.k} exceeds 2^16, the largest field whose flags are built")

@@ -419,6 +419,13 @@ class TestLazyPackage:
         proc = _run_fresh(code, module)
         assert (proc.returncode, proc.stdout) == (0, f"neckprod.{module}\n"), proc.stderr
 
+    def test_dir_lists_the_lazy_names_without_importing_them(self):
+        code = ("import sys, neckprod; names = set(dir(neckprod)); "
+                "print(sorted(set(neckprod.__all__) - names), sorted({'exact', 'finitefield', 'series', 'verify'} - names), "
+                "[m for m in sys.modules if m.startswith('neckprod')])")
+        proc = _run_fresh(code)
+        assert (proc.returncode, proc.stdout) == (0, "[] [] ['neckprod']\n"), proc.stderr
+
     def test_other_runtime_errors_are_not_refusals(self, monkeypatch):
         # only BudgetExceededError among RuntimeErrors maps to exit status 2
         def broken(n):

@@ -1,6 +1,7 @@
 """Tests for field construction, monic enumeration, and irreducibility tests."""
 
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -378,13 +379,23 @@ class TestGF2Engine:
         assert not engine._flags_range(field, 32, 0, 4, "trial").any()
 
     def test_other_fields_keep_their_paths(self, monkeypatch):
-        # only F_2 Rabin blocks are bit-sliced
+        # every p = 2 Rabin block, extensions included, is bit-sliced from its
+        # start; no odd-p block is, and no sieve block
+        calls = []
+        block, pack = engine._rabin_flags_block, engine._pack
+        monkeypatch.setattr(engine, "_BLOCK", 1024)
+        monkeypatch.setattr(engine, "_rabin_flags_block", lambda *args: calls.append("block") or block(*args))
+        monkeypatch.setattr(engine, "_pack", lambda bits: calls.append("pack") or pack(bits))
+        for p, k, n in [(2, 1, 12), (2, 2, 5), (2, 4, 3), (2, 8, 2)]:
+            calls.clear()
+            assert count_irreducibles(build_field(p, k), n, "rabin") == necklace_count(2**k, n)
+            starts = [i for i, call in enumerate(calls) if call == "block"]
+            assert len(starts) > 1 and all(calls[i + 1] == "pack" for i in starts), (p, k)
         monkeypatch.setattr(engine, "_pack", _refuse)
-        for p, k, n in [(2, 2, 3), (2, 4, 2), (3, 1, 4)]:
-            field = build_field(p, k)
-            for method in ("trial", "rabin"):
-                assert count_irreducibles(field, n, method=method) == necklace_count(field.q, n)
-        assert count_irreducibles(build_field(2, 1), 12, "trial") == necklace_count(2, 12)
+        for p, k, n in [(3, 1, 4), (3, 2, 2), (5, 2, 2)]:
+            assert count_irreducibles(build_field(p, k), n, "rabin") == necklace_count(p**k, n)
+        for p, k, n in [(2, 1, 12), (2, 2, 3), (2, 4, 2), (3, 1, 4), (3, 2, 2)]:
+            assert count_irreducibles(build_field(p, k), n, "trial") == necklace_count(p**k, n)
 
     @pytest.mark.parametrize("n,irreducible", [(53, (0, 1, 2, 6, 53)), (60, (0, 1, 60)), (63, (0, 1, 63))])
     def test_rabin_rows_past_the_float_exact_width(self, n, irreducible):
@@ -404,7 +415,7 @@ class TestGF2Engine:
         # words among them, each with a b of lower degree: another word's bits
         # below a's top one, or zero, where the gcd is a itself
         field = build_field(2, 1)
-        ar = engine._arith(field)
+        ar = engine._Arith(field)
         crafted = [2**61 - 1] + [2**k - 1 - d for k in range(54, 65) for d in (0, 1, 6)]
         rng = np.random.default_rng(64)
         randoms = [int(w) >> int(s) for w, s in zip(rng.integers(0, 2**63, size=200), rng.integers(0, 60, size=200))]
@@ -416,7 +427,7 @@ class TestGF2Engine:
         got, expected = [], []
         for m in sorted({u.bit_length() for u, _ in pairs}):
             group = [(u, v) for u, v in pairs if u.bit_length() == m]
-            a, b = (engine._pack(np.array([bits(w, m) for w in side], dtype=np.int16).T) for side in zip(*group))
+            a, b = (engine._pack(np.array([bits(w, m) for w in side], dtype=np.int16).T[:, None]) for side in zip(*group))
             got += engine._coprime(ar, a, b, len(group)).tolist()
             expected += [ff._poly_gcd_is_one(field, bits(u, m), bits(v, m)) for u, v in group]
         assert max(u.bit_length() for u, _ in pairs) == 64
@@ -616,6 +627,18 @@ def _engine_flags(field, n, rows, method):
     return np.array([engine._flags_range(field, n, i, i + 1, method)[0] for i in rows])
 
 
+def _digits(field, codes, dtype=np.int64):
+    # element codes (..., rows) -> the engine's element form, their base-p
+    # digits (..., k, rows)
+    codes = np.asarray(codes, dtype=np.int64)
+    return (codes[..., None, :] // field.p ** np.arange(field.k)[:, None] % field.p).astype(dtype)
+
+
+def _codes(field, digits):
+    # inverse of _digits
+    return (np.asarray(digits, dtype=np.int64) * field.p ** np.arange(field.k)[:, None]).sum(axis=-2)
+
+
 class TestLogTableEngine:
     @pytest.mark.parametrize("p,k", [(2, 3), (3, 2), (5, 2), (3, 3)])
     @pytest.mark.parametrize("method", ["trial", "rabin"])
@@ -661,44 +684,55 @@ class TestLogTableEngine:
 
     @pytest.mark.parametrize("p,k", _SUITE_FIELDS)
     def test_tables_match_direct_arithmetic(self, p, k):
+        # the engine's digit arithmetic, which builds no table, on every pair
+        # of elements and the inverse of every nonzero one, against FieldContext
         field = build_field(p, k)
-        ar = engine._arith(field)
-        q = field.q
-        mul = field._mul_direct if k > 1 else field.mul
+        ar = engine._Arith(field)
+        q, dtype = field.q, ar.check_headroom(1)
         a, b = (m.ravel() for m in np.meshgrid(np.arange(q), np.arange(q)))
-        assert ar.exp[ar.log[a] + ar.log[b]].tolist() == [mul(x, y) for x, y in zip(a.tolist(), b.tolist())]
-        assert ar.mul(a, b).tolist() == [mul(x, y) for x, y in zip(a.tolist(), b.tolist())]
-        assert ar.sub(a, b).tolist() == [field.sub(x, y) for x, y in zip(a.tolist(), b.tolist())]
-        assert sorted(ar.exp[: q - 1].tolist()) == list(range(1, q))
-        assert [ar.inv[x] for x in range(1, q)] == [field.inv(x) for x in range(1, q)]
+        da, db = _digits(field, a, dtype), _digits(field, b, dtype)
+        pairs = list(zip(a.tolist(), b.tolist()))
+        assert _codes(field, ar.mul(da, db)).tolist() == [field.mul(x, y) for x, y in pairs]
+        assert _codes(field, ar.sub(da, db)).tolist() == [field.sub(x, y) for x, y in pairs]
+        nonzero = _digits(field, np.arange(1, q), dtype)
+        inv = np.broadcast_to(engine._power(ar, nonzero, q - 2), nonzero.shape)
+        assert _codes(field, inv).tolist() == [field.inv(x) for x in range(1, q)]
 
     @pytest.mark.parametrize("p,k", [(3, 1), (7, 1), (2, 3), (3, 2), (5, 2), (3, 3)])
     def test_axpy_on_all_triples(self, p, k):
-        # r - c g through the Zech table, zero operands included; prime
-        # fields leave r unreduced until reduce
+        # r - c g against the multiples y^a g, zero operands included, and by
+        # a multiplier in F_p, a single digit row; odd p leaves r unreduced
+        # until reduce
         field = build_field(p, k)
-        ar = engine._arith(field)
+        ar = engine._Arith(field)
+        dtype = ar.check_headroom(1)
         r, c, g = (m.ravel() for m in np.meshgrid(*[np.arange(field.q)] * 3))
-        out = r[:, None].copy()
-        ar.axpy(out, c[:, None], ar.operand(g[:, None]))
-        got = ar.reduce(out)[:, 0]
-        assert got.tolist() == [field.sub(x, field.mul(y, z))
-                                for x, y, z in zip(r.tolist(), c.tolist(), g.tolist())]
+        out = _digits(field, r, dtype)
+        ar.axpy(out, _digits(field, c, dtype), ar.multiples(_digits(field, g, dtype)))
+        assert _codes(field, ar.reduce(out)).tolist() == [field.sub(x, field.mul(y, z))
+                                                         for x, y, z in zip(r.tolist(), c.tolist(), g.tolist())]
+        out = _digits(field, r, dtype)
+        ar.axpy(out, (c % p).astype(dtype)[None], ar.multiples(_digits(field, g, dtype)))
+        assert _codes(field, ar.reduce(out)).tolist() == [field.sub(x, field.mul(y % p, z))
+                                                         for x, y, z in zip(r.tolist(), c.tolist(), g.tolist())]
 
     @pytest.mark.parametrize("p,k", [(3, 1), (65521, 1), (2, 2), (3, 2), (17, 2)])
     def test_mulmod_and_reduce_match_scalar(self, p, k):
-        # coefficient-major blocks against _poly_mulmod column by column; over
-        # a prime field, columns of p - 1 reach the largest lazy intermediates
+        # coefficient-major blocks against _poly_mulmod column by column;
+        # columns of code q - 1 (every digit p - 1) reach the largest lazy
+        # intermediates
         field = build_field(p, k)
-        ar = engine._arith(field)
+        ar = engine._Arith(field)
         q, n, rows = field.q, 4, 60
         rng = np.random.default_rng(p + k)
         a, b, f = rng.integers(0, q, size=(3, n, rows))
         prod = rng.integers(0, q, size=(2 * n - 1, rows))
         for m in (a, b, f, prod):
             m[:, :5] = q - 1
-        got = engine._mulmod(ar, a, engine._negated(ar, b), ar.operand(f))
-        reduced = engine._reduce(ar, prod.copy(), ar.operand(f))
+        da, db, df, dprod = (_digits(field, m) for m in (a, b, f, prod))
+        fs = ar.multiples(df)
+        got = _codes(field, engine._mulmod(ar, da, ar.multiples(ar.sub(0, db)), fs))
+        reduced = _codes(field, engine._reduce(ar, dprod, fs))
         for i in range(rows):
             fi = f[:, i].tolist() + [1]
             assert got[:, i].tolist() == ff._poly_mulmod(field, a[:, i].tolist(), b[:, i].tolist(), fi)
@@ -707,26 +741,29 @@ class TestLogTableEngine:
     # q = 2n (F_4 n = 2, F_16 n = 8) is the last to step its columns up from
     # x, q = 2n + 1 (F_5 n = 2, F_17 n = 8) the first to multiply them from x^q
     @pytest.mark.parametrize("p,k,n", [(2, 1, 2), (2, 1, 5), (2, 1, 9), (3, 1, 4), (7, 1, 4), (2, 2, 2),
-                                       (2, 4, 8), (3, 2, 5), (5, 1, 2), (17, 1, 8), (2, 4, 3), (5, 2, 2)])
+                                       (2, 4, 8), (3, 2, 5), (5, 1, 2), (17, 1, 8), (2, 4, 3), (5, 2, 2),
+                                       (2, 8, 2)])
     def test_frobenius_columns_match_scalar_powers(self, p, k, n):
-        # -C_i for C_i = x^(iq) mod f against _poly_powmod row by row; F_2 on
-        # packed words, unpacked to compare; rows of f of code q - 1 reach the
-        # largest lazy intermediates
+        # -C_i for C_i = x^(iq) mod f against _poly_powmod row by row; p = 2
+        # on packed words, the last one ragged, unpacked to compare; rows of f
+        # of code q - 1 reach the largest lazy intermediates
         field = build_field(p, k)
-        ar = engine._arith(field)
-        q, rows = field.q, 30
+        ar = engine._Arith(field)
+        q, rows = field.q, 70
         dtype = ar.check_headroom(3 * n - 1)
-        f = np.random.default_rng(q + n).integers(0, q, size=(n, rows)).astype(dtype)
+        f = np.random.default_rng(q + n).integers(0, q, size=(n, rows))
         f[:, :5] = q - 1
-        x = np.zeros((n, rows), dtype=dtype)
-        x[1] = 1
-        if q == 2:
-            cols = engine._frobenius_columns(ar, q, engine._pack(x), ar.operand(engine._pack(f)))
-            cols = np.stack([engine._unpack(c, rows) for c in cols])
+        df = _digits(field, f, dtype)
+        x = np.zeros_like(df)
+        x[1, 0] = 1
+        if p == 2:
+            fs = ar.multiples(engine._pack(df))
+            cols = engine._unpack(engine._frobenius_columns(ar, q, engine._pack(x), fs), rows)
         else:
-            cols = engine._frobenius_columns(ar, q, x, ar.operand(f))
+            cols = engine._frobenius_columns(ar, q, x, ar.multiples(df))
             assert cols.dtype == dtype
-        assert cols.shape == (n, n, rows)
+        assert cols.shape == (n, n, k, rows)
+        cols = _codes(field, cols)
         for r in range(rows):
             fr = f[:, r].tolist() + [1]
             for i in range(n):
@@ -736,42 +773,48 @@ class TestLogTableEngine:
     def test_lazy_reduction_bound_is_checked(self):
         # (width + n) (p - 1)^2 past 2^62 is refused; with no rows the arrays
         # stay empty, and with width = n there is no step to run
-        ar = engine._arith(build_field(65521, 1))
-        empty = np.zeros((1 << 30, 0), dtype=np.int64)
+        ar = engine._Arith(build_field(65521, 1))
+        empty = np.zeros((1 << 30, 1, 0), dtype=np.int64)
         assert (2 << 30) * 65520**2 >= 1 << 62
         with pytest.raises(OverflowError):
-            engine._reduce(ar, empty, empty)
+            engine._reduce(ar, empty, ar.multiples(empty))
 
     def test_headroom_checked_by_ladder_and_sieve(self, monkeypatch):
-        # both paths that leave prime-field values unreduced ask the one check
+        # both paths that leave odd-p values unreduced ask the one check
         calls = []
         monkeypatch.setattr(engine._Arith, "check_headroom", lambda ar, terms, dtype=None: calls.append(terms))
         field = build_field(3, 1)
-        ar = engine._arith(field)
-        f = ar.operand(np.ones((4, 2), dtype=np.int64))
-        engine._reduce(ar, np.ones((7, 2), dtype=np.int64), f)
+        ar = engine._Arith(field)
+        engine._reduce(ar, np.ones((7, 1, 2), dtype=np.int64), ar.multiples(np.ones((4, 1, 2), dtype=np.int64)))
         assert calls == [11]
         engine._sieve_block(field, 4, 4, 0, [])
         assert calls == [11, 5]
 
     @pytest.mark.parametrize("p,k", [(2, 16), (3, 10)])
     def test_tables_sampled_at_the_field_limit(self, p, k):
+        # sub, mul, axpy and the inverse on sampled elements of the largest
+        # extensions, zero and q - 1 among them
         field = build_field(p, k)
-        ar = engine._arith(field)
+        ar = engine._Arith(field)
+        dtype = ar.check_headroom(1)
         rng = np.random.default_rng(3)
-        a, b = rng.integers(0, field.q, size=(2, 200))
+        a, b, c = rng.integers(0, field.q, size=(3, 200))
         a[:3] = [0, 1, field.q - 1]
         b[3:5] = [0, a[4]]
-        assert ar.sub(a, b).tolist() == [field.sub(x, y) for x, y in zip(a.tolist(), b.tolist())]
-        for x, y in zip(a.tolist(), b.tolist()):
-            assert ar.exp[ar.log[x] + ar.log[y]] == field._mul_direct(x, y)
-            if x:
-                assert ar.inv[x] == field.inv(x)
+        da, db, dc = (_digits(field, m, dtype) for m in (a, b, c))
+        triples = list(zip(a.tolist(), b.tolist(), c.tolist()))
+        assert _codes(field, ar.sub(da, db)).tolist() == [field.sub(x, y) for x, y, _ in triples]
+        assert _codes(field, ar.mul(da, db)).tolist() == [field._mul_direct(x, y) for x, y, _ in triples]
+        ar.axpy(dc, da, ar.multiples(db))
+        assert _codes(field, ar.reduce(dc)).tolist() == [field.sub(z, field._mul_direct(x, y)) for x, y, z in triples]
+        nonzero = a[a > 0]
+        inv = _codes(field, engine._power(ar, _digits(field, nonzero, dtype), field.q - 2))
+        assert inv.tolist() == [field.inv(x) for x in nonzero.tolist()]
 
     @pytest.mark.parametrize("p,k,n", [(2, 1, 6), (3, 1, 5), (2, 2, 4), (3, 2, 3), (2, 8, 2), (17, 2, 2)])
     def test_batched_finish_matches_scalar_gcd(self, p, k, n):
         field = build_field(p, k)
-        ar = engine._arith(field)
+        ar = engine._Arith(field)
         rng = np.random.default_rng(p * 100 + k * 10 + n)
         rows = 300
         f = np.ones((rows, n + 1), dtype=np.int64)
@@ -782,26 +825,38 @@ class TestLogTableEngine:
         f[-10:-5, 0] = h[-10:-5, 0] = 0  # x divides both
         h[-10:-5, 1] = 1
         h[-5:] = 0  # gcd(f, 0) = f has degree n
-        got = engine._coprime(ar, f.T, h.T)
+        df, dh = _digits(field, f.T), _digits(field, h.T)
+        got = engine._coprime(ar, df, dh)
         expected = [ff._poly_gcd_is_one(field, fr.tolist(), hr.tolist()) for fr, hr in zip(f, h)]
         assert got.tolist() == expected
         assert not got[-10:].any()
         assert 0 < got.sum() < rows - 5
-        assert engine._coprime(ar, f.T[:, :0], h.T[:, :0]).shape == (0,)
-        if field.q == 2:
+        assert engine._coprime(ar, df[..., :0], dh[..., :0]).shape == (0,)
+        if p == 2:
             # packed words, the last one ragged but for 64 rows, give the same
             # verdicts; rows=0 is the packed form with no rows
             for width in (64, 65, 300):
-                a, b = (engine._pack(m[-width:].T) for m in (f, h))
+                a, b = (engine._pack(m[..., -width:]) for m in (df, dh))
                 assert engine._coprime(ar, a, b, width).tolist() == expected[-width:], width
-            assert engine._coprime(ar, engine._pack(f.T[:, :0]), engine._pack(h.T[:, :0]), 0).shape == (0,)
-            assert np.array_equal(ar.mul(engine._pack(f.T), engine._pack(h.T)), engine._pack(ar.mul(f.T, h.T)))
+            assert engine._coprime(ar, engine._pack(df[..., :0]), engine._pack(dh[..., :0]), 0).shape == (0,)
+            assert np.array_equal(ar.mul(engine._pack(df), engine._pack(dh)), engine._pack(ar.mul(df, dh)))
+
+    def test_arith_builds_no_table(self):
+        # an O(q) table on either field would take at least 2^16 entries
+        fields = [build_field(2, 16), build_field(65521, 1)]
+        tracemalloc.start()
+        try:
+            arith = [engine._Arith(field) for field in fields]
+            size, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(arith) == 2 and peak < 4096, (size, peak)
 
 
 # (p, k, n, dtype of the Rabin ladder's blocks).  Its largest _reduce takes
 # 3n - 1 terms whether the Frobenius columns are stepped up from x (q <= 2n)
-# or multiplied from x^q; neighbouring cases sit on either side of the int16
-# or int32 edge.
+# or multiplied from x^q, each of k digit products; neighbouring cases
+# sit on either side of the int16 or int32 edge.
 _LADDER_WIDTHS = [
     (3, 1, 10, np.int16),      # 29 terms of 2^2
     (13, 1, 7, np.int16),      # 20 terms of 12^2
@@ -817,7 +872,9 @@ _LADDER_WIDTHS = [
     (11587, 1, 3, np.int64),   # 8 * 11586^2 >= 2^30
     (14653, 1, 2, np.int32),   # 5 * 14652^2 < 2^30
     (14657, 1, 2, np.int64),   # 5 * 14656^2 >= 2^30
-    (2, 2, 5, np.int64),       # extension codes stay int64
+    (3, 2, 5, np.int16),       # 14 * 2 * 2^2; F_(2^k) runs on packed words
+    (41, 2, 2, np.int16),      # 5 * 2 * 40^2 = 16,000 < 2^14
+    (43, 2, 2, np.int32),      # 5 * 2 * 42^2 = 17,640
 ]
 # (p, k, n, dtype of the sieve's blocks), from n + 1 terms
 _SIEVE_WIDTHS = [
@@ -827,20 +884,19 @@ _SIEVE_WIDTHS = [
     (4093, 1, 2, np.int32),
     (18919, 1, 2, np.int32),             # 3 * 18918^2 < 2^30
     (18947, 1, 2, np.int64),             # 3 * 18946^2 >= 2^30
-    (2, 2, 5, np.int64),
+    (2, 2, 5, np.int16),
+    (53, 2, 2, np.int16),                # 3 * 2 * 52^2 = 16,224 < 2^14
+    (59, 2, 2, np.int32),                # 3 * 2 * 58^2 = 20,184
 ]
 _WIDTHS = [np.int16, np.int32, np.int64]
 
 
 def _assert_narrowest(p, k, terms, dtype):
-    # terms values within (p - 1)^2 of zero sum below 2^(bits - 2) in dtype,
-    # and not in the next narrower one; extensions always take int64
-    if k > 1:
-        assert dtype is np.int64
-        return
-    i = _WIDTHS.index(dtype)
-    assert terms * (p - 1) ** 2 < 1 << (np.iinfo(dtype).bits - 2)
-    assert i == 0 or terms * (p - 1) ** 2 >= 1 << (np.iinfo(_WIDTHS[i - 1]).bits - 2)
+    # terms products, each of k digit products within (p - 1)^2 of zero, sum
+    # below 2^(bits - 2) in dtype, and not in the next narrower one
+    i, bound = _WIDTHS.index(dtype), terms * k * (p - 1) ** 2
+    assert bound < 1 << (np.iinfo(dtype).bits - 2)
+    assert i == 0 or bound >= 1 << (np.iinfo(_WIDTHS[i - 1]).bits - 2)
 
 
 def _scalar_rem(field, a, f):
@@ -864,7 +920,7 @@ class TestNarrowCodes:
     @pytest.mark.parametrize("p,k,n,dtype", _LADDER_WIDTHS)
     def test_ladder_blocks_take_the_narrowest_width(self, monkeypatch, p, k, n, dtype):
         field = build_field(p, k)
-        ar = engine._arith(field)
+        ar = engine._Arith(field)
         _assert_narrowest(p, k, 3 * n - 1, dtype)
         assert ar.check_headroom(3 * n - 1) == dtype
         seen = set()
@@ -876,7 +932,7 @@ class TestNarrowCodes:
 
         monkeypatch.setattr(engine, "_reduce", spy)
         # the scalar Rabin test runs about n powerings per row
-        lo, hi = _sample_range(field, n, 200 if n < 12 else 60, p + n)
+        lo, hi = _sample_range(field, n, 200 if n < 12 and field.q < 1000 else 60, p + n)
         got = engine._rabin_flags_block(field, n, lo, hi)
         expected = _scalar_flags_block(field, n, lo, hi, "rabin")
         assert seen == {np.dtype(dtype)}
@@ -885,21 +941,26 @@ class TestNarrowCodes:
 
     @pytest.mark.parametrize("p,k,n,dtype", _LADDER_WIDTHS)
     def test_mulmod_and_reduce_at_the_width(self, p, k, n, dtype):
-        # columns of p - 1 reach the largest lazy intermediates the width must
-        # hold; _mulmod reduces 2n - 1 coefficients, a column step n + 1 to 2n - 1
+        # columns of code q - 1 (every digit p - 1) reach the largest lazy
+        # intermediates the width must hold; _mulmod reduces 2n - 1
+        # coefficients, a column step n + 1 to 2n - 1
         field = build_field(p, k)
-        ar = engine._arith(field)
+        ar = engine._Arith(field)
         q, rows = field.q, 30
         rng = np.random.default_rng(p * 10 + n)
-        a, b, f = rng.integers(0, q, size=(3, n, rows)).astype(dtype)
-        prod = rng.integers(0, q, size=(2 * n - 1, rows)).astype(dtype)
+        a, b, f = rng.integers(0, q, size=(3, n, rows))
+        prod = rng.integers(0, q, size=(2 * n - 1, rows))
         for m in (a, b, f, prod):
             m[:, :5] = q - 1
-        got = engine._mulmod(ar, a, engine._negated(ar, b), ar.operand(f))
+        da, db, df, dprod = (_digits(field, m, dtype) for m in (a, b, f, prod))
+        fs = ar.multiples(df)
+        got = engine._mulmod(ar, da, ar.multiples(ar.sub(0, db)), fs)
         assert got.dtype == dtype
+        got = _codes(field, got)
         for width in (2 * n - 1, n + 1):
-            reduced = engine._reduce(ar, prod[:width].copy(), ar.operand(f))
+            reduced = engine._reduce(ar, dprod[:width].copy(), fs)
             assert reduced.dtype == dtype
+            reduced = _codes(field, reduced)
             for i in range(rows):
                 fi = f[:, i].tolist() + [1]
                 assert reduced[:, i].tolist() == _scalar_rem(field, prod[:width, i].tolist(), fi)
@@ -909,24 +970,24 @@ class TestNarrowCodes:
         if dtype is not np.int16:
             narrower = _WIDTHS[_WIDTHS.index(dtype) - 1]
             with pytest.raises(OverflowError):
-                engine._reduce(ar, prod.astype(narrower), ar.operand(f).astype(narrower))
+                engine._reduce(ar, dprod.astype(narrower), fs.astype(narrower))
 
     @pytest.mark.parametrize("p,k,n,dtype", _SIEVE_WIDTHS)
     def test_sieve_blocks_take_the_narrowest_width(self, monkeypatch, p, k, n, dtype):
         field = build_field(p, k)
-        ar = engine._arith(field)
+        ar = engine._Arith(field)
         _assert_narrowest(p, k, n + 1, dtype)
         assert ar.check_headroom(n + 1) == dtype
         seen = set()
         sieve_block = engine._sieve_block
 
         def spy(field, n, s, base, factors):
-            seen.update(g.dtype for g in factors)
+            seen.update(y_g.dtype for y_g, _ in factors)
             return sieve_block(field, n, s, base, factors)
 
         monkeypatch.setattr(engine, "_sieve_block", spy)
         # the scalar trial test tries every divisor, so few rows for large p
-        lo, hi = _sample_range(field, n, 200 if p < 1000 else 16, p + n)
+        lo, hi = _sample_range(field, n, 200 if field.q < 1000 else 16, p + n)
         got = engine._flags_range(field, n, lo, hi, "trial")
         expected = _scalar_flags_block(field, n, lo, hi, "trial")
         assert seen == {np.dtype(dtype)}
@@ -935,7 +996,7 @@ class TestNarrowCodes:
         if dtype is not np.int16:
             narrower = _WIDTHS[_WIDTHS.index(dtype) - 1]
             with pytest.raises(OverflowError):
-                sieve_block(field, n, 1, 0, [np.ones((2, 3), dtype=narrower)])
+                sieve_block(field, n, 1, 0, [(np.ones((1, 2, k, 3), dtype=narrower), None)])
 
 
 class TestEngineFieldLimit:
@@ -947,13 +1008,14 @@ class TestEngineFieldLimit:
         assert ff.check_sweep(2, 16, 2, budget=2**40) == 2**32
         assert ff.check_sweep(65521, 1, 2, budget=2**40) == 65521**2
 
-    def test_degree_one_answered_for_any_field(self):
+    def test_degree_one_answered_for_any_field(self, monkeypatch):
+        # n = 1 never reaches the engine
+        monkeypatch.setattr(engine, "_flags_range", _refuse)
         start = time.perf_counter()
         field = build_field(2, 20)
         assert count_irreducibles(field, 1, budget=2**20) == 2**20
         assert count_irreducibles(field, 1, budget=2**20, workers=2) == 2**20
         assert time.perf_counter() - start < 1.0
-        assert field._engine_arith is None  # no tables built for n = 1
 
     def test_degree_one_flags_refused_above_the_engine_limit(self):
         start = time.perf_counter()
