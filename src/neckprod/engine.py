@@ -169,10 +169,8 @@ def _mulmod(ar: _Arith, a: np.ndarray, neg_bs: np.ndarray, fs: np.ndarray) -> np
 
 def _frobenius_columns(ar: _Arith, q: int, x: np.ndarray, fs: np.ndarray) -> np.ndarray:
     # -C_i for C_i = x^(iq) mod f, i < n, stacked (n, n, k, rows): up to q = 2n
-    # -C_(i-1) shifted up q degrees, above -C_(i-1) x^q.  x^q comes by square
-    # and multiply over F_p, and over F_(p^k) as x^(p^k) by k steps
-    # t -> t^p = sum_j t_j^p x^(jp) on the columns for p.  Every _reduce takes
-    # at most 3n - 1 terms.
+    # -C_(i-1) shifted up q degrees, above -C_(i-1) x^q by square and multiply.
+    # Every _reduce takes at most 3n - 1 terms.
     n = x.shape[0]
     cols = np.zeros((n,) + x.shape, dtype=x.dtype)
     cols[0, 0] = ar.sub(0, x[1])  # -1, with x's zero padding past the last row
@@ -181,27 +179,10 @@ def _frobenius_columns(ar: _Arith, q: int, x: np.ndarray, fs: np.ndarray) -> np.
             cols[i] = _shifted(ar, cols[i - 1], q, fs)
         return cols
     xq = x
-    if q == ar.p:
-        for bit in bin(q)[3:]:
-            xq = _mulmod(ar, xq, ar.multiples(ar.sub(0, xq)), fs)
-            if bit == "1":
-                xq = _shifted(ar, xq, 1, fs)
-    else:
-        neg_xps = [ar.multiples(col) for col in _frobenius_columns(ar, ar.p, x, fs)]
-        y_p = _power(ar, np.eye(ar.k, 1, -1, dtype=np.int64), ar.p)
-        y_ap = [np.eye(ar.k, 1, dtype=np.int64)]
-        for _ in range(ar.k - 1):
-            y_ap.append(ar.mul(y_ap[-1], y_p))
-        # t_j^p = sum_a v_a y^(ap) on the digits v_a of t_j: axpy against
-        # -y^(ap), where over F_2 -1 is the all-ones mask
-        frob = (-np.stack(y_ap)).astype(x.dtype)
-        for _ in range(ar.k):
-            xp = np.zeros_like(xq)
-            ar.axpy(xp, xq, frob)
-            xp, xq = ar.reduce(xp), np.zeros_like(xq)
-            for j in range(n):
-                ar.axpy(xq, xp[j], neg_xps[j])
-            xq = ar.reduce(xq)
+    for bit in bin(q)[3:]:
+        xq = _mulmod(ar, xq, ar.multiples(ar.sub(0, xq)), fs)
+        if bit == "1":
+            xq = _shifted(ar, xq, 1, fs)
     cols[1] = ar.sub(0, xq)
     neg_xqs = ar.multiples(cols[1])
     for i in range(2, n):
@@ -369,8 +350,9 @@ def _flags_range(field, n, lo, hi, method) -> np.ndarray:
         start = lo - lo % q**s
         flags = np.concatenate([_sieve_block(field, n, s, base, factors) for base in range(start, hi, q**s)])
         return flags[lo - start : hi - start]
-    # the columns hold n^2 elements a row: _BLOCK // n rows a block, but _BLOCK for packed F_2
-    step = _BLOCK if q == 2 else _BLOCK // n
+    # the column multiples hold n^2 k^2 digits a row, bits when packed:
+    # _BLOCK // (n k) rows a block over odd p, _BLOCK // n over F_(2^k), _BLOCK over F_2
+    step = _BLOCK if q == 2 else _BLOCK // (n if field.p == 2 else n * field.k)
     parts = [_rabin_flags_block(field, n, blk_lo, min(blk_lo + step, hi)) for blk_lo in range(lo, hi, step)]
     return parts[0] if len(parts) == 1 else np.concatenate(parts)
 

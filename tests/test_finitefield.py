@@ -252,8 +252,9 @@ class TestAgreementAndEngine:
             assert np.array_equal(irreducible_flags(field, 12, method), whole[method])
 
     def test_rabin_blocks_hold_block_over_n_rows(self, monkeypatch):
-        # the Frobenius columns hold n^2 codes per row: F_2, packed 64 rows
-        # to a word, keeps _BLOCK rows a block, other fields take _BLOCK // n
+        # the Frobenius column multiples hold n^2 k^2 digits per row: F_2,
+        # packed 64 rows to a word, keeps _BLOCK rows a block, the other
+        # F_(2^k) take _BLOCK // n, odd p takes _BLOCK // (n k)
         ranges = []
         block = engine._rabin_flags_block
         monkeypatch.setattr(engine, "_rabin_flags_block",
@@ -264,6 +265,10 @@ class TestAgreementAndEngine:
         assert count_irreducibles(build_field(3, 1), 10, "rabin") == necklace_count(3, 10)
         rows = engine._BLOCK // 10
         assert ranges == [(lo, min(lo + rows, 3**10)) for lo in range(0, 3**10, rows)]
+        for p, k, n, rows in [(2, 2, 8, engine._BLOCK // 8), (3, 2, 5, engine._BLOCK // 10)]:
+            ranges.clear()
+            assert count_irreducibles(build_field(p, k), n, "rabin") == necklace_count(p**k, n)
+            assert ranges == [(lo, min(lo + rows, p ** (k * n))) for lo in range(0, p ** (k * n), rows)]
 
     @pytest.mark.parametrize("block", [4096, 1 << 16])
     @pytest.mark.parametrize("p,k,n", [(3, 1, 9), (2, 2, 5), (17, 1, 3)])
@@ -932,7 +937,7 @@ class TestNarrowCodes:
 
         monkeypatch.setattr(engine, "_reduce", spy)
         # the scalar Rabin test runs about n powerings per row
-        lo, hi = _sample_range(field, n, 200 if n < 12 and field.q < 1000 else 60, p + n)
+        lo, hi = _sample_range(field, n, 200 if n < 12 and (k == 1 or field.q < 1000) else 60, p + n)
         got = engine._rabin_flags_block(field, n, lo, hi)
         expected = _scalar_flags_block(field, n, lo, hi, "rabin")
         assert seen == {np.dtype(dtype)}
