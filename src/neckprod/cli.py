@@ -259,10 +259,8 @@ def _cmd_verify(args, out: _Output) -> int:
         return 0 if report.passed else 1
 
     _require(args.workers >= 1, "--workers must be >= 1")
-    from .finitefield import DEFAULT_BUDGET
     report = verify.verify_count_bridge(
-        args.p, args.k, args.n_max, method=args.test, workers=args.workers,
-        budget=DEFAULT_BUDGET if args.budget is None else args.budget,
+        args.p, args.k, args.n_max, method=args.test, budget=args.budget, workers=args.workers
     )
     lines = [f"{'n':>4}  {'formula':>16}  {'measured':>16}  equal"]
     for n, formula, measured in report.rows:

@@ -358,5 +358,5 @@ def _flags_range(field, n, lo, hi, method) -> np.ndarray:
 
 
 def _count_range(args) -> int:
-    (p, k, modulus), n, lo, hi, method = args
-    return int(_flags_range(FieldContext(p, k, modulus), n, lo, hi, method).sum())
+    field, n, lo, hi, method = args
+    return int(_flags_range(field, n, lo, hi, method).sum())

@@ -115,7 +115,7 @@ class NecklaceTable(namedtuple("NecklaceTable", "base degree_bound values")):
     """Cached necklace counts N(a, 1) .. N(a, D) for a fixed base a.
 
     values[n-1] holds N(a, n).  Immutable; safe to share between threads.
-    (A namedtuple: importing dataclasses would cost mobius/necklace calls.)
+    (A namedtuple like every record of the package, so no call loads dataclasses.)
     """
 
     __slots__ = ()

@@ -35,7 +35,7 @@ refused outright rather than truncated.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
@@ -299,17 +299,9 @@ def build_field(p: int, k: int) -> FieldContext:
     """F_{p^k} with the lexicographically smallest irreducible modulus.
 
     For k = 1 the modulus is the identity polynomial x.  Non-prime p is
-    rejected with NotPrimeError.
+    rejected with NotPrimeError, by FieldContext before any search.
     """
-    if not is_prime(p):
-        raise NotPrimeError(f"p={p} is not prime")
-    if k < 1:
-        raise ValueError(f"extension degree k must be >= 1, got {k}")
-    if k == 1:
-        modulus: tuple[int, ...] = (0, 1)
-    else:
-        modulus = _smallest_irreducible(p, k)
-    return FieldContext(p, k, modulus)
+    return FieldContext(p, k, (0, 1) if k < 2 else _smallest_irreducible(p, k))
 
 
 def _smallest_irreducible(p: int, k: int) -> tuple[int, ...]:
@@ -336,26 +328,25 @@ def _smallest_irreducible(p: int, k: int) -> tuple[int, ...]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class MonicPoly:
+class MonicPoly(namedtuple("MonicPoly", "field coeffs")):
     """Monic polynomial over a FieldContext.
 
     coeffs holds element codes, constant term first; the last entry must
     be the multiplicative identity.
     """
 
-    field: FieldContext
-    coeffs: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if len(self.coeffs) < 1:
+    def __new__(cls, field: FieldContext, coeffs: tuple[int, ...]):
+        if len(coeffs) < 1:
             raise ValueError("MonicPoly needs at least one coefficient")
-        q = self.field.q
-        for c in self.coeffs:
+        q = field.q
+        for c in coeffs:
             if not 0 <= c < q:
                 raise ValueError(f"coefficient code {c} outside [0, {q})")
-        if self.coeffs[-1] != 1:
+        if coeffs[-1] != 1:
             raise ValueError("leading coefficient must be the identity")
+        return super().__new__(cls, field, coeffs)
 
     @property
     def degree(self) -> int:
@@ -551,7 +542,7 @@ def count_irreducibles(
 
     bounds = [total * i // workers for i in range(workers + 1)]
     jobs = [
-        ((field.p, field.k, field.modulus), n, lo, hi, method)
+        (field, n, lo, hi, method)
         for lo, hi in zip(bounds[:-1], bounds[1:])
         if hi > lo
     ]

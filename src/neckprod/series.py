@@ -19,19 +19,19 @@ remainder is an internal error.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from operator import mul
 
 
-@dataclass(frozen=True)
-class TruncatedSeries:
+class TruncatedSeries(namedtuple("TruncatedSeries", "coeffs")):
     """Exact integer coefficients c_0..c_D of a series mod z^(D+1)."""
 
-    coeffs: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if len(self.coeffs) < 1:
+    def __new__(cls, coeffs: tuple[int, ...]):
+        if len(coeffs) < 1:
             raise ValueError("TruncatedSeries needs at least the constant term")
+        return super().__new__(cls, coeffs)
 
     @property
     def degree_bound(self) -> int:
@@ -42,8 +42,7 @@ class TruncatedSeries:
         return [str(c) for c in self.coeffs]
 
 
-@dataclass(frozen=True)
-class ExponentSpec:
+class ExponentSpec(namedtuple("ExponentSpec", "exponents necklace_base")):
     """Integer exponents e(1)..e(D) of the product prod (1 - z^n)^e(n).
 
     Any integers are allowed, including zero and negative.  When
@@ -52,12 +51,12 @@ class ExponentSpec:
     is the Mobius-inversion identity for necklace counts.
     """
 
-    exponents: tuple[int, ...]
-    necklace_base: int | None = field(default=None)
+    __slots__ = ()
 
-    def __post_init__(self):
-        if len(self.exponents) < 1:
+    def __new__(cls, exponents: tuple[int, ...], necklace_base: int | None = None):
+        if len(exponents) < 1:
             raise ValueError("ExponentSpec needs at least e(1)")
+        return super().__new__(cls, exponents, necklace_base)
 
     @property
     def degree_bound(self) -> int:

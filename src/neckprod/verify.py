@@ -23,10 +23,9 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 from .exact import build_necklace_table, necklace_count
-from .finitefield import DEFAULT_BUDGET, build_field, check_sweep, count_irreducibles
 from .series import ExponentSpec, eval_complex, expand_direct, expand_recursive
 
 # coarse outward-rounding margin applied to computed bounds; vastly larger
@@ -55,15 +54,13 @@ def _check_direct(a: int, degree_bound: int) -> None:
         )
 
 
-@dataclass(frozen=True)
-class SymbolicReport:
-    """Outcome of the exact coefficient comparison."""
+class SymbolicReport(
+    namedtuple("SymbolicReport", "base degree_bound passed first_failure cross_checked", defaults=(False,))
+):
+    """Outcome of the exact coefficient comparison; first_failure is None or
+    (index, expected, actual)."""
 
-    base: int
-    degree_bound: int
-    passed: bool
-    first_failure: tuple[int, int, int] | None  # (index, expected, actual)
-    cross_checked: bool = False
+    __slots__ = ()
 
     def to_json_dict(self) -> dict:
         d: dict = {
@@ -85,20 +82,15 @@ class SymbolicReport:
         return d
 
 
-@dataclass(frozen=True)
-class NumericReport:
+class NumericReport(
+    namedtuple(
+        "NumericReport",
+        "base z degree_bound value_series value_product target residual tail_bound float_slack passed",
+    )
+):
     """Outcome of a floating-point evaluation check with tail bound."""
 
-    base: int
-    z: complex
-    degree_bound: int
-    value_series: complex
-    value_product: complex
-    target: complex
-    residual: float
-    tail_bound: float
-    float_slack: float
-    passed: bool
+    __slots__ = ()
 
     def to_json_dict(self) -> dict:
         return {
@@ -116,17 +108,11 @@ class NumericReport:
         }
 
 
-@dataclass(frozen=True)
-class BridgeReport:
-    """Per-degree comparison of measured vs formula irreducible counts."""
+class BridgeReport(namedtuple("BridgeReport", "p k q n_max rows passed method", defaults=("rabin",))):
+    """Per-degree comparison of measured vs formula irreducible counts; each
+    of rows is (n, formula, measured)."""
 
-    p: int
-    k: int
-    q: int
-    n_max: int
-    rows: tuple[tuple[int, int, int], ...]  # (n, formula, measured)
-    passed: bool
-    method: str = field(default="rabin")
+    __slots__ = ()
 
     def to_json_dict(self) -> dict:
         return {
@@ -299,23 +285,27 @@ def verify_count_bridge(
     k: int,
     n_max: int,
     method: str = "rabin",
-    budget: int = DEFAULT_BUDGET,
+    budget: int | None = None,
     workers: int = 1,
 ) -> BridgeReport:
     """Compare brute-force irreducible counts over F_{p^k} against the
     necklace formula N(q, n) for every n <= n_max.
 
-    Refuses up front if any degree would exceed the enumeration budget,
-    naming the largest feasible n_max.
+    budget None means finitefield.DEFAULT_BUDGET.  Refuses up front if any
+    degree would exceed the enumeration budget, naming the largest feasible
+    n_max.
     """
-    check_sweep(p, k, n_max, method, budget)
-    fieldctx = build_field(p, k)
+    from . import finitefield  # only the bridge counts; symbolic and numeric never load it
+
+    budget = finitefield.DEFAULT_BUDGET if budget is None else budget
+    finitefield.check_sweep(p, k, n_max, method, budget)
+    fieldctx = finitefield.build_field(p, k)
     q = fieldctx.q
     rows = []
     all_equal = True
     for n in range(1, n_max + 1):
         formula = necklace_count(q, n)
-        measured = count_irreducibles(fieldctx, n, method=method, budget=budget, workers=workers)
+        measured = finitefield.count_irreducibles(fieldctx, n, method=method, budget=budget, workers=workers)
         rows.append((n, formula, measured))
         if formula != measured:
             all_equal = False

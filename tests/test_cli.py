@@ -316,7 +316,7 @@ import sys
 from neckprod.cli import run
 code = run(sys.argv[1:])
 watched = ("numpy", "concurrent.futures", "neckprod.engine", "neckprod.exact", "neckprod.finitefield",
-           "neckprod.series", "neckprod.verify", "dataclasses", "json")
+           "neckprod.series", "neckprod.verify", "dataclasses", "inspect", "json")
 loaded = [m for m in watched if m in sys.modules]
 import json
 print(json.dumps([code, loaded]), file=sys.stderr)
@@ -331,31 +331,41 @@ def _modules_loaded_by(argv):
     return loaded
 
 
+_SERIES_CALLS = [
+    ["expand", "--a", "2", "--degree", "8"],
+    ["expand", "raw", "--exponents", "1,1,1,1,1"],
+    ["verify", "symbolic", "--a", "2", "--degree", "16"],
+    ["verify", "numeric", "--a", "2", "--z", "0.25,0", "--degree", "40"],
+]
+_EXACT_CALLS = [
+    ["mobius", "--n", "30"],
+    ["necklace", "--a", "2", "--n", "4"],
+    ["necklace", "table", "--a", "3", "--degree", "3"],
+]
+_SWEEP_CALLS = [
+    ["field", "count", "--p", "2", "--k", "1", "--n", "2"],
+    ["verify", "bridge", "--p", "2", "--k", "1", "--n-max", "3"],
+]
+
+
 class TestImportGuard:
     @pytest.mark.parametrize(
-        "argv",
-        [
-            ["mobius", "--n", "30"],
-            ["necklace", "--a", "2", "--n", "4"],
-            ["necklace", "table", "--a", "3", "--degree", "3"],
-            ["expand", "--a", "2", "--degree", "8"],
-            ["expand", "raw", "--exponents", "1,1,1,1,1"],
-            ["verify", "symbolic", "--a", "2", "--degree", "16"],
-            ["verify", "numeric", "--a", "2", "--z", "0.25,0", "--degree", "40"],
-            ["field", "count", "--p", "3", "--k", "2", "--n", "1"],
-        ],
+        "argv", _EXACT_CALLS + _SERIES_CALLS + [["field", "count", "--p", "3", "--k", "2", "--n", "1"]]
     )
     def test_calls_without_a_sweep_leave_numpy_unloaded(self, argv):
         assert not _SWEEP_MODULES & set(_modules_loaded_by(argv))
 
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ["mobius", "--n", "30"],
-            ["necklace", "--a", "2", "--n", "4"],
-            ["necklace", "table", "--a", "3", "--degree", "3"],
-        ],
-    )
+    @pytest.mark.parametrize("argv", _SERIES_CALLS)
+    def test_series_calls_load_no_finitefield_or_inspect(self, argv):
+        loaded = _modules_loaded_by(argv)
+        assert "neckprod.series" in loaded
+        assert not {"neckprod.finitefield", "inspect", "dataclasses"} & set(loaded)
+
+    @pytest.mark.parametrize("argv", _EXACT_CALLS + _SERIES_CALLS + _SWEEP_CALLS)
+    def test_no_call_loads_dataclasses(self, argv):
+        assert "dataclasses" not in _modules_loaded_by(argv)
+
+    @pytest.mark.parametrize("argv", _EXACT_CALLS)
     def test_exact_calls_load_exact_alone(self, argv):
         assert _modules_loaded_by(argv) == ["neckprod.exact"]
 
@@ -365,15 +375,9 @@ class TestImportGuard:
     def test_field_count_without_a_sweep_loads_no_series_or_verify(self):
         loaded = _modules_loaded_by(["field", "count", "--n", "1", "--p", "3", "--k", "2"])
         assert "neckprod.finitefield" in loaded
-        assert not {"neckprod.series", "neckprod.verify"} & set(loaded)
+        assert not {"neckprod.series", "neckprod.verify", "inspect", "dataclasses"} & set(loaded)
 
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ["field", "count", "--p", "2", "--k", "1", "--n", "2"],
-            ["verify", "bridge", "--p", "2", "--k", "1", "--n-max", "3"],
-        ],
-    )
+    @pytest.mark.parametrize("argv", _SWEEP_CALLS)
     def test_sweeps_load_the_engine(self, argv):
         assert "neckprod.engine" in _modules_loaded_by(argv)
 

@@ -1,5 +1,6 @@
 """Tests for field construction, monic enumeration, and irreducibility tests."""
 
+import pickle
 import time
 import tracemalloc
 
@@ -61,10 +62,16 @@ class TestBuildField:
             build_field(9, 2)
         with pytest.raises(NotPrimeError):
             build_field(1, 1)
+        # p is refused before k, and before any modulus search
+        for p, k in [(4, 2), (4, 1), (9, 0), (1, 3), (10**25, 2)]:
+            with pytest.raises(NotPrimeError) as info:
+                build_field(p, k)
+            assert (type(info.value), str(info.value)) == (NotPrimeError, f"p={p} is not prime")
 
     def test_bad_extension_degree(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as info:
             build_field(2, 0)
+        assert (type(info.value), str(info.value)) == (ValueError, "extension degree k must be >= 1, got 0")
 
     def test_modulus_is_irreducible(self):
         # modulus viewed as a monic poly over F_p passes the trial oracle
@@ -1039,5 +1046,7 @@ class TestEngineFieldLimit:
         monkeypatch.setattr(engine, "build_field", _refuse, raising=False)
         monkeypatch.setattr(ff, "build_field", _refuse)
         monkeypatch.setattr(ff, "_smallest_irreducible", _refuse)
-        job = ((field.p, field.k, field.modulus), 3, 0, 9**3, method)
+        monkeypatch.setattr(ff, "is_prime", _refuse)  # nor validate the field again
+        job = pickle.loads(pickle.dumps((field, 3, 0, 9**3, method)))  # as a pool worker gets it
+        assert job[0].modulus == (2, 1, 1)
         assert engine._count_range(job) == necklace_count(9, 3)

@@ -8,12 +8,16 @@ from fractions import Fraction
 
 import pytest
 
+import neckprod.finitefield as finitefield
 import neckprod.verify as verify
 from neckprod.cli import run
 from neckprod.exact import necklace_count
-from neckprod.finitefield import BudgetExceededError
-from neckprod.series import TruncatedSeries
+from neckprod.finitefield import BudgetExceededError, MonicPoly, build_field
+from neckprod.series import ExponentSpec, TruncatedSeries
 from neckprod.verify import (
+    BridgeReport,
+    NumericReport,
+    SymbolicReport,
     necklace_exponent_spec,
     tail_bound,
     verify_count_bridge,
@@ -236,8 +240,8 @@ class TestReportedFailures:
         assert obj["first_failure"] == {"index": 1, "expected": "-2", "actual": "-1"}
 
     def test_bridge_count_mismatch(self, monkeypatch, capsys):
-        count = verify.count_irreducibles
-        monkeypatch.setattr(verify, "count_irreducibles",
+        count = finitefield.count_irreducibles
+        monkeypatch.setattr(finitefield, "count_irreducibles",
                             lambda field, n, **kw: count(field, n, **kw) + (n == 3))
         report = verify_count_bridge(2, 1, 4)
         assert not report.passed
@@ -261,3 +265,39 @@ def test_int_times_complex_past_1000_bits():
     for part, x in ((got.real, w.real), (got.imag, w.imag)):
         exact = Fraction(n) * Fraction(x)
         assert abs(Fraction(part) - exact) <= abs(exact) * Fraction(1, 2**50)
+
+
+# each record with its fields in order, one field to assign to, the repr the
+# record has always had, and constructor calls it refuses with their messages
+_RECORDS = [
+    (lambda: MonicPoly(build_field(3, 2), (2, 0, 1)), "coeffs",
+     "MonicPoly(field=FieldContext(p=3, k=2, modulus=(1, 0, 1)), coeffs=(2, 0, 1))",
+     [(lambda: MonicPoly(build_field(2, 1), (1, 2)), "coefficient code 2 outside [0, 2)"),
+      (lambda: MonicPoly(build_field(2, 1), (1, 0)), "leading coefficient must be the identity"),
+      (lambda: MonicPoly(build_field(2, 1), ()), "MonicPoly needs at least one coefficient")]),
+    (lambda: TruncatedSeries((1, -2, 0)), "coeffs", "TruncatedSeries(coeffs=(1, -2, 0))",
+     [(lambda: TruncatedSeries(()), "TruncatedSeries needs at least the constant term")]),
+    (lambda: ExponentSpec((2, 1)), "necklace_base", "ExponentSpec(exponents=(2, 1), necklace_base=None)",
+     [(lambda: ExponentSpec(()), "ExponentSpec needs at least e(1)"),
+      (lambda: ExponentSpec((), necklace_base=2), "ExponentSpec needs at least e(1)")]),
+    (lambda: SymbolicReport(2, 8, False, (1, -2, -3)), "passed",
+     "SymbolicReport(base=2, degree_bound=8, passed=False, first_failure=(1, -2, -3), cross_checked=False)", []),
+    (lambda: NumericReport(2, 0.25 + 0j, 40, 0.5 + 0j, 0.5 + 0j, 0.5 + 0j, 0.0, 1e-12, 1e-14, True), "z",
+     "NumericReport(base=2, z=(0.25+0j), degree_bound=40, value_series=(0.5+0j), value_product=(0.5+0j), "
+     "target=(0.5+0j), residual=0.0, tail_bound=1e-12, float_slack=1e-14, passed=True)", []),
+    (lambda: BridgeReport(2, 1, 2, 3, ((1, 2, 2),), True), "method",
+     "BridgeReport(p=2, k=1, q=2, n_max=3, rows=((1, 2, 2),), passed=True, method='rabin')", []),
+]
+
+
+@pytest.mark.parametrize("make,attr,text,refusals", _RECORDS, ids=[r[2].split("(")[0] for r in _RECORDS])
+def test_records_are_immutable_values(make, attr, text, refusals):
+    a, b = make(), make()
+    assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+    assert repr(a) == text
+    with pytest.raises(AttributeError):
+        setattr(a, attr, None)
+    for refused, message in refusals:
+        with pytest.raises(ValueError) as info:
+            refused()
+        assert str(info.value) == message
