@@ -10,37 +10,6 @@ import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BridgeReport",
-    "BudgetExceededError",
-    "DEFAULT_BUDGET",
-    "ExponentSpec",
-    "FieldContext",
-    "MonicPoly",
-    "NecklaceTable",
-    "NotPrimeError",
-    "NumericReport",
-    "SymbolicReport",
-    "TruncatedSeries",
-    "build_field",
-    "build_necklace_table",
-    "count_irreducibles",
-    "divisors",
-    "eval_complex",
-    "expand_direct",
-    "expand_recursive",
-    "irreducible_flags",
-    "is_irreducible_rabin",
-    "is_irreducible_trial",
-    "mobius",
-    "necklace_count",
-    "necklace_exponent_spec",
-    "tail_bound",
-    "verify_count_bridge",
-    "verify_numeric",
-    "verify_symbolic",
-]
-
 # each public name's home module
 _HOME = {
     "exact": "NecklaceTable build_necklace_table divisors mobius necklace_count",
@@ -51,6 +20,7 @@ _HOME = {
     "verify_count_bridge verify_numeric verify_symbolic",
 }
 _MODULE_OF = {name: module for module, names in _HOME.items() for name in names.split()}
+__all__ = sorted(_MODULE_OF)
 
 
 def __getattr__(name: str):

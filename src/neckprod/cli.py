@@ -17,9 +17,12 @@ import sys
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    # absent by default, so a subcommand's parse keeps a flag given before it
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--json", action="store_true", help="emit JSON on stdout")
-    common.add_argument("--quiet", action="store_true", help="suppress stdout; use the exit status")
+    common.add_argument("--json", action="store_true", default=argparse.SUPPRESS, help="emit JSON on stdout")
+    common.add_argument(
+        "--quiet", action="store_true", default=argparse.SUPPRESS, help="suppress stdout; use the exit status"
+    )
 
     parser = argparse.ArgumentParser(
         prog="neckprod",
@@ -46,13 +49,13 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p_expand.add_argument("--a", type=int)
     p_expand.add_argument("--degree", type=int)
-    p_expand.add_argument("--method", choices=["recursive", "direct"], default="recursive")
     expand_sub = p_expand.add_subparsers(dest="expand_sub")
     p_raw = expand_sub.add_parser(
         "raw", parents=[common], help="expansion for explicit exponents e(1),..,e(D)"
     )
     p_raw.add_argument("--exponents", type=str, required=True, help="comma-separated integers")
-    p_raw.add_argument("--method", choices=["recursive", "direct"], default="recursive")
+    for expander in (p_expand, p_raw):
+        expander.add_argument("--method", choices=["recursive", "direct"], default=argparse.SUPPRESS)
 
     p_field = sub.add_parser("field", parents=[common], help="finite-field operations")
     field_sub = p_field.add_subparsers(dest="field_sub", required=True)
@@ -94,7 +97,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _add_sweep_options(parser: argparse.ArgumentParser):
     parser.add_argument("--test", choices=["trial", "rabin"], default="rabin")
-    parser.add_argument("--budget", type=int)  # None: finitefield.DEFAULT_BUDGET
+    parser.add_argument("--budget", type=int)
     parser.add_argument("--workers", type=int, default=1)
 
 
@@ -115,20 +118,15 @@ def _parse_exponents(text: str) -> tuple[int, ...]:
     return values
 
 
-class _Output:
-    def __init__(self, json_mode: bool, quiet: bool):
-        self.json_mode = json_mode
-        self.quiet = quiet
-
-    def emit(self, obj: dict, text_lines: list[str]):
-        if self.quiet:
-            return
-        if self.json_mode:
-            import json
-            print(json.dumps(obj))
-        else:
-            for line in text_lines:
-                print(line)
+def _emit(args, obj: dict, text_lines: list[str]):
+    if getattr(args, "quiet", False):
+        return
+    if getattr(args, "json", False):
+        import json
+        print(json.dumps(obj))
+    else:
+        for line in text_lines:
+            print(line)
 
 
 def _require(condition: bool, message: str):
@@ -136,19 +134,20 @@ def _require(condition: bool, message: str):
         raise ValueError(message)
 
 
-def _cmd_mobius(args, out: _Output) -> int:
+def _cmd_mobius(args) -> int:
     from . import exact
     value = exact.mobius(args.n)
-    out.emit({"schema": "mobius", "n": args.n, "value": str(value)}, [str(value)])
+    _emit(args, {"schema": "mobius", "n": args.n, "value": str(value)}, [str(value)])
     return 0
 
 
-def _cmd_necklace(args, out: _Output) -> int:
+def _cmd_necklace(args) -> int:
     from . import exact
     if getattr(args, "necklace_sub", None) == "table":
         table = exact.build_necklace_table(args.a, args.degree)
         lines = [f"{n}\t{table.value(n)}" for n in range(1, args.degree + 1)]
-        out.emit(
+        _emit(
+            args,
             {
                 "schema": "necklace.table",
                 "a": args.a,
@@ -160,15 +159,17 @@ def _cmd_necklace(args, out: _Output) -> int:
         return 0
     _require(args.a is not None and args.n is not None, "necklace requires --a and --n")
     value = exact.necklace_count(args.a, args.n)
-    out.emit(
+    _emit(
+        args,
         {"schema": "necklace.count", "a": args.a, "n": args.n, "value": str(value)},
         [str(value)],
     )
     return 0
 
 
-def _cmd_expand(args, out: _Output) -> int:
+def _cmd_expand(args) -> int:
     from . import series
+    method = getattr(args, "method", "recursive")
     if getattr(args, "expand_sub", None) == "raw":
         exponents = _parse_exponents(args.exponents)
         spec = series.ExponentSpec(exponents=exponents)
@@ -176,18 +177,19 @@ def _cmd_expand(args, out: _Output) -> int:
     else:
         _require(args.a is not None and args.degree is not None, "expand requires --a and --degree")
         from . import verify
-        if args.method == "direct":
+        if method == "direct":
             verify._check_direct(args.a, args.degree)
         spec = verify.necklace_exponent_spec(args.a, args.degree)
         head = {"a": args.a}
-    expand = series.expand_direct if args.method == "direct" else series.expand_recursive
+    expand = series.expand_direct if method == "direct" else series.expand_recursive
     result = expand(spec)
-    out.emit(
+    _emit(
+        args,
         {
             "schema": "series.expand",
             **head,
             "degree_bound": spec.degree_bound,
-            "method": args.method,
+            "method": method,
             "coefficients": result.to_json(),
         },
         [" ".join(str(c) for c in result.coeffs)],
@@ -195,16 +197,15 @@ def _cmd_expand(args, out: _Output) -> int:
     return 0
 
 
-def _cmd_field(args, out: _Output) -> int:
+def _cmd_field(args) -> int:
     from . import finitefield
-    _require(args.workers >= 1, "--workers must be >= 1")
-    budget = finitefield.DEFAULT_BUDGET if args.budget is None else args.budget
-    finitefield.check_sweep(args.p, args.k, args.n, args.test, budget)
+    finitefield.check_sweep(args.p, args.k, args.n, args.test, args.budget)
     fieldctx = finitefield.build_field(args.p, args.k)
     count = finitefield.count_irreducibles(
-        fieldctx, args.n, method=args.test, budget=budget, workers=args.workers
+        fieldctx, args.n, method=args.test, budget=args.budget, workers=args.workers
     )
-    out.emit(
+    _emit(
+        args,
         {
             "schema": "field.count",
             "p": args.p,
@@ -224,7 +225,7 @@ def _report_lines(pairs: list[tuple[str, str]]) -> list[str]:
     return [f"{name.ljust(width)}  {value}" for name, value in pairs]
 
 
-def _cmd_verify(args, out: _Output) -> int:
+def _cmd_verify(args) -> int:
     from . import verify
     if args.verify_sub == "symbolic":
         report = verify.verify_symbolic(args.a, args.degree, cross_check=args.cross_check)
@@ -237,7 +238,7 @@ def _cmd_verify(args, out: _Output) -> int:
         if report.first_failure is not None:
             j, expected, actual = report.first_failure
             pairs.append(("first_failure", f"index {j}: expected {expected}, got {actual}"))
-        out.emit(report.to_json_dict(), _report_lines(pairs))
+        _emit(args, report.to_json_dict(), _report_lines(pairs))
         return 0 if report.passed else 1
 
     if args.verify_sub == "numeric":
@@ -255,10 +256,9 @@ def _cmd_verify(args, out: _Output) -> int:
             ("float_slack", repr(report.float_slack)),
             ("pass", str(report.passed).lower()),
         ]
-        out.emit(report.to_json_dict(), _report_lines(pairs))
+        _emit(args, report.to_json_dict(), _report_lines(pairs))
         return 0 if report.passed else 1
 
-    _require(args.workers >= 1, "--workers must be >= 1")
     report = verify.verify_count_bridge(
         args.p, args.k, args.n_max, method=args.test, budget=args.budget, workers=args.workers
     )
@@ -268,7 +268,7 @@ def _cmd_verify(args, out: _Output) -> int:
             f"{n:>4}  {formula:>16}  {measured:>16}  {str(formula == measured).lower()}"
         )
     lines.append(f"pass: {str(report.passed).lower()}")
-    out.emit(report.to_json_dict(), lines)
+    _emit(args, report.to_json_dict(), lines)
     return 0 if report.passed else 1
 
 
@@ -284,7 +284,6 @@ def run(argv: list[str]) -> int:
     except SystemExit as exc:
         code = exc.code
         return code if isinstance(code, int) else 2
-    out = _Output(json_mode=getattr(args, "json", False), quiet=getattr(args, "quiet", False))
     handlers = {
         "mobius": _cmd_mobius,
         "necklace": _cmd_necklace,
@@ -293,13 +292,8 @@ def run(argv: list[str]) -> int:
         "verify": _cmd_verify,
     }
     try:
-        return handlers[args.command](args, out)
-    except (ValueError, RuntimeError) as exc:
-        # the one RuntimeError that is a refusal, BudgetExceededError, can only
-        # come from a finitefield already loaded
-        budget_error = getattr(sys.modules.get(f"{__package__}.finitefield"), "BudgetExceededError", ())
-        if not isinstance(exc, (ValueError, budget_error)):
-            raise
+        return handlers[args.command](args)
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

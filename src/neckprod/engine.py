@@ -328,16 +328,24 @@ def _sieve_block(field: FieldContext, n: int, s: int, base: int, factors: list) 
     return flags
 
 
+def _block_rows(field: FieldContext, n: int, method: str) -> int:
+    # rows of one engine block at degree n >= 2.  Trial: q^s aligned to q^s,
+    # s <= n the largest with q^s <= _BLOCK.  Rabin, from the range's first
+    # row: the column multiples hold n^2 k^2 digits a row, bits when packed,
+    # so _BLOCK // (n k) over odd p, _BLOCK // n over F_(2^k), _BLOCK over F_2
+    q = field.q
+    if method == "trial":
+        return max(q**s for s in range(n + 1) if q**s <= _BLOCK)
+    return _BLOCK if q == 2 else _BLOCK // (n if field.p == 2 else n * field.k)
+
+
 def _flags_range(field, n, lo, hi, method) -> np.ndarray:
     if n == 1:
         return np.ones(hi - lo, dtype=bool)  # every monic linear polynomial
-    q = field.q
+    q, step = field.q, _block_rows(field, n, method)
     if method == "trial":
-        # blocks of q^s rows aligned to q^s, s the largest with q^s <= _BLOCK;
         # a range that cuts a block computes all of it and keeps its slice
-        s = 0
-        while s < n and q ** (s + 1) <= _BLOCK:
-            s += 1
+        s = next(s for s in range(n + 1) if q**s == step)
         ar = _Arith(field)
         dtype = ar.check_headroom(n + 1)
         factors = []  # per degree d, for the monic irreducibles g other than x
@@ -347,12 +355,9 @@ def _flags_range(field, n, lo, hi, method) -> np.ndarray:
             g = _coeffs(field, d + 1, idx * q + 1, dtype)  # the leading 1 as last digit
             y_g = ar.multiples(g) if d < s else g[None]  # blocks enumerate h against y^a g only for d < s
             factors.append((y_g, ar.multiples(ar.mul(_power(ar, g[0], q - 2), g[1:]))))
-        start = lo - lo % q**s
-        flags = np.concatenate([_sieve_block(field, n, s, base, factors) for base in range(start, hi, q**s)])
+        start = lo - lo % step
+        flags = np.concatenate([_sieve_block(field, n, s, base, factors) for base in range(start, hi, step)])
         return flags[lo - start : hi - start]
-    # the column multiples hold n^2 k^2 digits a row, bits when packed:
-    # _BLOCK // (n k) rows a block over odd p, _BLOCK // n over F_(2^k), _BLOCK over F_2
-    step = _BLOCK if q == 2 else _BLOCK // (n if field.p == 2 else n * field.k)
     parts = [_rabin_flags_block(field, n, blk_lo, min(blk_lo + step, hi)) for blk_lo in range(lo, hi, step)]
     return parts[0] if len(parts) == 1 else np.concatenate(parts)
 

@@ -50,8 +50,9 @@ class NotPrimeError(ValueError):
     """Raised when a field characteristic fails the primality check."""
 
 
-class BudgetExceededError(RuntimeError):
-    """Raised when an enumeration would exceed the configured budget."""
+class BudgetExceededError(ValueError, RuntimeError):
+    """Raised when an enumeration would exceed the configured budget: a
+    refusal, as every ValueError, and a RuntimeError for callers catching one."""
 
 
 # Miller-Rabin with the first twelve primes as bases decides every n below
@@ -91,9 +92,9 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def check_sweep(p: int, k: int, n: int, method: str = "rabin", budget: int = DEFAULT_BUDGET) -> int:
+def check_sweep(p: int, k: int, n: int, method: str = "rabin", budget: int | None = None) -> int:
     """Validate a sweep over the q^n monic degree-n polynomials over
-    F_{p^k} and return q^n.
+    F_{p^k} and return q^n.  budget None means DEFAULT_BUDGET.
 
     Raises ValueError for an unknown method, n < 1, k < 1 or a budget
     outside [1, MAX_BUDGET]; NotPrimeError for p < 2; BudgetExceededError,
@@ -111,6 +112,7 @@ def check_sweep(p: int, k: int, n: int, method: str = "rabin", budget: int = DEF
         raise ValueError(f"extension degree k must be >= 1, got {k}")
     if p < 2:
         raise NotPrimeError(f"p={p} is not prime")
+    budget = DEFAULT_BUDGET if budget is None else budget
     if not 1 <= budget <= MAX_BUDGET:
         raise ValueError(f"budget {budget} is outside [1, 2^63], the engine's index range")
     # p^e >= 2^((len(p) - 1) e), so a power whose lower bound reaches the
@@ -497,7 +499,7 @@ def is_irreducible_rabin(f: MonicPoly) -> bool:
 
 
 def irreducible_flags(
-    field: FieldContext, n: int, method: str = "rabin", budget: int = DEFAULT_BUDGET
+    field: FieldContext, n: int, method: str = "rabin", budget: int | None = None
 ) -> np.ndarray:
     """Boolean verdict for every monic degree-n polynomial, in
     enumeration order: lexicographic in the coefficients, constant term
@@ -521,30 +523,33 @@ def count_irreducibles(
     field: FieldContext,
     n: int,
     method: str = "rabin",
-    budget: int = DEFAULT_BUDGET,
+    budget: int | None = None,
     workers: int = 1,
 ) -> int:
     """Number of monic degree-n irreducibles over F_q by full enumeration
     with the chosen test ('trial' or 'rabin'), computed as in
     irreducible_flags.
 
-    The q^n sweep may be partitioned into contiguous blocks counted in
-    parallel (workers > 1); the result is independent of the worker count.
+    With workers > 1 the sweep is cut into contiguous runs of whole engine
+    blocks, at most one process a block, so a one-block sweep runs in this
+    process; the result is independent of the worker count.  Raises
+    ValueError for workers < 1.
     """
+    if workers < 1:
+        raise ValueError("--workers must be >= 1")
     total = check_sweep(field.p, field.k, n, method, budget)
     if n == 1:
         return total  # every monic linear polynomial is irreducible
     from . import engine
 
-    if workers <= 1:
+    step = engine._block_rows(field, n, method)
+    blocks = -(-total // step)
+    workers = min(workers, blocks)
+    if workers == 1:
         return int(engine._flags_range(field, n, 0, total, method).sum())
     from concurrent.futures import ProcessPoolExecutor
 
-    bounds = [total * i // workers for i in range(workers + 1)]
-    jobs = [
-        (field, n, lo, hi, method)
-        for lo, hi in zip(bounds[:-1], bounds[1:])
-        if hi > lo
-    ]
+    bounds = [min(total, step * (blocks * i // workers)) for i in range(workers + 1)]
+    jobs = [(field, n, lo, hi, method) for lo, hi in zip(bounds[:-1], bounds[1:])]
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return sum(pool.map(engine._count_range, jobs))

@@ -297,7 +297,6 @@ def verify_count_bridge(
     """
     from . import finitefield  # only the bridge counts; symbolic and numeric never load it
 
-    budget = finitefield.DEFAULT_BUDGET if budget is None else budget
     finitefield.check_sweep(p, k, n_max, method, budget)
     fieldctx = finitefield.build_field(p, k)
     q = fieldctx.q

@@ -1,5 +1,6 @@
 """CLI dispatch, output formats, and exit-status contract."""
 
+import concurrent.futures
 import contextlib
 import io
 import json
@@ -153,6 +154,43 @@ class TestJsonOutput:
         _, solo, _ = invoke(capsys, base + ["--workers", "1"])
         _, duo, _ = invoke(capsys, base + ["--workers", "2"])
         assert solo == duo
+
+    @pytest.mark.parametrize(
+        "before,after",
+        [
+            (["necklace", "--json", "table", "--a", "3", "--degree", "3"],
+             ["necklace", "table", "--a", "3", "--degree", "3", "--json"]),
+            (["field", "--json", "count", "--p", "2", "--k", "1", "--n", "3"],
+             ["field", "count", "--p", "2", "--k", "1", "--n", "3", "--json"]),
+            (["verify", "--quiet", "symbolic", "--a", "2", "--degree", "8"],
+             ["verify", "symbolic", "--a", "2", "--degree", "8", "--quiet"]),
+            (["expand", "--method", "direct", "raw", "--exponents", "1,2", "--json"],
+             ["expand", "raw", "--exponents", "1,2", "--json", "--method", "direct"]),
+        ],
+        ids=["necklace-json", "field-json", "verify-quiet", "expand-method"],
+    )
+    def test_flags_before_a_subcommand_take_effect(self, capsys, before, after):
+        assert invoke(capsys, before) == invoke(capsys, after)
+
+
+class TestOneBlockSweeps:
+    # a sweep of one engine block runs in this process, whatever --workers says
+    @pytest.fixture(autouse=True)
+    def no_pool(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a one-block sweep started a process pool")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
+
+    @pytest.mark.parametrize("test", ["rabin", "trial"])
+    def test_field_count(self, capsys, test):
+        argv = ["field", "count", "--p", "2", "--k", "1", "--n", "16", "--workers", "2", "--test", test]
+        assert invoke(capsys, argv) == (0, f"{necklace_count(2, 16)}\n", "")
+
+    def test_bridge(self, capsys):
+        argv = ["verify", "bridge", "--p", "2", "--k", "1", "--n-max", "14", "--workers", "2"]
+        code, out, _ = invoke(capsys, argv)
+        assert code == 0 and out.endswith("pass: true\n")
 
 
 class TestBridgeOptions:

@@ -1,5 +1,6 @@
 """Tests for field construction, monic enumeration, and irreducibility tests."""
 
+import concurrent.futures
 import pickle
 import time
 import tracemalloc
@@ -454,7 +455,7 @@ class TestGF2Engine:
             assert np.array_equal(irreducible_flags(field, 7, method), whole[method])
 
     def test_workers_do_not_change_trial_counts(self):
-        # 2^17 rows are two sieve blocks; three workers cut both of them
+        # 2^17 rows are two sieve blocks, so three workers start two processes
         field = build_field(2, 1)
         for workers in (1, 2, 3):
             assert count_irreducibles(field, 17, method="trial", workers=workers) == necklace_count(2, 17)
@@ -573,8 +574,9 @@ class TestCounts:
 
     def test_budget_refusal(self):
         field = build_field(2, 1)
-        with pytest.raises(BudgetExceededError, match="4096"):
+        with pytest.raises(BudgetExceededError, match="4096") as refusal:
             count_irreducibles(field, 13, budget=4096)
+        assert isinstance(refusal.value, ValueError) and isinstance(refusal.value, RuntimeError)
 
     def test_unknown_method(self):
         with pytest.raises(ValueError):
@@ -583,6 +585,41 @@ class TestCounts:
     def test_workers_do_not_change_counts(self):
         field = build_field(2, 1)
         assert count_irreducibles(field, 10, workers=2) == count_irreducibles(field, 10)
+
+    def test_no_workers_refused(self):
+        with pytest.raises(ValueError, match="^--workers must be >= 1$"):
+            count_irreducibles(build_field(2, 1), 2, workers=0)
+
+    @pytest.mark.parametrize("method,block,jobs", [("rabin", 500, 3), ("trial", 500, 3), ("rabin", 8400, 2)])
+    def test_workers_take_whole_blocks(self, monkeypatch, method, block, jobs):
+        # F_3 n=7 in blocks of 71 or 1200 Rabin rows, or 3^5 sieve rows
+        pools = []
+
+        class InlinePool:  # runs the jobs here and keeps them
+            def __init__(self, max_workers):
+                self.max_workers = max_workers
+                pools.append(self)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return None
+
+            def map(self, fn, jobs):
+                self.jobs = list(jobs)
+                return map(fn, self.jobs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(engine, "_BLOCK", block)
+        field = build_field(3, 1)
+        assert count_irreducibles(field, 7, method, workers=3) == necklace_count(3, 7)
+        [pool] = pools
+        step = engine._block_rows(field, 7, method)
+        los, his = zip(*(job[2:4] for job in pool.jobs))
+        assert pool.max_workers == len(pool.jobs) == jobs
+        assert all(lo % step == 0 for lo in los)
+        assert (0,) + his == los + (3**7,)
 
     def test_counts_independent_of_modulus(self):
         # representation choice cannot affect the counts: rebuild F_9 and F_8
