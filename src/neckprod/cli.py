@@ -41,7 +41,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_necklace.add_argument("--n", type=int)
     necklace_sub = p_necklace.add_subparsers(dest="necklace_sub")
     p_table = necklace_sub.add_parser("table", parents=[common], help="N(a, 1..D)")
-    p_table.add_argument("--a", type=int, required=True)
+    p_table.add_argument("--a", type=int, default=argparse.SUPPRESS)  # or given before table
     p_table.add_argument("--degree", type=int, required=True)
 
     p_expand = sub.add_parser(
@@ -144,6 +144,8 @@ def _cmd_mobius(args) -> int:
 def _cmd_necklace(args) -> int:
     from . import exact
     if getattr(args, "necklace_sub", None) == "table":
+        _require(args.a is not None, "necklace table requires --a")
+        _require(args.n is None, "--n does not apply to necklace table")
         table = exact.build_necklace_table(args.a, args.degree)
         lines = [f"{n}\t{table.value(n)}" for n in range(1, args.degree + 1)]
         _emit(
@@ -171,6 +173,7 @@ def _cmd_expand(args) -> int:
     from . import series
     method = getattr(args, "method", "recursive")
     if getattr(args, "expand_sub", None) == "raw":
+        _require(args.a is None and args.degree is None, "--a and --degree do not apply to expand raw")
         exponents = _parse_exponents(args.exponents)
         spec = series.ExponentSpec(exponents=exponents)
         head = {"exponents": [str(e) for e in exponents]}
@@ -299,9 +302,10 @@ def run(argv: list[str]) -> int:
 
 
 def main() -> None:
-    # the engine never calls BLAS (its one matmul is on integers), and one
-    # OpenBLAS thread makes importing numpy about 70 ms cheaper; forked pool
-    # workers inherit it, and a value the user set wins
+    # only sweeps over odd p import numpy; their engine never calls BLAS (its
+    # one matmul is on integers), and one OpenBLAS thread makes importing
+    # numpy about 70 ms cheaper.  Forked pool workers inherit it, and a value
+    # the user set wins
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     sys.exit(run(sys.argv[1:]))
 

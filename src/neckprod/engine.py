@@ -1,19 +1,19 @@
-"""The counting engine: vectorized irreducibility verdicts over blocks of
-monic polynomials.
+"""The counting engine: irreducibility verdicts over a range of monic
+polynomials, as one int whose bit r is the verdict of row lo + r.
 
-finitefield.irreducible_flags and finitefield.count_irreducibles import
-this module when a sweep runs, after check_sweep has accepted it, so numpy
-is loaded by sweeps only.  Every field with q <= MAX_ENGINE_Q = 2^16 is
-swept in one element form, k base-p digit rows per coefficient of F_(p^k),
-with no table (see _Arith).
+finitefield's sweeps import it once check_sweep has accepted them.  It owns
+the block split (_block_rows) and sweeps every F_(2^k) on bit planes in
+Python integers (bit-slicing, Biham 1997): a plane holds one F_2 digit of a
+coefficient for every row of a block, bit r for row base + r, and since
+q = 2^k those digits are the bits of the row index.  An element of F_(2^k)
+is k planes; it adds by xor and multiplies by and.  Sweeps over odd p run
+in neckprod.digits, the package's only numpy module.
 
-* trial -- a product sieve on every field: it marks each product g h of a
-  monic irreducible g of degree <= n/2 and a monic h, so the rows left
-  unmarked are those trial division finds no divisor of.
-* rabin -- the Frobenius ladder t -> t^q = sum_i t_i (x^(iq) mod f) on
-  (n, k, rows) blocks, then Bernstein-Yang divsteps batched over the
-  survivors.  Over every F_(2^k) both are bit-sliced, 64 rows to a uint64
-  word.
+* rabin -- the Frobenius ladder t -> t^q = sum_i t_i (x^(iq) mod f), then
+  Bernstein-Yang divsteps on every row with a bit-sliced delta, once per
+  block on the product of the gcd conditions.
+* trial -- f mod g is F_2-linear in f's digits for each monic irreducible g
+  of degree <= n/2, found by this test at degree deg g.
 
 Every path is held row for row to the scalar is_irreducible_* tests of
 finitefield, which share no code with them.
@@ -21,347 +21,241 @@ finitefield, which share no code with them.
 
 from __future__ import annotations
 
-import numpy as np
+from functools import reduce
+from operator import or_
 
-from .finitefield import FieldContext, _prime_factors
+from .finitefield import _prime_factors
 
 _BLOCK = 1 << 16
 
 
-# ---------------------------------------------------------------------------
-# Block engine
-# ---------------------------------------------------------------------------
-#
-# Every engine array is coefficient-major, (coefficients, k, rows); the ladder
-# holds a block of monic polynomials of degree n >= 2 as its n free
-# coefficients, the leading 1 implicit.  _Arith alone decides when to reduce.
-
-
-class _Arith:
-    """Elementwise F_q arithmetic on integer arrays of base-p digits.
-
-    An element of F_(p^k) is held as its k digits over F_p, v_0..v_(k-1) of
-    its code sum v_i p^i, on the second axis from the end, rows last; prime
-    fields are k = 1.  Over odd p the digits are mod-p values, kept in the
-    narrowest of int16/int32/int64 their checked bound admits; F_2 digits
-    add by xor and multiply by and, the same arithmetic on 0/1 digits and on
-    words holding one digit per bit (the ladder's bit-sliced blocks).
-
-    A product c g is the digit convolution sum_a c_a (y^a g) folded by the
-    field modulus, y the generator of F_q over F_p: multiples holds the
-    y^a g, each the one before shifted up a digit with its top digit folded,
-    and axpy runs one pass of each digit c_a against them.  A multiplier
-    with one digit row is an element of F_p.  No table is built.
-
-    Operands of mul, sub and multiples and multipliers of axpy are canonical
-    digits.  Over odd p axpy leaves r unreduced until reduce, after a caller
-    has passed the bound on its steps and r's dtype to check_headroom, which
-    names the narrowest dtype for a bound.
-    """
-
-    def __init__(self, field: FieldContext):
-        self.p, self.k = field.p, field.k
-        self.lazy = field.p > 2  # mod-p values reduced only by reduce
-        self.plus = np.add if self.lazy else np.bitwise_xor
-        self.minus = np.subtract if self.lazy else np.bitwise_xor
-        self.times = np.multiply if self.lazy else np.bitwise_and
-        # y^k = -sum_i m_i y^i; over F_2 a digit times m_i is an and with -m_i
-        self.low = np.array(field.modulus[: self.k])[:, None] * (1 if self.lazy else -1)
-
-    def sub(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        return self.reduce(a - b) if self.lazy else a ^ b
-
-    def multiples(self, g: np.ndarray) -> np.ndarray:
-        # y^a g for a < k, stacked on a new leading axis
-        if self.k == 1:
-            return g[None]
-        ys = np.empty((self.k,) + g.shape, dtype=g.dtype)
-        ys[0] = g
-        low = self.low.astype(g.dtype)
-        for a in range(1, self.k):
-            ys[a, ..., 0, :] = 0
-            ys[a, ..., 1:, :] = ys[a - 1, ..., :-1, :]
-            self.minus(ys[a], self.times(ys[a - 1, ..., -1:, :], low), out=ys[a])
-            ys[a] = self.reduce(ys[a])
-        return ys
-
-    def axpy(self, r: np.ndarray, c: np.ndarray, ys: np.ndarray) -> None:
-        # r -= c g in place for ys = multiples(g), c broadcast against g
-        if c.shape[-2] == 1:  # every multiplier over F_p: no slicing in the hot loops
-            self.minus(r, self.times(c, ys[0]), out=r)
-            return
-        for a in range(c.shape[-2]):
-            self.minus(r, self.times(c[..., a : a + 1, :], ys[a]), out=r)
-
-    def mul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        # a b, from the multiples of a
-        ys = self.multiples(a)
-        r = self.times(b[..., :1, :], ys[0])
-        for i in range(1, b.shape[-2]):
-            self.plus(r, self.times(b[..., i : i + 1, :], ys[i]), out=r)
-        return self.reduce(r)
-
-    def reduce(self, a: np.ndarray) -> np.ndarray:
-        # a's canonical digits: a new array over odd p, a itself over F_2;
-        # floor division beats % on every width, and numpy reuses the
-        # temporary a // p for both later steps
-        return a // self.p * -self.p + a if self.lazy else a
-
-    def check_headroom(self, terms: int, dtype=np.int64) -> np.dtype:
-        # the narrowest dtype keeping a sum of terms products below
-        # 2^(bits - 2), as int64's 2^62; refused if wider than dtype.  A
-        # product c g of the k x k digit convolution is k passes c_a (y^a g),
-        # each within (p - 1)^2 of zero: the modulus fold is taken and reduced
-        # in the multiples y^a g, so it adds no term.
-        bits = (terms * self.k * (self.p - 1) ** 2).bit_length() + 2
-        need = np.dtype(np.int64 if bits > 32 else np.int32 if bits > 16 else np.int16)
-        if bits > 64 or need.itemsize > np.dtype(dtype).itemsize:
-            raise OverflowError(f"lazy reduction of {terms} terms mod {self.p} could overflow {np.dtype(dtype)}")
-        return need
-
-
-def _coeffs(field: FieldContext, n: int, idx: np.ndarray, dtype) -> np.ndarray:
-    # enumeration indices -> the digits (n, k, rows) of the free coefficients,
-    # c_0 the top base-q digit of an index
-    out = np.empty((n, field.k, idx.size), dtype=dtype)
-    for j in range(n - 1, -1, -1):
-        for i in range(field.k):
-            idx, out[j, i] = np.divmod(idx, field.p)
-    return out
-
-
-def _power(ar: _Arith, a: np.ndarray, e: int) -> np.ndarray:
-    # a^e by square and multiply from 1; 1 / a = a^(q - 2) for a != 0
-    r = np.eye(ar.k, 1, dtype=a.dtype)
-    for bit in bin(e)[2:]:
-        r = ar.mul(r, r)
-        if bit == "1":
-            r = ar.mul(r, a)
-    return r
-
-
-def _reduce(ar: _Arith, prod: np.ndarray, fs: np.ndarray) -> np.ndarray:
-    # prod mod f, top coefficient first, for fs = multiples(f).  An entry
-    # starts within width products of zero and takes at most n steps.
-    width, n = prod.shape[0], fs.shape[1]
-    ar.check_headroom(width + n, prod.dtype)
-    for j in range(width - 1, n - 1, -1):
-        ar.axpy(prod[j - n : j], ar.reduce(prod[j]), fs)
-    return ar.reduce(prod[:n])
-
-
-def _shifted(ar: _Arith, a: np.ndarray, e: int, fs: np.ndarray) -> np.ndarray:
-    # a x^e mod f, shifted up at most n - 1 degrees a time
-    n = a.shape[0]
-    for done in range(0, e, n - 1):
-        a = _reduce(ar, np.pad(a, ((min(n - 1, e - done), 0), (0, 0), (0, 0))), fs)
-    return a
-
-
-def _mulmod(ar: _Arith, a: np.ndarray, neg_bs: np.ndarray, fs: np.ndarray) -> np.ndarray:
-    # a b mod f, coefficient-major, for neg_bs = multiples(-b): n steps
-    # accumulate -a_i (-b), within the bound _reduce checks
-    prod = np.zeros((2 * a.shape[0] - 1,) + a.shape[1:], dtype=a.dtype)
-    for i in range(a.shape[0]):
-        ar.axpy(prod[i : i + a.shape[0]], a[i], neg_bs)
-    return _reduce(ar, prod, fs)
-
-
-def _frobenius_columns(ar: _Arith, q: int, x: np.ndarray, fs: np.ndarray) -> np.ndarray:
-    # -C_i for C_i = x^(iq) mod f, i < n, stacked (n, n, k, rows): up to q = 2n
-    # -C_(i-1) shifted up q degrees, above -C_(i-1) x^q by square and multiply.
-    # Every _reduce takes at most 3n - 1 terms.
-    n = x.shape[0]
-    cols = np.zeros((n,) + x.shape, dtype=x.dtype)
-    cols[0, 0] = ar.sub(0, x[1])  # -1, with x's zero padding past the last row
-    if q <= 2 * n:
-        for i in range(1, n):
-            cols[i] = _shifted(ar, cols[i - 1], q, fs)
-        return cols
-    xq = x
-    for bit in bin(q)[3:]:
-        xq = _mulmod(ar, xq, ar.multiples(ar.sub(0, xq)), fs)
-        if bit == "1":
-            xq = _shifted(ar, xq, 1, fs)
-    cols[1] = ar.sub(0, xq)
-    neg_xqs = ar.multiples(cols[1])
-    for i in range(2, n):
-        cols[i] = _mulmod(ar, cols[i - 1], neg_xqs, fs)
-    return cols
-
-
-def _pack(bits: np.ndarray) -> np.ndarray:
-    # (..., rows) 0/1 digits -> (..., ceil(rows / 64)) bit-sliced words: bit j
-    # of word w is row 64 w + j, rows past the end are zero (packbits reads
-    # bool about 10x faster than int16)
-    words = np.zeros(bits.shape[:-1] + (-(-bits.shape[-1] // 64),), dtype="<u8")
-    words.view(np.uint8)[..., : -(-bits.shape[-1] // 8)] = np.packbits(bits != 0, axis=-1, bitorder="little")
-    return words
-
-
-def _unpack(words: np.ndarray, rows: int) -> np.ndarray:
-    # the first rows digits of each row of words, as uint8 0/1
-    return np.unpackbits(words.view(np.uint8), axis=-1, count=rows, bitorder="little")
-
-
-def _coprime(ar: _Arith, a: np.ndarray, b: np.ndarray, rows: int | None = None) -> np.ndarray:
-    """Columnwise verdict gcd(a, b) = 1 for coefficient-major digit arrays of
-    one shape (m, k, columns), constant term first, a monic of degree m - 1
-    and b of lower degree.  With rows given, a and b hold that many
-    polynomials over F_(2^k), packed into bit-sliced words by _pack.
-
-    Bernstein and Yang's divsteps (2019, theorem 6.2) on the reversed
-    polynomials f = x^(m-1) a(1/x), f_0 = 1, and g = x^(m-2) b(1/x): from
-    delta = 1, 2m - 3 identical steps on every column, each a conditional
-    swap and g <- (f_0 g - g_0 f) / x, with no inverse and no degree scan.
-    The gcd then has degree delta / 2.  Step i reads no coefficient of f or
-    g past 2m - 4 - i, so the arrays shrink once that is below m.
-    """
-    m = a.shape[0]
-    f, g = a[::-1].copy(), np.zeros_like(b)
-    g[: m - 1] = b[m - 2 :: -1]
-    delta = np.ones(a.shape[-1] if rows is None else rows, dtype=np.int16)
-    for step in range(2 * m - 3):
-        f, g = f[: 2 * m - 3 - step], g[: 2 * m - 3 - step]
-        g0 = np.bitwise_or.reduce(g[0], axis=0)  # nonzero where any digit of g_0 is
-        swap = (delta > 0) & ((g0 if rows is None else _unpack(g0, rows)) != 0)
-        delta = np.where(swap, -delta, delta) + 1
-        h = ar.mul(f[0], g[1:])
-        ar.axpy(h, f[1:], ar.multiples(g[0]))
-        f ^= (f ^ g) & (-swap.astype(f.dtype) if rows is None else _pack(swap))
-        g[:-1], g[-1] = ar.reduce(h), 0
-    return delta == 0
-
-
-def _rabin_flags_block(field: FieldContext, n: int, lo: int, hi: int) -> np.ndarray:
-    ar = _Arith(field)
-    dtype = ar.check_headroom(3 * n - 1)  # the largest _reduce, of a column or of a product
-    fmat = _coeffs(field, n, np.arange(lo, hi, dtype=np.int64), dtype)
-    x = np.zeros(fmat.shape, dtype)  # calloc: only the pages of x[1, 0] are written
-    x[1, 0] = 1
-    # over F_(2^k) the ladder runs on bit-sliced words, 64 rows each, through
-    # the same xor arithmetic, and its powers are unpacked to gather the survivors
-    packed = field.p == 2
-    fs = ar.multiples(_pack(fmat) if packed else fmat)
-    t = _pack(x) if packed else x
-    # t -> t^q is F_q-linear: t^q = sum_i t_i C_i, n lazy terms
-    neg_cols = [ar.multiples(col) for col in _frobenius_columns(ar, field.q, t, fs)]
-    placed = -(-n // field.q)  # C_i = x^(iq) is a single 1 for iq < n: t_i is placed
-    checkpoints = {n // l for l in _prime_factors(n)}
-    saved: dict[int, np.ndarray] = {}
-    for j in range(1, n + 1):
-        acc = np.zeros_like(t)
-        acc[:: field.q] = t[:placed]
-        for i in range(placed, n):
-            ar.axpy(acc, t[i], neg_cols[i])
-        t = ar.reduce(acc)
-        if j in checkpoints:
-            saved[j] = _unpack(t, hi - lo) if packed else t
-    flags = ((_unpack(t, hi - lo) if packed else t) == x).all(axis=(0, 1))
-    # survivors have all factor degrees dividing n; finish them with the gcd
-    # conditions on the saved intermediate powers, over F_(2^k) packed again
-    for arr in saved.values():
-        idx = np.flatnonzero(flags)
-        monic = np.concatenate([fmat[..., idx], x[1:2, :, idx]])  # x's coefficient of x is the leading 1
-        h = np.zeros_like(monic)
-        h[:n] = ar.sub(arr[..., idx], x[..., idx])
-        flags[idx] = _coprime(ar, _pack(monic), _pack(h), idx.size) if packed else _coprime(ar, monic, h)
-    return flags
-
-
-# ---------------------------------------------------------------------------
-# Product sieve (--test trial)
-# ---------------------------------------------------------------------------
-#
-# A monic f of degree n >= 2 has a monic divisor of degree 1..n/2 iff it is
-# a product g h with g monic irreducible of degree d <= n/2, so marking every
-# such product decides what trial division decides.  The g of degree d come
-# from the sieve at degree d, never from the Rabin ladder.
-
-
-def _sieve_block(field: FieldContext, n: int, s: int, base: int, factors: list) -> np.ndarray:
-    # the block of q^s rows from base, a multiple of q^s, fixes the prefix
-    # c_0..c_{n-s-1}.  That decides whether x divides, and for g_0 != 0 it
-    # fixes the low coefficients of h, so only products in the block are formed.
-    # Each factor list comes as the multiples of g and of g_1..g_d / g_0.
-    p, k, ar = field.p, field.k, _Arith(field)
-    dtype = np.result_type(np.int16, *(y_g for y_g, _ in factors))  # the dtype of every array below
-    ar.check_headroom(n + 1, dtype)  # each phase below takes at most n steps from canonical digits
-    fixed = n - s
-    prefix = _coeffs(field, n, np.array([base]), dtype)[:fixed]
-    flags = np.ones(field.q**s, dtype=bool)
-    flags[: max(0, field.q ** (n - 1) - base)] = False  # c_0 = 0
-    place = field.q ** np.arange(s - 1, -1, -1, dtype=np.int64)
-    for y_g, y_tail in factors:
-        g = y_g[0]
-        d = g.shape[0] - 1
-        e = n - d
-        known = min(fixed, e)
-        # power series division of the prefix by g / g_0, each h_i g_0 stored
-        # over the coefficient it clears, as (h_i g_0) (g / g_0) = h_i g:
-        # coefficients known..n-1, all read from here on, then hold
-        # -g (h_0..h_{known-1} + x^e)
-        f = np.zeros((n + 1,) + g.shape[1:], dtype=dtype)
-        f[:known] = prefix[:known]
-        f[e:] = ar.sub(0, g)
-        for i in range(known):
-            f[i] = ar.reduce(f[i])
-            ar.axpy(f[i + 1 : i + d + 1], f[i], y_tail)
-        f = ar.sub(0, ar.reduce(f[known:n]))
-        # the digit of y^i in h_t, for t in [known, e), takes every value of
-        # F_p on a new leading axis that y^i g broadcasts over
-        for t in range(e - known):
-            for i in range(k):
-                c = np.arange(p, dtype=dtype).reshape((p,) + (1,) * f.ndim)
-                f = np.broadcast_to(f, (p,) + f.shape).copy()
-                ar.axpy(f[..., t : t + d + 1, :, :], c, y_g[i : i + 1])
-        f = ar.reduce(f)
-        match = (f[..., : fixed - known, :, :] == prefix[known:]).all(axis=(-3, -2))
-        # the digits of each remaining coefficient folded into its code
-        codes = f[..., fixed - known :, k - 1, :]
-        if k > 1:  # codes reach q - 1, past int16
-            codes = codes.astype(np.int64)
-        for i in range(k - 2, -1, -1):
-            codes *= p
-            codes += f[..., fixed - known :, i, :]
-        flags[(place @ codes)[match]] = False
-    return flags
-
-
-def _block_rows(field: FieldContext, n: int, method: str) -> int:
-    # rows of one engine block at degree n >= 2.  Trial: q^s aligned to q^s,
-    # s <= n the largest with q^s <= _BLOCK.  Rabin, from the range's first
-    # row: the column multiples hold n^2 k^2 digits a row, bits when packed,
-    # so _BLOCK // (n k) over odd p, _BLOCK // n over F_(2^k), _BLOCK over F_2
+def _block_rows(field, n: int, method: str) -> int:
+    # rows of one engine block at degree n >= 2.  F_(2^k): the largest 2^s <=
+    # _BLOCK, at least 8 so that blocks join as bytes, aligned to 2^s.  Odd p:
+    # trial takes q^s <= _BLOCK aligned to q^s, s <= n, and Rabin, whose column
+    # multiples hold n^2 k^2 digits a row, _BLOCK // (n k) from the range's start
     q = field.q
+    if field.p == 2:
+        return 1 << max(3, _BLOCK.bit_length() - 1)
     if method == "trial":
         return max(q**s for s in range(n + 1) if q**s <= _BLOCK)
-    return _BLOCK if q == 2 else _BLOCK // (n if field.p == 2 else n * field.k)
+    return _BLOCK // (n * field.k)
 
 
-def _flags_range(field, n, lo, hi, method) -> np.ndarray:
+def _flags_range(field, n: int, lo: int, hi: int, method: str) -> int:
     if n == 1:
-        return np.ones(hi - lo, dtype=bool)  # every monic linear polynomial
-    q, step = field.q, _block_rows(field, n, method)
+        return (1 << (hi - lo)) - 1  # every monic linear polynomial
+    if field.p > 2:
+        from . import digits
+
+        return digits._flags_mask(field, n, lo, hi, method)
+    step = _block_rows(field, n, method)
+    # the rows of the range in each aligned block it meets
+    cuts = [(max(lo, base), min(hi, base + step)) for base in range(lo - lo % step, hi, step)]
     if method == "trial":
-        # a range that cuts a block computes all of it and keeps its slice
-        s = next(s for s in range(n + 1) if q**s == step)
-        ar = _Arith(field)
-        dtype = ar.check_headroom(n + 1)
-        factors = []  # per degree d, for the monic irreducibles g other than x
-        for d in range(1, n // 2 + 1):
-            idx = np.flatnonzero(_flags_range(field, d, 0, q**d, "trial"))
-            idx = idx[idx >= q ** (d - 1)]  # c_0 != 0
-            g = _coeffs(field, d + 1, idx * q + 1, dtype)  # the leading 1 as last digit
-            y_g = ar.multiples(g) if d < s else g[None]  # blocks enumerate h against y^a g only for d < s
-            factors.append((y_g, ar.multiples(ar.mul(_power(ar, g[0], q - 2), g[1:]))))
-        start = lo - lo % step
-        flags = np.concatenate([_sieve_block(field, n, s, base, factors) for base in range(start, hi, step)])
-        return flags[lo - start : hi - start]
-    parts = [_rabin_flags_block(field, n, blk_lo, min(blk_lo + step, hi)) for blk_lo in range(lo, hi, step)]
-    return parts[0] if len(parts) == 1 else np.concatenate(parts)
+        parts = _trial_planes(field, n, cuts, step)
+    else:
+        parts = [_rabin_flags_block(field, n, a, b) for a, b in cuts]
+    rest = b"".join(part.to_bytes(step // 8, "little") for part in parts[1:])
+    return parts[0] | int.from_bytes(rest, "little") << (cuts[0][1] - cuts[0][0])
 
 
 def _count_range(args) -> int:
-    field, n, lo, hi, method = args
-    return int(_flags_range(field, n, lo, hi, method).sum())
+    return _flags_range(*args).bit_count()
+
+
+# A polynomial is a list of elements, constant term first, and an element a
+# list of k planes, its digits over F_2; low lists the i < k with
+# y^k = sum_(i in low) y^i, y the generator of F_q over F_2.  A block of
+# monic polynomials holds its n free coefficients, the leading 1 implicit.
+
+
+def _planes(n: int, k: int, a: int, b: int) -> tuple[list[int], int]:
+    # the planes of rows a..b - 1 by the position of their bit in the row
+    # index (digit i of the coefficient of x^j at (n - 1 - j) k + i), and t:
+    # the rows share their bits from t up, and below t a plane is periodic
+    ones, t = (1 << (b - a)) - 1, (a ^ (b - 1)).bit_length()
+    planes = []
+    for pos in range(n * k):
+        if pos >= t:
+            planes.append(ones if a >> pos & 1 else 0)
+            continue
+        m, span = ((1 << (1 << pos)) - 1) << (1 << pos), 2 << pos  # bit pos of r < 2^t, from a mod 2^t
+        while span < 1 << t:
+            m, span = m | m << span, 2 * span
+        planes.append(m >> (a & ((1 << t) - 1)) & ones)
+    return planes, t
+
+
+def _multiples(e: list[int], low: list[int]) -> list[list[int]]:
+    # y^a e for a < k, each the one before shifted up a digit with its top
+    # digit folded
+    ys = [e]
+    while len(ys) < len(e):
+        top = ys[-1][-1]
+        ys.append([0] + ys[-1][:-1])
+        for i in low:
+            ys[-1][i] ^= top
+    return ys
+
+
+def _axpy(r: list[int], c: list[int], ys: list[list[int]]) -> None:
+    # r += c e in place, for elements r and c and ys = _multiples(e)
+    for ca, y in zip(c, ys):
+        if ca:
+            for i, yi in enumerate(y):
+                r[i] ^= ca & yi
+
+
+def _reduce(prod: list, fs: list) -> list:
+    # prod mod g, in place, for fs the multiples of the coefficients of a
+    # monic g below its leading 1
+    d = len(fs)
+    for j in range(len(prod) - 1, d - 1, -1):
+        for i, ys in enumerate(fs):
+            _axpy(prod[j - d + i], prod[j], ys)
+    return prod[:d]
+
+
+def _mulmod(a: list, b: list, fs: list, low: list[int]) -> list:
+    prod = [[0] * len(a[0]) for _ in range(2 * len(a) - 1)]
+    for j, bj in enumerate(b):
+        ys = _multiples(bj, low)
+        for i, ai in enumerate(a):
+            _axpy(prod[i + j], ai, ys)
+    return _reduce(prod, fs)
+
+
+def _frobenius_columns(q: int, x: list, fs: list, low: list[int]) -> list:
+    # C_i = x^(iq) mod f for i < n: up to q = 2n C_(i-1) shifted up q degrees,
+    # above C_(i-1) x^q, with x^q by k squarings
+    n, k = len(x), len(x[0])
+    cols = [[list(x[1])] + [[0] * k for _ in range(n - 1)]]  # 1, as x's coefficient of x
+    if q <= 2 * n:
+        while len(cols) < n:
+            cols.append(_reduce([[0] * k for _ in range(q)] + [list(e) for e in cols[-1]], fs))
+        return cols
+    xq = x
+    for _ in range(k):
+        xq = _mulmod(xq, xq, fs, low)
+    cols.append(xq)
+    while len(cols) < n:
+        cols.append(_mulmod(cols[-1], xq, fs, low))
+    return cols
+
+
+def _coprime(f: list, h: list, ones: int, low: list[int]) -> int:
+    """Rowwise verdict gcd(f, h) = 1, as planes of width ones, for f monic of
+    degree n given by its n free coefficients and h of lower degree: the
+    divsteps of digits._coprime (Bernstein and Yang 2019) on F = x^n f(1/x)
+    and G = x^(n-1) h(1/x), with delta a two's-complement counter bit-sliced
+    over the rows; the gcd is 1 where it ends at 0."""
+    n, k = len(f), len(f[0])
+    F = [[ones] + [0] * (k - 1)] + f[::-1]
+    G = h[::-1] + [[0] * k]
+    delta = [ones] + [0] * (2 * n + 2).bit_length()  # 1, with room for |delta| <= 2n
+    for step in range(2 * n - 1):
+        F, G = F[: 2 * n - 1 - step], G[: 2 * n - 1 - step]
+        swap = reduce(or_, G[0]) & reduce(or_, delta) & ~delta[-1]  # G_0 != 0 and delta > 0
+        f0s, g0s = _multiples(F[0], low), _multiples(G[0], low)
+        H = []
+        for fi, gi in zip(F[1:], G[1:]):
+            H.append([0] * k)
+            _axpy(H[-1], gi, f0s)
+            _axpy(H[-1], fi, g0s)
+        F = [[u ^ (u ^ v) & swap for u, v in zip(fi, gi)] for fi, gi in zip(F, G)]
+        G = H + [[0] * k]
+        # delta <- (delta xor swap) + 1 + swap: -delta + 1 where swapped, else delta + 1
+        d = [plane ^ swap for plane in delta]
+        carry = d[0] & ~swap | swap
+        delta = [d[0] ^ ones ^ swap]
+        for plane in d[1:]:
+            delta.append(plane ^ carry)
+            carry &= plane
+    return ones & ~reduce(or_, delta)
+
+
+def _rabin_flags_block(field, n: int, lo: int, hi: int) -> int:
+    k, q, ones = field.k, field.q, (1 << (hi - lo)) - 1
+    low = [i for i in range(k) if field.modulus[i]]
+    planes, _ = _planes(n, k, lo, hi)
+    f = [planes[(n - 1 - j) * k : (n - j) * k] for j in range(n)]
+    fs = [_multiples(c, low) for c in f]
+    x = [[0] * k for _ in range(n)]
+    x[1][0] = ones
+    # t -> t^q is F_q-linear: t^q = sum_i t_i C_i
+    cols = [[_multiples(c, low) for c in col] for col in _frobenius_columns(q, x, fs, low)]
+    placed = -(-n // q)  # C_i = x^(iq) is a single 1 for iq < n: t_i is placed
+    checkpoints = {n // l for l in _prime_factors(n)}
+    t, saved = x, []
+    for j in range(1, n + 1):
+        acc = [[0] * k for _ in range(n)]
+        for i in range(placed):
+            acc[i * q] = list(t[i])
+        for i in range(placed, n):  # _axpy inlined, each digit of t_i against every coefficient
+            for a, ta in enumerate(t[i]):
+                if ta:
+                    for r, ys in zip(acc, cols[i]):
+                        for b, y in enumerate(ys[a]):
+                            r[b] ^= ta & y
+        t = acc
+        if j in checkpoints:
+            saved.append(t)
+    flags = ones & ~reduce(or_, (u ^ v for ti, xi in zip(t, x) for u, v in zip(ti, xi)))
+    # survivors have all factor degrees dividing n; finish every row with the
+    # gcd conditions on the saved powers, gcd(f, prod_l (x^(q^(n/l)) - x)) = 1
+    # holding iff each factor's does (Gao and Panario 1997)
+    diffs = [[[u ^ v for u, v in zip(si, xi)] for si, xi in zip(s, x)] for s in saved]
+    return flags & _coprime(f, reduce(lambda u, v: _mulmod(u, v, fs, low), diffs), ones, low)
+
+
+def _span(planes: list[int]) -> list[int]:
+    # the xor of every subset of planes, subset i holding plane j iff bit j of i is set
+    out = [0]
+    for plane in planes:
+        out += [v ^ plane for v in out]
+    return out
+
+
+def _trial_planes(field, n: int, cuts: list, step: int) -> list[int]:
+    # Each digit of f mod g is a xor of f's digits and 1: reducing f with each
+    # of them as a bit of its own gives those xors as bit sets, for all g of
+    # degree d at once, each g a field of w bytes and its digits fields of all
+    # ones or zero.  In a cut the bits below t vary over the rows, xored from
+    # tables of 8 planes (the method of four Russians); those from t up are
+    # fixed, and pick a digit's plane or its complement as the rows where it is 0.
+    k, q, nk = field.k, field.q, n * field.k
+    low = [i for i in range(k) if field.modulus[i]]
+    shapes = {}  # (first row in its block, rows) -> xor tables, t, ones, [(cut, fixed bits)]
+    for c, (a, b) in enumerate(cuts):
+        if (a % step, b - a) not in shapes:
+            planes, t = _planes(n, k, a, b)
+            tables = [_span(planes[j : min(j + 8, t)]) for j in range(0, t, 8)]
+            shapes[a % step, b - a] = (tables, t, (1 << (b - a)) - 1, [])
+        tables, t, ones, members = shapes[a % step, b - a]
+        members.append((c, (a | 1 << nk) >> t))
+    w = nk // 8 + 1
+    marked = [0] * len(cuts)
+    for d in range(1, n // 2 + 1):
+        found = _flags_range(field, d, 0, q**d, "trial")
+        gs = [i for i, bit in enumerate(bin(found)[:1:-1]) if bit == "1"]
+        every = int.from_bytes((b"\1" + bytes(w - 1)) * len(gs), "little")
+        f = [[every << (n - 1 - j) * k + i for i in range(k)] for j in range(n)] + [[every << nk] + [0] * (k - 1)]
+        g = [[int.from_bytes(b"".join(b"\xff" * w if g >> (d - 1 - j) * k + i & 1 else bytes(w) for g in gs), "little")
+              for i in range(k)] for j in range(d)]
+        rem = [plane.to_bytes(w * len(gs), "little") for e in _reduce(f, [_multiples(e, low) for e in g]) for plane in e]
+        for r in range(0, w * len(gs), w):
+            digits = [int.from_bytes(plane[r : r + w], "little") for plane in rem]
+            for tables, t, ones, members in shapes.values():
+                planes = []
+                for bits in digits:
+                    v, varying = 0, bits & ((1 << t) - 1)
+                    for j, table in enumerate(tables):
+                        v ^= table[varying >> 8 * j & 255]
+                    planes.append((v ^ ones, v, bits >> t))
+                for c, fixed in members:
+                    zero = ones
+                    for nv, v, high in planes:
+                        zero &= v if (high & fixed).bit_count() & 1 else nv
+                    marked[c] |= zero
+    return [shapes[a % step, b - a][2] ^ m for (a, b), m in zip(cuts, marked)]

@@ -10,6 +10,7 @@ treated as an internal bug, never a recoverable condition.
 
 from __future__ import annotations
 
+import math
 from collections import namedtuple
 
 # trial division up to sqrt(n) is the cost of mobius and divisors; above
@@ -22,6 +23,20 @@ def _check_factor_arg(name: str, n: int) -> None:
         raise ValueError(f"{name} requires n >= 1, got {n}")
     if n > MAX_FACTOR_N:
         raise ValueError(f"{name} requires n <= 10^12 (trial-division limit), got {n}")
+
+
+def _check_size(a: int, degree_bound: int, limit: int, what: str) -> None:
+    # refuse, naming the largest feasible degree, work on the necklace values
+    # of base a past D^2 log2(a) <= limit; a = 1 has values 0 and 1.  The
+    # message leaves out a, whose decimal form takes quadratic time to write.
+    if a < 2:
+        return
+    feasible = math.isqrt(int(limit / math.log2(a)))
+    if degree_bound > feasible:
+        raise ValueError(
+            f"{what} at degree {degree_bound} exceeds the size limit "
+            f"D^2 log2(a) <= {limit} (about a minute); largest feasible degree is {feasible}"
+        )
 
 
 def mobius(n: int) -> int:
@@ -132,7 +147,8 @@ def build_necklace_table(a: int, degree_bound: int) -> NecklaceTable:
 
     Uses a mu sieve plus a divisor sweep, so the whole table costs
     O(D log D) big-integer additions instead of D independent
-    factorizations.
+    factorizations.  A table past D^2 log2(a) / 2 = 4.3 * 10^8 bits of
+    values is refused with ValueError before any work.
     """
     if a < 1:
         raise ValueError(f"build_necklace_table requires a >= 1, got a={a}")
@@ -140,6 +156,9 @@ def build_necklace_table(a: int, degree_bound: int) -> NecklaceTable:
         raise ValueError(
             f"build_necklace_table requires degree_bound >= 1, got {degree_bound}"
         )
+    # at this limit `necklace table` took 18 s end to end for a = 2 and 57 s
+    # for a = 1000, most of it writing the values in decimal (2 vCPU)
+    _check_size(a, degree_bound, 860_000_000, "a necklace table")
     D = degree_bound
     mu = mobius_sieve(D)
     powers = [1] * (D + 1)

@@ -19,11 +19,11 @@ The modulus of an extension is found by Ben-Or's test over F_p and
 checked by Rabin's.
 
 irreducible_flags and count_irreducibles sweep all q^n monic polynomials
-through neckprod.engine, the package's only numpy module, which they
-import once check_sweep has accepted a sweep that needs it; a call that
-sweeps nothing never loads numpy.  count_irreducibles answers n = 1 with q
-without the engine.  For q > MAX_ENGINE_Q = 2^16 check_sweep refuses n >= 2
-(a budget of 2^34 or more) and irreducible_flags refuses n = 1 too.
+through neckprod.engine, which they import once check_sweep has accepted a
+sweep that needs it; numpy is loaded only by sweeps over odd p and by
+irreducible_flags, which returns an array.  count_irreducibles answers n = 1
+with q without the engine.  For q > MAX_ENGINE_Q = 2^16 check_sweep refuses
+n >= 2 (a budget of 2^34 or more) and irreducible_flags refuses n = 1 too.
 
 The scalar tests above are the reference semantics and the engine is
 held to them in the test suite.  check_sweep validates every sweep before
@@ -506,17 +506,20 @@ def irreducible_flags(
     most significant, each ordered by element code.  Refused by
     check_sweep as any sweep is, and for q > MAX_ENGINE_Q at n = 1 too.
 
-    'trial' is computed as a product sieve on every field: a row is
-    reducible iff it is a product g h with g monic irreducible of degree
-    <= n/2, the question trial division decides.  'rabin' runs Rabin's
-    test rowwise.  Kept public, with no CLI caller, as the rows the tests
+    'trial' marks every row with a monic irreducible factor of degree
+    <= n/2, the question trial division decides: by linear remainder maps
+    over F_(2^k), by a product sieve over odd p.  'rabin' runs Rabin's test
+    rowwise.  Kept public, with no CLI caller, as the rows the tests
     hold to the scalar oracles; it alone refuses n = 1 above MAX_ENGINE_Q."""
     total = check_sweep(field.p, field.k, n, method, budget)
     if field.q > MAX_ENGINE_Q:  # only n = 1 gets here, and would build q flags
         raise ValueError(f"q = {field.p}^{field.k} exceeds 2^16, the largest field whose flags are built")
+    import numpy as np
+
     from . import engine
 
-    return engine._flags_range(field, n, 0, total, method)
+    mask = engine._flags_range(field, n, 0, total, method).to_bytes(-(-total // 8), "little")
+    return np.unpackbits(np.frombuffer(mask, dtype=np.uint8), count=total, bitorder="little").astype(bool)
 
 
 def count_irreducibles(
@@ -546,7 +549,7 @@ def count_irreducibles(
     blocks = -(-total // step)
     workers = min(workers, blocks)
     if workers == 1:
-        return int(engine._flags_range(field, n, 0, total, method).sum())
+        return engine._count_range((field, n, 0, total, method))
     from concurrent.futures import ProcessPoolExecutor
 
     bounds = [min(total, step * (blocks * i // workers)) for i in range(workers + 1)]

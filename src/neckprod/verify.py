@@ -25,7 +25,7 @@ import cmath
 import math
 from collections import namedtuple
 
-from .exact import build_necklace_table, necklace_count
+from .exact import _check_size, build_necklace_table, necklace_count
 from .series import ExponentSpec, eval_complex, expand_direct, expand_recursive
 
 # coarse outward-rounding margin applied to computed bounds; vastly larger
@@ -41,17 +41,7 @@ _DIRECT_LIMIT = 12_500_000
 
 
 def _check_direct(a: int, degree_bound: int) -> None:
-    # refuse, naming the largest feasible degree, a direct expansion of the
-    # necklace product past the limit; a = 1 has one nonzero exponent.  The
-    # message leaves out a, whose decimal form takes quadratic time to write.
-    if a < 2:
-        return
-    feasible = math.isqrt(int(_DIRECT_LIMIT / math.log2(a)))
-    if degree_bound > feasible:
-        raise ValueError(
-            f"direct expansion at degree {degree_bound} exceeds the size limit "
-            f"D^2 log2(a) <= {_DIRECT_LIMIT} (about a minute); largest feasible degree is {feasible}"
-        )
+    _check_size(a, degree_bound, _DIRECT_LIMIT, "direct expansion")
 
 
 class SymbolicReport(

@@ -166,11 +166,26 @@ class TestJsonOutput:
              ["verify", "symbolic", "--a", "2", "--degree", "8", "--quiet"]),
             (["expand", "--method", "direct", "raw", "--exponents", "1,2", "--json"],
              ["expand", "raw", "--exponents", "1,2", "--json", "--method", "direct"]),
+            (["necklace", "--a", "5", "table", "--degree", "3"],
+             ["necklace", "table", "--a", "5", "--degree", "3"]),
         ],
-        ids=["necklace-json", "field-json", "verify-quiet", "expand-method"],
+        ids=["necklace-json", "field-json", "verify-quiet", "expand-method", "necklace-a"],
     )
     def test_flags_before_a_subcommand_take_effect(self, capsys, before, after):
         assert invoke(capsys, before) == invoke(capsys, after)
+
+    @pytest.mark.parametrize(
+        "argv,option",
+        [
+            (["necklace", "--a", "2", "--n", "4", "table", "--a", "3", "--degree", "2"], "--n"),
+            (["expand", "--a", "2", "--degree", "3", "raw", "--exponents", "1"], "--a and --degree"),
+            (["necklace", "table", "--degree", "3"], "requires --a"),
+        ],
+    )
+    def test_options_a_subcommand_does_not_take_are_refused(self, capsys, argv, option):
+        code, out, err = invoke(capsys, argv)
+        assert (code, out) == (2, "")
+        assert option in err
 
 
 class TestOneBlockSweeps:
@@ -299,6 +314,24 @@ class TestExitStatus:
         assert (code, out) == (2, "")
         assert f"largest feasible degree is {feasible}" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["necklace", "table", "--a", "2", "--degree", "300000"],
+            ["verify", "numeric", "--a", "2", "--z", "0.3,0", "--degree", "200000"],
+            ["verify", "symbolic", "--a", "2", "--degree", "100000"],
+            ["expand", "--a", "2", "--degree", "100000"],
+        ],
+    )
+    def test_oversize_necklace_tables_refused_at_once(self, capsys, argv):
+        # each holds the table of N(2, n), n <= D: D^2 / 2 bits past the limit
+        # of 4.3 * 10^8, which admits D <= 29325
+        start = time.perf_counter()
+        code, out, err = invoke(capsys, argv)
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (2, "")
+        assert "largest feasible degree is 29325" in err
+
     def test_large_extension_at_degree_one_answered_at_once(self, capsys):
         argv = ["field", "count", "--p", "2", "--k", "40", "--n", "1", "--budget", "2199023255552"]
         start = time.perf_counter()
@@ -353,8 +386,8 @@ _GUARD = """
 import sys
 from neckprod.cli import run
 code = run(sys.argv[1:])
-watched = ("numpy", "concurrent.futures", "neckprod.engine", "neckprod.exact", "neckprod.finitefield",
-           "neckprod.series", "neckprod.verify", "dataclasses", "inspect", "json")
+watched = ("numpy", "concurrent.futures", "neckprod.engine", "neckprod.digits", "neckprod.exact",
+           "neckprod.finitefield", "neckprod.series", "neckprod.verify", "dataclasses", "inspect", "json")
 loaded = [m for m in watched if m in sys.modules]
 import json
 print(json.dumps([code, loaded]), file=sys.stderr)
@@ -383,6 +416,15 @@ _EXACT_CALLS = [
 _SWEEP_CALLS = [
     ["field", "count", "--p", "2", "--k", "1", "--n", "2"],
     ["verify", "bridge", "--p", "2", "--k", "1", "--n-max", "3"],
+]
+# sweeps over F_(2^k) run on bit planes; those over odd p on numpy digits
+_PLANE_SWEEPS = [
+    ["field", "count", "--p", "2", "--k", str(k), "--n", str(n), "--test", test]
+    for k, n in ((1, 12), (2, 6), (8, 2)) for test in ("rabin", "trial")
+] + [["verify", "bridge", "--p", "2", "--k", "1", "--n-max", "10"]]
+_DIGIT_SWEEPS = [
+    ["field", "count", "--p", "3", "--k", "1", "--n", "4"],
+    ["field", "count", "--p", "17", "--k", "2", "--n", "2"],
 ]
 
 
@@ -418,6 +460,16 @@ class TestImportGuard:
     @pytest.mark.parametrize("argv", _SWEEP_CALLS)
     def test_sweeps_load_the_engine(self, argv):
         assert "neckprod.engine" in _modules_loaded_by(argv)
+
+    @pytest.mark.parametrize("argv", _PLANE_SWEEPS)
+    def test_p2_sweeps_leave_numpy_unloaded(self, argv):
+        loaded = _modules_loaded_by(argv)
+        assert "neckprod.engine" in loaded
+        assert not {"numpy", "neckprod.digits"} & set(loaded)
+
+    @pytest.mark.parametrize("argv", _DIGIT_SWEEPS)
+    def test_odd_p_sweeps_load_numpy(self, argv):
+        assert {"neckprod.engine", "neckprod.digits", "numpy"} <= set(_modules_loaded_by(argv))
 
 
 # the package's public surface, checked in a fresh interpreter so that no

@@ -181,6 +181,15 @@ class TestNecklaceTable:
         with pytest.raises(ValueError):
             build_necklace_table(2, 0)
 
+    def test_size_limit(self):
+        # D^2 log2(a) <= 8.6 * 10^8 is admitted, so for log2(a) = 10^6 up to
+        # D = 29; past it the refusal names the largest feasible degree
+        a = 2 ** 10**6
+        assert build_necklace_table(a, 29).degree_bound == 29
+        with pytest.raises(ValueError, match="largest feasible degree is 29$"):
+            build_necklace_table(a, 30)
+        assert len(build_necklace_table(1, 10**5).values) == 10**5  # values 0 and 1: no limit
+
     def test_immutable(self):
         table = build_necklace_table(2, 4)
         with pytest.raises(AttributeError):

@@ -22,6 +22,7 @@ from neckprod.finitefield import (
     is_irreducible_trial,
     is_prime,
 )
+import neckprod.digits as digits
 import neckprod.engine as engine
 import neckprod.finitefield as ff
 from neckprod.finitefield import _index_coeffs
@@ -40,6 +41,13 @@ def _scalar_flags_block(field, n, lo, hi, method):
     test = is_irreducible_trial if method == "trial" else is_irreducible_rabin
     polys = (MonicPoly(field, _index_coeffs(field.q, n, idx) + (1,)) for idx in range(lo, hi))
     return np.array([test(poly) for poly in polys], dtype=bool)
+
+
+def _flags(field, n, lo, hi, method):
+    # engine._flags_range's verdicts of rows lo..hi - 1, bit r for row lo + r,
+    # as a bool array
+    mask = engine._flags_range(field, n, lo, hi, method)
+    return np.array([mask >> r & 1 for r in range(hi - lo)], dtype=bool)
 
 
 class TestBuildField:
@@ -260,20 +268,21 @@ class TestAgreementAndEngine:
             assert np.array_equal(irreducible_flags(field, 12, method), whole[method])
 
     def test_rabin_blocks_hold_block_over_n_rows(self, monkeypatch):
-        # the Frobenius column multiples hold n^2 k^2 digits per row: F_2,
-        # packed 64 rows to a word, keeps _BLOCK rows a block, the other
-        # F_(2^k) take _BLOCK // n, odd p takes _BLOCK // (n k)
+        # the Frobenius column multiples hold n^2 k^2 digits per row: every
+        # F_(2^k), on bit planes, keeps _BLOCK rows a block, odd p takes
+        # _BLOCK // (n k)
         ranges = []
-        block = engine._rabin_flags_block
-        monkeypatch.setattr(engine, "_rabin_flags_block",
-                            lambda field, n, lo, hi: ranges.append((lo, hi)) or block(field, n, lo, hi))
+        for module in (engine, digits):
+            monkeypatch.setattr(module, "_rabin_flags_block",
+                                lambda field, n, lo, hi, block=module._rabin_flags_block:
+                                ranges.append((lo, hi)) or block(field, n, lo, hi))
         assert count_irreducibles(build_field(2, 1), 17, "rabin") == necklace_count(2, 17)
         assert ranges == [(0, engine._BLOCK), (engine._BLOCK, 2 * engine._BLOCK)]
         ranges.clear()
         assert count_irreducibles(build_field(3, 1), 10, "rabin") == necklace_count(3, 10)
         rows = engine._BLOCK // 10
         assert ranges == [(lo, min(lo + rows, 3**10)) for lo in range(0, 3**10, rows)]
-        for p, k, n, rows in [(2, 2, 8, engine._BLOCK // 8), (3, 2, 5, engine._BLOCK // 10)]:
+        for p, k, n, rows in [(2, 2, 9, engine._BLOCK), (3, 2, 5, engine._BLOCK // 10)]:
             ranges.clear()
             assert count_irreducibles(build_field(p, k), n, "rabin") == necklace_count(p**k, n)
             assert ranges == [(lo, min(lo + rows, p ** (k * n))) for lo in range(0, p ** (k * n), rows)]
@@ -290,7 +299,7 @@ class TestAgreementAndEngine:
             bounds = [total * i // workers for i in range(workers + 1)]
             for lo, hi in zip(bounds[:-1], bounds[1:]):
                 assert lo % (block // n) or hi % (block // n)
-                assert np.array_equal(engine._flags_range(field, n, lo, hi, "rabin"), whole[lo:hi]), (workers, lo)
+                assert np.array_equal(_flags(field, n, lo, hi, "rabin"), whole[lo:hi]), (workers, lo)
 
     def test_block_engine_matches_scalar_sampled_large(self):
         # spot checks at the top of the exhaustive-agreement domain
@@ -336,24 +345,23 @@ class TestGF2Engine:
                 bounds = [total * i // workers for i in range(workers + 1)]
                 for lo, hi in zip(bounds[:-1], bounds[1:]):
                     assert lo % 64 or hi % 64
-                    assert np.array_equal(engine._flags_range(field, n, lo, hi, "rabin"), whole[lo:hi]), (n, lo)
+                    assert np.array_equal(_flags(field, n, lo, hi, "rabin"), whole[lo:hi]), (n, lo)
 
     @pytest.mark.parametrize("n,lo", [(1, 0), (5, 0), (9, 0), (9, 300), (12, 1000)])
     def test_words_follow_enumeration_order(self, n, lo):
-        # the ladder's bit-sliced F_2 layout: coefficient i of row lo + 64 w + j
-        # is bit j of word (i, w), the rows past the end are zero, and
-        # unpacking gives the rows back
+        # the bit planes of rows lo..lo + width - 1 over F_2: bit r of the
+        # plane of coefficient i is that coefficient of row lo + r, no bit
+        # past the rows is set, and the rows share their index bits from t up
         polys = list(enumerate_monic(build_field(2, 1), n))
         for width in (1, 63, 64, 65, 300):
             if lo + width > len(polys):
                 continue
-            rows = np.array([poly.coeffs[:n] for poly in polys[lo : lo + width]], dtype=np.int16).T
-            words = engine._pack(rows)
-            assert words.dtype == np.uint64 and words.shape == (n, -(-width // 64))
+            planes, t = engine._planes(n, 1, lo, lo + width)
+            assert lo >> t == (lo + width - 1) >> t
             for i in range(n):
-                bits = [(int(words[i, r // 64]) >> (r % 64)) & 1 for r in range(words.shape[1] * 64)]
-                assert bits == rows[i].tolist() + [0] * (words.shape[1] * 64 - width), (i, width)
-            assert np.array_equal(engine._unpack(words, width), rows), width
+                plane = planes[n - 1 - i]
+                assert [plane >> r & 1 for r in range(width)] == [poly.coeffs[i] for poly in polys[lo : lo + width]]
+                assert plane >> width == 0, (i, width)
 
     def test_rabin_at_the_word_cap(self):
         # a primitive polynomial of degree 32 and random rows
@@ -364,9 +372,9 @@ class TestGF2Engine:
         rng = np.random.default_rng(11)
         indices = [_gf2_index(primitive)] + [int(i) for i in rng.integers(0, 2**32, size=5)]
         for idx in indices:
-            flag = engine._flags_range(field, 32, idx, idx + 1, "rabin")[0]
+            flag = _flags(field, 32, idx, idx + 1, "rabin")[0]
             assert flag == _scalar_flags_block(field, 32, idx, idx + 1, "rabin")[0], idx
-        assert engine._flags_range(field, 32, indices[0], indices[0] + 1, "rabin")[0]
+        assert _flags(field, 32, indices[0], indices[0] + 1, "rabin")[0]
 
     def test_serves_f2_up_to_the_cap(self, monkeypatch):
         # one Rabin block function serves F_2 at every degree, n = 33 (past
@@ -389,26 +397,27 @@ class TestGF2Engine:
             assert np.array_equal(irreducible_flags(field, 8, method), expected[method])
             assert np.array_equal(_engine_flags(field, 33, rows, method), expected_33[method])
         # rows with c_0 = 0 are divisible by x
-        assert not engine._flags_range(field, 32, 0, 4, "trial").any()
+        assert not _flags(field, 32, 0, 4, "trial").any()
 
     def test_other_fields_keep_their_paths(self, monkeypatch):
-        # every p = 2 Rabin block, extensions included, is bit-sliced from its
-        # start; no odd-p block is, and no sieve block
+        # every p = 2 block, extensions and trial included, runs on bit planes
+        # and none on the digit code; no odd-p block runs on planes
         calls = []
-        block, pack = engine._rabin_flags_block, engine._pack
+        planes = engine._planes
         monkeypatch.setattr(engine, "_BLOCK", 1024)
-        monkeypatch.setattr(engine, "_rabin_flags_block", lambda *args: calls.append("block") or block(*args))
-        monkeypatch.setattr(engine, "_pack", lambda bits: calls.append("pack") or pack(bits))
+        monkeypatch.setattr(engine, "_planes", lambda *args: calls.append(args) or planes(*args))
+        for name in ("_rabin_flags_block", "_sieve_block", "_Arith"):
+            monkeypatch.setattr(digits, name, _refuse)
         for p, k, n in [(2, 1, 12), (2, 2, 5), (2, 4, 3), (2, 8, 2)]:
-            calls.clear()
-            assert count_irreducibles(build_field(p, k), n, "rabin") == necklace_count(2**k, n)
-            starts = [i for i, call in enumerate(calls) if call == "block"]
-            assert len(starts) > 1 and all(calls[i + 1] == "pack" for i in starts), (p, k)
-        monkeypatch.setattr(engine, "_pack", _refuse)
+            for method in ("rabin", "trial"):
+                calls.clear()
+                assert count_irreducibles(build_field(p, k), n, method) == necklace_count(2**k, n)
+                assert calls, (k, method)
+        monkeypatch.undo()
+        monkeypatch.setattr(engine, "_planes", _refuse)
         for p, k, n in [(3, 1, 4), (3, 2, 2), (5, 2, 2)]:
-            assert count_irreducibles(build_field(p, k), n, "rabin") == necklace_count(p**k, n)
-        for p, k, n in [(2, 1, 12), (2, 2, 3), (2, 4, 2), (3, 1, 4), (3, 2, 2)]:
-            assert count_irreducibles(build_field(p, k), n, "trial") == necklace_count(p**k, n)
+            for method in ("rabin", "trial"):
+                assert count_irreducibles(build_field(p, k), n, method) == necklace_count(p**k, n)
 
     @pytest.mark.parametrize("n,irreducible", [(53, (0, 1, 2, 6, 53)), (60, (0, 1, 60)), (63, (0, 1, 63))])
     def test_rabin_rows_past_the_float_exact_width(self, n, irreducible):
@@ -424,11 +433,10 @@ class TestGF2Engine:
         assert _engine_flags(field, n, rows, "rabin").tolist() == expected
 
     def test_word_euclid_exact_to_64_bits(self):
-        # the packed divstep finish on monic a of degree up to 63, all-ones
+        # the plane divstep finish on monic a of degree up to 63, all-ones
         # words among them, each with a b of lower degree: another word's bits
         # below a's top one, or zero, where the gcd is a itself
         field = build_field(2, 1)
-        ar = engine._Arith(field)
         crafted = [2**61 - 1] + [2**k - 1 - d for k in range(54, 65) for d in (0, 1, 6)]
         rng = np.random.default_rng(64)
         randoms = [int(w) >> int(s) for w, s in zip(rng.integers(0, 2**63, size=200), rng.integers(0, 60, size=200))]
@@ -440,12 +448,33 @@ class TestGF2Engine:
         got, expected = [], []
         for m in sorted({u.bit_length() for u, _ in pairs}):
             group = [(u, v) for u, v in pairs if u.bit_length() == m]
-            a, b = (engine._pack(np.array([bits(w, m) for w in side], dtype=np.int16).T[:, None]) for side in zip(*group))
-            got += engine._coprime(ar, a, b, len(group)).tolist()
+            # coefficient i of the polynomials of a side as one plane, bit r for row r
+            a, b = ([[sum((w >> i & 1) << r for r, w in enumerate(side))] for i in range(m - 1)] for side in zip(*group))
+            verdict = engine._coprime(a, b, (1 << len(group)) - 1, [])
+            got += [bool(verdict >> r & 1) for r in range(len(group))]
             expected += [ff._poly_gcd_is_one(field, bits(u, m), bits(v, m)) for u, v in group]
         assert max(u.bit_length() for u, _ in pairs) == 64
         assert got == expected
         assert 0 < sum(expected) < len(pairs)
+
+    def test_trial_matches_rabin_past_the_exhaustive_range(self):
+        field = build_field(2, 1)
+        for n in range(17, 21):
+            assert np.array_equal(irreducible_flags(field, n, "trial"), irreducible_flags(field, n, "rabin")), n
+
+    def test_f256_quadratics_exhaustively(self):
+        # every monic quadratic over F_256, by both tests, against the
+        # products (x + a)(x + b) = x^2 + (a + b) x + a b that FieldContext
+        # forms, and against the scalar oracles on sampled rows (their
+        # exhaustive run takes minutes)
+        field = build_field(2, 8)
+        expected = np.ones(1 << 16, dtype=bool)
+        expected[[field.mul(a, b) << 8 | field.add(a, b) for a in range(256) for b in range(a, 256)]] = False
+        rows = np.random.default_rng(256).integers(0, 1 << 16, size=40).tolist()
+        for method in ("trial", "rabin"):
+            assert np.array_equal(irreducible_flags(field, 2, method), expected), method
+            scalar = [_scalar_flags_block(field, 2, i, i + 1, method)[0] for i in rows]
+            assert _engine_flags(field, 2, rows, method).tolist() == scalar == expected[rows].tolist()
 
     def test_generic_multi_block_concatenation(self, monkeypatch):
         field = build_field(3, 1)
@@ -493,20 +522,21 @@ class TestProductSieve:
         bounds = [(0, 1), (total - 1, total), (499, 1001), (1, total - 1)]
         bounds += [tuple(sorted(int(b) for b in rng.integers(0, total + 1, size=2))) for _ in range(6)]
         for lo, hi in bounds:
-            assert np.array_equal(engine._flags_range(field, n, lo, hi, "trial"), whole[lo:hi]), (lo, hi)
+            assert np.array_equal(_flags(field, n, lo, hi, "trial"), whole[lo:hi]), (lo, hi)
 
     def test_large_fields(self):
         assert count_irreducibles(build_field(251, 1), 2, "trial") == necklace_count(251, 2)
         # F_(251^2): a sweep of 63,001 blocks; rows that cross a block edge
         field = build_field(251, 2)
         lo = 1000 * field.q + 61001
-        assert np.array_equal(engine._flags_range(field, 2, lo, lo + 4000, "trial"),
-                              engine._flags_range(field, 2, lo, lo + 4000, "rabin"))
+        assert np.array_equal(_flags(field, 2, lo, lo + 4000, "trial"),
+                              _flags(field, 2, lo, lo + 4000, "rabin"))
 
     def test_independent_of_rabin_and_scalar_tests(self, monkeypatch):
         # built first: FieldContext checks an extension's modulus by Rabin's test
         cases = [(build_field(p, k), n) for p, k, n in [(2, 1, 14), (3, 1, 8), (3, 2, 4)]]
-        monkeypatch.setattr(engine, "_rabin_flags_block", _refuse)
+        for module in (engine, digits):
+            monkeypatch.setattr(module, "_rabin_flags_block", _refuse)
         for name in ("is_irreducible_trial", "is_irreducible_rabin"):
             monkeypatch.setattr(ff, name, _refuse)
         for field, n in cases:
@@ -673,7 +703,7 @@ _SUITE_FIELDS = [(2, 1), (3, 1), (5, 1), (7, 1), (2, 2), (2, 3), (3, 2), (2, 4),
 
 
 def _engine_flags(field, n, rows, method):
-    return np.array([engine._flags_range(field, n, i, i + 1, method)[0] for i in rows])
+    return np.array([_flags(field, n, i, i + 1, method)[0] for i in rows])
 
 
 def _digits(field, codes, dtype=np.int64):
@@ -688,8 +718,30 @@ def _codes(field, digits):
     return (np.asarray(digits, dtype=np.int64) * field.p ** np.arange(field.k)[:, None]).sum(axis=-2)
 
 
+def _plane_element(field, codes):
+    # element codes over F_(2^k) -> the plane form, bit r of plane i the digit
+    # i of codes[r]
+    return [int("".join(str(c >> i & 1) for c in reversed(codes)) or "0", 2) for i in range(field.k)]
+
+
+def _plane_codes(field, element, rows):
+    # inverse of _plane_element for rows codes
+    digits = [format(plane, f"0{rows}b")[::-1] for plane in element]
+    return [sum(int(digits[i][r]) << i for i in range(field.k)) for r in range(rows)]
+
+
+def _plane_poly(field, codes):
+    # (n, rows) codes -> a polynomial of plane elements
+    return [_plane_element(field, np.asarray(row).tolist()) for row in codes]
+
+
+def _low(field):
+    # the i < k with y^k = sum of y^i over F_(2^k)
+    return [i for i in range(field.k) if field.modulus[i]]
+
+
 class TestLogTableEngine:
-    @pytest.mark.parametrize("p,k", [(2, 3), (3, 2), (5, 2), (3, 3)])
+    @pytest.mark.parametrize("p,k", [(2, 3), (3, 2), (5, 2), (3, 3), (2, 2), (2, 4)])
     @pytest.mark.parametrize("method", ["trial", "rabin"])
     def test_matches_scalar_oracle_exhaustively(self, p, k, method):
         field = build_field(p, k)
@@ -733,29 +785,49 @@ class TestLogTableEngine:
 
     @pytest.mark.parametrize("p,k", _SUITE_FIELDS)
     def test_tables_match_direct_arithmetic(self, p, k):
-        # the engine's digit arithmetic, which builds no table, on every pair
-        # of elements and the inverse of every nonzero one, against FieldContext
+        # the engine's digit and plane arithmetic, which build no table, on
+        # every pair of elements and the inverse of every nonzero one, against
+        # FieldContext; the plane form never divides, so there each nonzero
+        # element's product with its inverse is checked to be 1
         field = build_field(p, k)
-        ar = engine._Arith(field)
-        q, dtype = field.q, ar.check_headroom(1)
+        q = field.q
         a, b = (m.ravel() for m in np.meshgrid(np.arange(q), np.arange(q)))
+        if p == 2:
+            pa, pb = _plane_element(field, a.tolist()), _plane_element(field, b.tolist())
+            prod = [0] * k
+            engine._axpy(prod, pa, engine._multiples(pb, _low(field)))
+            products = _plane_codes(field, prod, q * q)
+            assert products == [field.mul(x, y) for x, y in zip(a.tolist(), b.tolist())]
+            assert _plane_codes(field, [u ^ v for u, v in zip(pa, pb)], q * q) == (a ^ b).tolist()
+            inverses = {y: x for x, y, z in zip(a.tolist(), b.tolist(), products) if z == 1}
+            assert inverses == {x: field.inv(x) for x in range(1, q)}
+            return
+        ar = digits._Arith(field)
+        dtype = ar.check_headroom(1)
         da, db = _digits(field, a, dtype), _digits(field, b, dtype)
         pairs = list(zip(a.tolist(), b.tolist()))
         assert _codes(field, ar.mul(da, db)).tolist() == [field.mul(x, y) for x, y in pairs]
         assert _codes(field, ar.sub(da, db)).tolist() == [field.sub(x, y) for x, y in pairs]
         nonzero = _digits(field, np.arange(1, q), dtype)
-        inv = np.broadcast_to(engine._power(ar, nonzero, q - 2), nonzero.shape)
+        inv = np.broadcast_to(digits._power(ar, nonzero, q - 2), nonzero.shape)
         assert _codes(field, inv).tolist() == [field.inv(x) for x in range(1, q)]
 
     @pytest.mark.parametrize("p,k", [(3, 1), (7, 1), (2, 3), (3, 2), (5, 2), (3, 3)])
     def test_axpy_on_all_triples(self, p, k):
         # r - c g against the multiples y^a g, zero operands included, and by
-        # a multiplier in F_p, a single digit row; odd p leaves r unreduced
-        # until reduce
+        # a multiplier in F_p, a single digit row (one nonzero plane over
+        # F_(2^k)); odd p leaves r unreduced until reduce
         field = build_field(p, k)
-        ar = engine._Arith(field)
-        dtype = ar.check_headroom(1)
         r, c, g = (m.ravel() for m in np.meshgrid(*[np.arange(field.q)] * 3))
+        if p == 2:
+            for mult in (c, c % p):
+                out = _plane_element(field, r.tolist())
+                engine._axpy(out, _plane_element(field, mult.tolist()), engine._multiples(_plane_element(field, g.tolist()), _low(field)))
+                assert _plane_codes(field, out, r.size) == [field.sub(x, field.mul(y, z))
+                                                            for x, y, z in zip(r.tolist(), mult.tolist(), g.tolist())]
+            return
+        ar = digits._Arith(field)
+        dtype = ar.check_headroom(1)
         out = _digits(field, r, dtype)
         ar.axpy(out, _digits(field, c, dtype), ar.multiples(_digits(field, g, dtype)))
         assert _codes(field, ar.reduce(out)).tolist() == [field.sub(x, field.mul(y, z))
@@ -771,17 +843,23 @@ class TestLogTableEngine:
         # columns of code q - 1 (every digit p - 1) reach the largest lazy
         # intermediates
         field = build_field(p, k)
-        ar = engine._Arith(field)
         q, n, rows = field.q, 4, 60
         rng = np.random.default_rng(p + k)
         a, b, f = rng.integers(0, q, size=(3, n, rows))
         prod = rng.integers(0, q, size=(2 * n - 1, rows))
         for m in (a, b, f, prod):
             m[:, :5] = q - 1
-        da, db, df, dprod = (_digits(field, m) for m in (a, b, f, prod))
-        fs = ar.multiples(df)
-        got = _codes(field, engine._mulmod(ar, da, ar.multiples(ar.sub(0, db)), fs))
-        reduced = _codes(field, engine._reduce(ar, dprod, fs))
+        if p == 2:
+            fs = [engine._multiples(e, _low(field)) for e in _plane_poly(field, f)]
+            got = engine._mulmod(_plane_poly(field, a), _plane_poly(field, b), fs, _low(field))
+            got = np.array([_plane_codes(field, e, rows) for e in got])
+            reduced = np.array([_plane_codes(field, e, rows) for e in engine._reduce(_plane_poly(field, prod), fs)])
+        else:
+            ar = digits._Arith(field)
+            da, db, df, dprod = (_digits(field, m) for m in (a, b, f, prod))
+            fs = ar.multiples(df)
+            got = _codes(field, digits._mulmod(ar, da, ar.multiples(ar.sub(0, db)), fs))
+            reduced = _codes(field, digits._reduce(ar, dprod, fs))
         for i in range(rows):
             fi = f[:, i].tolist() + [1]
             assert got[:, i].tolist() == ff._poly_mulmod(field, a[:, i].tolist(), b[:, i].tolist(), fi)
@@ -794,25 +872,28 @@ class TestLogTableEngine:
                                        (2, 8, 2)])
     def test_frobenius_columns_match_scalar_powers(self, p, k, n):
         # -C_i for C_i = x^(iq) mod f against _poly_powmod row by row; p = 2
-        # on packed words, the last one ragged, unpacked to compare; rows of f
-        # of code q - 1 reach the largest lazy intermediates
+        # on bit planes, where -C_i = C_i; rows of f of code q - 1 reach the
+        # largest lazy intermediates
         field = build_field(p, k)
-        ar = engine._Arith(field)
         q, rows = field.q, 70
-        dtype = ar.check_headroom(3 * n - 1)
         f = np.random.default_rng(q + n).integers(0, q, size=(n, rows))
         f[:, :5] = q - 1
-        df = _digits(field, f, dtype)
-        x = np.zeros_like(df)
-        x[1, 0] = 1
         if p == 2:
-            fs = ar.multiples(engine._pack(df))
-            cols = engine._unpack(engine._frobenius_columns(ar, q, engine._pack(x), fs), rows)
+            x = [[0] * k for _ in range(n)]
+            x[1][0] = (1 << rows) - 1
+            fs = [engine._multiples(e, _low(field)) for e in _plane_poly(field, f)]
+            cols = engine._frobenius_columns(q, x, fs, _low(field))
+            cols = np.array([[_plane_codes(field, e, rows) for e in col] for col in cols])
         else:
-            cols = engine._frobenius_columns(ar, q, x, ar.multiples(df))
-            assert cols.dtype == dtype
-        assert cols.shape == (n, n, k, rows)
-        cols = _codes(field, cols)
+            ar = digits._Arith(field)
+            dtype = ar.check_headroom(3 * n - 1)
+            df = _digits(field, f, dtype)
+            x = np.zeros_like(df)
+            x[1, 0] = 1
+            cols = digits._frobenius_columns(ar, q, x, ar.multiples(df))
+            assert cols.dtype == dtype and cols.shape == (n, n, k, rows)
+            cols = _codes(field, cols)
+        assert cols.shape == (n, n, rows)
         for r in range(rows):
             fr = f[:, r].tolist() + [1]
             for i in range(n):
@@ -822,34 +903,50 @@ class TestLogTableEngine:
     def test_lazy_reduction_bound_is_checked(self):
         # (width + n) (p - 1)^2 past 2^62 is refused; with no rows the arrays
         # stay empty, and with width = n there is no step to run
-        ar = engine._Arith(build_field(65521, 1))
+        ar = digits._Arith(build_field(65521, 1))
         empty = np.zeros((1 << 30, 1, 0), dtype=np.int64)
         assert (2 << 30) * 65520**2 >= 1 << 62
         with pytest.raises(OverflowError):
-            engine._reduce(ar, empty, ar.multiples(empty))
+            digits._reduce(ar, empty, ar.multiples(empty))
 
     def test_headroom_checked_by_ladder_and_sieve(self, monkeypatch):
         # both paths that leave odd-p values unreduced ask the one check
         calls = []
-        monkeypatch.setattr(engine._Arith, "check_headroom", lambda ar, terms, dtype=None: calls.append(terms))
+        monkeypatch.setattr(digits._Arith, "check_headroom", lambda ar, terms, dtype=None: calls.append(terms))
         field = build_field(3, 1)
-        ar = engine._Arith(field)
-        engine._reduce(ar, np.ones((7, 1, 2), dtype=np.int64), ar.multiples(np.ones((4, 1, 2), dtype=np.int64)))
+        ar = digits._Arith(field)
+        digits._reduce(ar, np.ones((7, 1, 2), dtype=np.int64), ar.multiples(np.ones((4, 1, 2), dtype=np.int64)))
         assert calls == [11]
-        engine._sieve_block(field, 4, 4, 0, [])
+        digits._sieve_block(field, 4, 4, 0, [])
         assert calls == [11, 5]
 
     @pytest.mark.parametrize("p,k", [(2, 16), (3, 10)])
     def test_tables_sampled_at_the_field_limit(self, p, k):
         # sub, mul, axpy and the inverse on sampled elements of the largest
-        # extensions, zero and q - 1 among them
+        # extensions, zero and q - 1 among them; the plane form never
+        # divides, so there each product with the inverse is checked to be 1
         field = build_field(p, k)
-        ar = engine._Arith(field)
-        dtype = ar.check_headroom(1)
         rng = np.random.default_rng(3)
         a, b, c = rng.integers(0, field.q, size=(3, 200))
         a[:3] = [0, 1, field.q - 1]
         b[3:5] = [0, a[4]]
+        if p == 2:
+            low, (pa, pb, pc) = _low(field), (_plane_element(field, m.tolist()) for m in (a, b, c))
+            triples = list(zip(a.tolist(), b.tolist(), c.tolist()))
+            assert _plane_codes(field, [u ^ v for u, v in zip(pa, pb)], 200) == [field.sub(x, y) for x, y, _ in triples]
+            prod = [0] * k
+            engine._axpy(prod, pa, engine._multiples(pb, low))
+            assert _plane_codes(field, prod, 200) == [field._mul_direct(x, y) for x, y, _ in triples]
+            engine._axpy(pc, pa, engine._multiples(pb, low))
+            assert _plane_codes(field, pc, 200) == [field.sub(z, field._mul_direct(x, y)) for x, y, z in triples]
+            nonzero = a[a > 0].tolist()
+            prod = [0] * k
+            inv = _plane_element(field, [field.inv(x) for x in nonzero])
+            engine._axpy(prod, _plane_element(field, nonzero), engine._multiples(inv, low))
+            assert _plane_codes(field, prod, len(nonzero)) == [1] * len(nonzero)
+            return
+        ar = digits._Arith(field)
+        dtype = ar.check_headroom(1)
         da, db, dc = (_digits(field, m, dtype) for m in (a, b, c))
         triples = list(zip(a.tolist(), b.tolist(), c.tolist()))
         assert _codes(field, ar.sub(da, db)).tolist() == [field.sub(x, y) for x, y, _ in triples]
@@ -857,13 +954,14 @@ class TestLogTableEngine:
         ar.axpy(dc, da, ar.multiples(db))
         assert _codes(field, ar.reduce(dc)).tolist() == [field.sub(z, field._mul_direct(x, y)) for x, y, z in triples]
         nonzero = a[a > 0]
-        inv = _codes(field, engine._power(ar, _digits(field, nonzero, dtype), field.q - 2))
+        inv = _codes(field, digits._power(ar, _digits(field, nonzero, dtype), field.q - 2))
         assert inv.tolist() == [field.inv(x) for x in nonzero.tolist()]
 
     @pytest.mark.parametrize("p,k,n", [(2, 1, 6), (3, 1, 5), (2, 2, 4), (3, 2, 3), (2, 8, 2), (17, 2, 2)])
     def test_batched_finish_matches_scalar_gcd(self, p, k, n):
+        # the divstep finish, on digit arrays over odd p and on bit planes
+        # over F_(2^k), against the scalar gcd
         field = build_field(p, k)
-        ar = engine._Arith(field)
         rng = np.random.default_rng(p * 100 + k * 10 + n)
         rows = 300
         f = np.ones((rows, n + 1), dtype=np.int64)
@@ -874,32 +972,37 @@ class TestLogTableEngine:
         f[-10:-5, 0] = h[-10:-5, 0] = 0  # x divides both
         h[-10:-5, 1] = 1
         h[-5:] = 0  # gcd(f, 0) = f has degree n
-        df, dh = _digits(field, f.T), _digits(field, h.T)
-        got = engine._coprime(ar, df, dh)
         expected = [ff._poly_gcd_is_one(field, fr.tolist(), hr.tolist()) for fr, hr in zip(f, h)]
+        if p == 2:
+            pf, ph = _plane_poly(field, f.T[:n]), _plane_poly(field, h.T[:n])
+            verdict = engine._coprime(pf, ph, (1 << rows) - 1, _low(field))
+            got = np.array([verdict >> r & 1 for r in range(rows)], dtype=bool)
+            assert engine._coprime(pf, ph, 0, _low(field)) == 0  # no rows
+        else:
+            ar = digits._Arith(field)
+            df, dh = _digits(field, f.T), _digits(field, h.T)
+            got = digits._coprime(ar, df, dh)
+            assert digits._coprime(ar, df[..., :0], dh[..., :0]).shape == (0,)
         assert got.tolist() == expected
         assert not got[-10:].any()
         assert 0 < got.sum() < rows - 5
-        assert engine._coprime(ar, df[..., :0], dh[..., :0]).shape == (0,)
-        if p == 2:
-            # packed words, the last one ragged but for 64 rows, give the same
-            # verdicts; rows=0 is the packed form with no rows
-            for width in (64, 65, 300):
-                a, b = (engine._pack(m[..., -width:]) for m in (df, dh))
-                assert engine._coprime(ar, a, b, width).tolist() == expected[-width:], width
-            assert engine._coprime(ar, engine._pack(df[..., :0]), engine._pack(dh[..., :0]), 0).shape == (0,)
-            assert np.array_equal(ar.mul(engine._pack(df), engine._pack(dh)), engine._pack(ar.mul(df, dh)))
 
     def test_arith_builds_no_table(self):
-        # an O(q) table on either field would take at least 2^16 entries
-        fields = [build_field(2, 16), build_field(65521, 1)]
+        # an O(q) table on either field would take at least 2^16 entries: the
+        # digit arithmetic of F_65521 is built in under 4 KB, and a whole
+        # Rabin verdict on one plane row of F_(2^16) peaks under 64 KB
+        f65536, f65521 = build_field(2, 16), build_field(65521, 1)
         tracemalloc.start()
         try:
-            arith = [engine._Arith(field) for field in fields]
+            arith = digits._Arith(f65521)
             size, peak = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            engine._rabin_flags_block(f65536, 2, 65539, 65540)
+            plane_size, plane_peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert len(arith) == 2 and peak < 4096, (size, peak)
+        assert arith.p == 65521 and peak < 4096, (size, peak)
+        assert plane_peak < 1 << 16, (plane_size, plane_peak)
 
 
 # (p, k, n, dtype of the Rabin ladder's blocks).  Its largest _reduce takes
@@ -921,7 +1024,7 @@ _LADDER_WIDTHS = [
     (11587, 1, 3, np.int64),   # 8 * 11586^2 >= 2^30
     (14653, 1, 2, np.int32),   # 5 * 14652^2 < 2^30
     (14657, 1, 2, np.int64),   # 5 * 14656^2 >= 2^30
-    (3, 2, 5, np.int16),       # 14 * 2 * 2^2; F_(2^k) runs on packed words
+    (3, 2, 5, np.int16),       # 14 * 2 * 2^2; F_(2^k) runs on bit planes
     (41, 2, 2, np.int16),      # 5 * 2 * 40^2 = 16,000 < 2^14
     (43, 2, 2, np.int32),      # 5 * 2 * 42^2 = 17,640
 ]
@@ -933,7 +1036,6 @@ _SIEVE_WIDTHS = [
     (4093, 1, 2, np.int32),
     (18919, 1, 2, np.int32),             # 3 * 18918^2 < 2^30
     (18947, 1, 2, np.int64),             # 3 * 18946^2 >= 2^30
-    (2, 2, 5, np.int16),
     (53, 2, 2, np.int16),                # 3 * 2 * 52^2 = 16,224 < 2^14
     (59, 2, 2, np.int32),                # 3 * 2 * 58^2 = 20,184
 ]
@@ -969,20 +1071,20 @@ class TestNarrowCodes:
     @pytest.mark.parametrize("p,k,n,dtype", _LADDER_WIDTHS)
     def test_ladder_blocks_take_the_narrowest_width(self, monkeypatch, p, k, n, dtype):
         field = build_field(p, k)
-        ar = engine._Arith(field)
+        ar = digits._Arith(field)
         _assert_narrowest(p, k, 3 * n - 1, dtype)
         assert ar.check_headroom(3 * n - 1) == dtype
         seen = set()
-        reduce = engine._reduce
+        reduce = digits._reduce
 
         def spy(ar, prod, f):
             seen.add(prod.dtype)
             return reduce(ar, prod, f)
 
-        monkeypatch.setattr(engine, "_reduce", spy)
+        monkeypatch.setattr(digits, "_reduce", spy)
         # the scalar Rabin test runs about n powerings per row
         lo, hi = _sample_range(field, n, 200 if n < 12 and (k == 1 or field.q < 1000) else 60, p + n)
-        got = engine._rabin_flags_block(field, n, lo, hi)
+        got = digits._rabin_flags_block(field, n, lo, hi)
         expected = _scalar_flags_block(field, n, lo, hi, "rabin")
         assert seen == {np.dtype(dtype)}
         assert np.array_equal(got, expected)
@@ -994,7 +1096,7 @@ class TestNarrowCodes:
         # intermediates the width must hold; _mulmod reduces 2n - 1
         # coefficients, a column step n + 1 to 2n - 1
         field = build_field(p, k)
-        ar = engine._Arith(field)
+        ar = digits._Arith(field)
         q, rows = field.q, 30
         rng = np.random.default_rng(p * 10 + n)
         a, b, f = rng.integers(0, q, size=(3, n, rows))
@@ -1003,11 +1105,11 @@ class TestNarrowCodes:
             m[:, :5] = q - 1
         da, db, df, dprod = (_digits(field, m, dtype) for m in (a, b, f, prod))
         fs = ar.multiples(df)
-        got = engine._mulmod(ar, da, ar.multiples(ar.sub(0, db)), fs)
+        got = digits._mulmod(ar, da, ar.multiples(ar.sub(0, db)), fs)
         assert got.dtype == dtype
         got = _codes(field, got)
         for width in (2 * n - 1, n + 1):
-            reduced = engine._reduce(ar, dprod[:width].copy(), fs)
+            reduced = digits._reduce(ar, dprod[:width].copy(), fs)
             assert reduced.dtype == dtype
             reduced = _codes(field, reduced)
             for i in range(rows):
@@ -1019,25 +1121,25 @@ class TestNarrowCodes:
         if dtype is not np.int16:
             narrower = _WIDTHS[_WIDTHS.index(dtype) - 1]
             with pytest.raises(OverflowError):
-                engine._reduce(ar, dprod.astype(narrower), fs.astype(narrower))
+                digits._reduce(ar, dprod.astype(narrower), fs.astype(narrower))
 
     @pytest.mark.parametrize("p,k,n,dtype", _SIEVE_WIDTHS)
     def test_sieve_blocks_take_the_narrowest_width(self, monkeypatch, p, k, n, dtype):
         field = build_field(p, k)
-        ar = engine._Arith(field)
+        ar = digits._Arith(field)
         _assert_narrowest(p, k, n + 1, dtype)
         assert ar.check_headroom(n + 1) == dtype
         seen = set()
-        sieve_block = engine._sieve_block
+        sieve_block = digits._sieve_block
 
         def spy(field, n, s, base, factors):
             seen.update(y_g.dtype for y_g, _ in factors)
             return sieve_block(field, n, s, base, factors)
 
-        monkeypatch.setattr(engine, "_sieve_block", spy)
+        monkeypatch.setattr(digits, "_sieve_block", spy)
         # the scalar trial test tries every divisor, so few rows for large p
         lo, hi = _sample_range(field, n, 200 if field.q < 1000 else 16, p + n)
-        got = engine._flags_range(field, n, lo, hi, "trial")
+        got = _flags(field, n, lo, hi, "trial")
         expected = _scalar_flags_block(field, n, lo, hi, "trial")
         assert seen == {np.dtype(dtype)}
         assert np.array_equal(got, expected)
