@@ -118,14 +118,16 @@ def _parse_exponents(text: str) -> tuple[int, ...]:
     return values
 
 
-def _emit(args, obj: dict, text_lines: list[str]):
+def _emit(args, obj, lines):
+    # obj() builds the JSON object and lines() the text lines: only the
+    # format asked for is rendered, and neither under --quiet
     if getattr(args, "quiet", False):
         return
     if getattr(args, "json", False):
         import json
-        print(json.dumps(obj))
+        print(json.dumps(obj()))
     else:
-        for line in text_lines:
+        for line in lines():
             print(line)
 
 
@@ -137,7 +139,7 @@ def _require(condition: bool, message: str):
 def _cmd_mobius(args) -> int:
     from . import exact
     value = exact.mobius(args.n)
-    _emit(args, {"schema": "mobius", "n": args.n, "value": str(value)}, [str(value)])
+    _emit(args, lambda: {"schema": "mobius", "n": args.n, "value": str(value)}, lambda: [str(value)])
     return 0
 
 
@@ -147,24 +149,23 @@ def _cmd_necklace(args) -> int:
         _require(args.a is not None, "necklace table requires --a")
         _require(args.n is None, "--n does not apply to necklace table")
         table = exact.build_necklace_table(args.a, args.degree)
-        lines = [f"{n}\t{table.value(n)}" for n in range(1, args.degree + 1)]
         _emit(
             args,
-            {
+            lambda: {
                 "schema": "necklace.table",
                 "a": args.a,
                 "degree_bound": args.degree,
                 "values": [str(v) for v in table.values],
             },
-            lines,
+            lambda: (f"{n}\t{v}" for n, v in enumerate(table.values, 1)),
         )
         return 0
     _require(args.a is not None and args.n is not None, "necklace requires --a and --n")
     value = exact.necklace_count(args.a, args.n)
     _emit(
         args,
-        {"schema": "necklace.count", "a": args.a, "n": args.n, "value": str(value)},
-        [str(value)],
+        lambda: {"schema": "necklace.count", "a": args.a, "n": args.n, "value": str(value)},
+        lambda: [str(value)],
     )
     return 0
 
@@ -176,26 +177,26 @@ def _cmd_expand(args) -> int:
         _require(args.a is None and args.degree is None, "--a and --degree do not apply to expand raw")
         exponents = _parse_exponents(args.exponents)
         spec = series.ExponentSpec(exponents=exponents)
-        head = {"exponents": [str(e) for e in exponents]}
+        head = lambda: {"exponents": [str(e) for e in exponents]}
     else:
         _require(args.a is not None and args.degree is not None, "expand requires --a and --degree")
         from . import verify
         if method == "direct":
             verify._check_direct(args.a, args.degree)
         spec = verify.necklace_exponent_spec(args.a, args.degree)
-        head = {"a": args.a}
+        head = lambda: {"a": args.a}
     expand = series.expand_direct if method == "direct" else series.expand_recursive
     result = expand(spec)
     _emit(
         args,
-        {
+        lambda: {
             "schema": "series.expand",
-            **head,
+            **head(),
             "degree_bound": spec.degree_bound,
             "method": method,
             "coefficients": result.to_json(),
         },
-        [" ".join(str(c) for c in result.coeffs)],
+        lambda: [" ".join(str(c) for c in result.coeffs)],
     )
     return 0
 
@@ -209,7 +210,7 @@ def _cmd_field(args) -> int:
     )
     _emit(
         args,
-        {
+        lambda: {
             "schema": "field.count",
             "p": args.p,
             "k": args.k,
@@ -218,7 +219,7 @@ def _cmd_field(args) -> int:
             "method": args.test,
             "count": str(count),
         },
-        [str(count)],
+        lambda: [str(count)],
     )
     return 0
 
@@ -232,22 +233,26 @@ def _cmd_verify(args) -> int:
     from . import verify
     if args.verify_sub == "symbolic":
         report = verify.verify_symbolic(args.a, args.degree, cross_check=args.cross_check)
-        pairs = [
-            ("base", str(report.base)),
-            ("degree_bound", str(report.degree_bound)),
-            ("cross_checked", str(report.cross_checked).lower()),
-            ("pass", str(report.passed).lower()),
-        ]
-        if report.first_failure is not None:
-            j, expected, actual = report.first_failure
-            pairs.append(("first_failure", f"index {j}: expected {expected}, got {actual}"))
-        _emit(args, report.to_json_dict(), _report_lines(pairs))
+
+        def lines():
+            pairs = [
+                ("base", str(report.base)),
+                ("degree_bound", str(report.degree_bound)),
+                ("cross_checked", str(report.cross_checked).lower()),
+                ("pass", str(report.passed).lower()),
+            ]
+            if report.first_failure is not None:
+                j, expected, actual = report.first_failure
+                pairs.append(("first_failure", f"index {j}: expected {expected}, got {actual}"))
+            return _report_lines(pairs)
+
+        _emit(args, report.to_json_dict, lines)
         return 0 if report.passed else 1
 
     if args.verify_sub == "numeric":
         z = _parse_complex(args.z)
         report = verify.verify_numeric(args.a, z, args.degree)
-        pairs = [
+        _emit(args, report.to_json_dict, lambda: _report_lines([
             ("base", str(report.base)),
             ("z", f"{report.z.real},{report.z.imag}"),
             ("degree_bound", str(report.degree_bound)),
@@ -258,20 +263,18 @@ def _cmd_verify(args) -> int:
             ("tail_bound", repr(report.tail_bound)),
             ("float_slack", repr(report.float_slack)),
             ("pass", str(report.passed).lower()),
-        ]
-        _emit(args, report.to_json_dict(), _report_lines(pairs))
+        ]))
         return 0 if report.passed else 1
 
     report = verify.verify_count_bridge(
         args.p, args.k, args.n_max, method=args.test, budget=args.budget, workers=args.workers
     )
-    lines = [f"{'n':>4}  {'formula':>16}  {'measured':>16}  equal"]
-    for n, formula, measured in report.rows:
-        lines.append(
-            f"{n:>4}  {formula:>16}  {measured:>16}  {str(formula == measured).lower()}"
-        )
-    lines.append(f"pass: {str(report.passed).lower()}")
-    _emit(args, report.to_json_dict(), lines)
+    _emit(args, report.to_json_dict, lambda: [
+        f"{'n':>4}  {'formula':>16}  {'measured':>16}  equal",
+        *(f"{n:>4}  {formula:>16}  {measured:>16}  {str(formula == measured).lower()}"
+          for n, formula, measured in report.rows),
+        f"pass: {str(report.passed).lower()}",
+    ])
     return 0 if report.passed else 1
 
 

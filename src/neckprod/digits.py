@@ -1,8 +1,9 @@
 """The counting engine over odd p, on numpy blocks of base-p digits.
 
-neckprod.engine, which owns the block split, imports it for sweeps over odd
-p only.  Every array is coefficient-major, (coefficients, k, rows), with no
-table (see _Arith); a block of monic polynomials holds its n free
+Block functions only: neckprod.engine, which runs every sweep, cuts each
+range and calls them for odd p, each returning one int a cut as its plane
+form does.  Every array is coefficient-major, (coefficients, k, rows), with
+no table (see _Arith); a block of monic polynomials holds its n free
 coefficients, the leading 1 implicit.
 
 * trial -- a product sieve: it marks each product g h of a monic
@@ -194,7 +195,7 @@ def _coprime(ar: _Arith, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return delta == 0
 
 
-def _rabin_flags_block(field: FieldContext, n: int, lo: int, hi: int) -> np.ndarray:
+def _rabin_flags_block(field: FieldContext, n: int, lo: int, hi: int) -> int:
     ar = _Arith(field)
     dtype = ar.check_headroom(3 * n - 1)  # the largest _reduce, of a column or of a product
     fmat = _coeffs(field, n, np.arange(lo, hi, dtype=np.int64), dtype)
@@ -224,7 +225,7 @@ def _rabin_flags_block(field: FieldContext, n: int, lo: int, hi: int) -> np.ndar
         h = np.zeros_like(monic)
         h[:n] = ar.sub(arr[..., idx], x[..., idx])
         flags[idx] = _coprime(ar, monic, h)
-    return flags
+    return _packed(flags)
 
 
 # A monic f of degree n >= 2 has a monic divisor of degree 1..n/2 iff it is
@@ -282,29 +283,21 @@ def _sieve_block(field: FieldContext, n: int, s: int, base: int, factors: list) 
     return flags
 
 
-def _flags_range(field, n, lo, hi, method) -> np.ndarray:
-    if n == 1:
-        return np.ones(hi - lo, dtype=bool)  # every monic linear polynomial
-    q, step = field.q, engine._block_rows(field, n, method)
-    if method == "trial":
-        # a range that cuts a block computes all of it and keeps its slice
-        s = next(s for s in range(n + 1) if q**s == step)
-        ar = _Arith(field)
-        dtype = ar.check_headroom(n + 1)
-        factors = []  # per degree d, for the monic irreducibles g other than x
-        for d in range(1, n // 2 + 1):
-            idx = np.flatnonzero(_flags_range(field, d, 0, q**d, "trial"))
-            idx = idx[idx >= q ** (d - 1)]  # c_0 != 0
-            g = _coeffs(field, d + 1, idx * q + 1, dtype)  # the leading 1 as last digit
-            y_g = ar.multiples(g) if d < s else g[None]  # blocks enumerate h against y^a g only for d < s
-            factors.append((y_g, ar.multiples(ar.mul(_power(ar, g[0], q - 2), g[1:]))))
-        start = lo - lo % step
-        flags = np.concatenate([_sieve_block(field, n, s, base, factors) for base in range(start, hi, step)])
-        return flags[lo - start : hi - start]
-    parts = [_rabin_flags_block(field, n, blk_lo, min(blk_lo + step, hi)) for blk_lo in range(lo, hi, step)]
-    return parts[0] if len(parts) == 1 else np.concatenate(parts)
+def _trial_sieve(field: FieldContext, n: int, cuts: list, step: int) -> list[int]:
+    # each cut lies in one aligned block of step = q^s rows: the sieve marks
+    # the whole block and keeps the cut's rows
+    q, ar = field.q, _Arith(field)
+    s = next(s for s in range(n + 1) if q**s == step)
+    dtype = ar.check_headroom(n + 1)
+    factors = []  # per degree d, for the monic irreducibles g other than x
+    for d in range(1, n // 2 + 1):
+        idx = np.array([g for g in engine._irreducibles(field, d) if g >= q ** (d - 1)], dtype=np.int64)  # c_0 != 0
+        g = _coeffs(field, d + 1, idx * q + 1, dtype)  # the leading 1 as last digit
+        y_g = ar.multiples(g) if d < s else g[None]  # blocks enumerate h against y^a g only for d < s
+        factors.append((y_g, ar.multiples(ar.mul(_power(ar, g[0], q - 2), g[1:]))))
+    return [_packed(_sieve_block(field, n, s, a - a % step, factors)[a % step : b - a + a % step]) for a, b in cuts]
 
 
-def _flags_mask(field, n, lo, hi, method) -> int:
-    # the flags of rows lo..hi - 1 as one int, bit r for row lo + r
-    return int.from_bytes(np.packbits(_flags_range(field, n, lo, hi, method), bitorder="little").tobytes(), "little")
+def _packed(flags: np.ndarray) -> int:
+    # a cut's verdicts as one int, bit r for row r
+    return int.from_bytes(np.packbits(flags, bitorder="little").tobytes(), "little")

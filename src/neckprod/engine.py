@@ -1,13 +1,14 @@
-"""The counting engine: irreducibility verdicts over a range of monic
-polynomials, as one int whose bit r is the verdict of row lo + r.
+"""The counting engine: one sweep loop for every field, and bit planes for F_(2^k).
 
-finitefield's sweeps import it once check_sweep has accepted them.  It owns
-the block split (_block_rows) and sweeps every F_(2^k) on bit planes in
-Python integers (bit-slicing, Biham 1997): a plane holds one F_2 digit of a
-coefficient for every row of a block, bit r for row base + r, and since
-q = 2^k those digits are the bits of the row index.  An element of F_(2^k)
-is k planes; it adds by xor and multiplies by and.  Sweeps over odd p run
-in neckprod.digits, the package's only numpy module.
+finitefield's sweeps import it once check_sweep has accepted them.
+_flags_range cuts every range of monic polynomials into aligned blocks
+(_block_rows), answers n = 1, and calls one element form's Rabin or trial
+block function, each giving one int a cut, bit r for the cut's row r.  Odd
+p runs on the numpy digits of neckprod.digits.  F_(2^k) runs here on bit
+planes in Python integers (bit-slicing, Biham 1997): a plane holds one F_2
+digit of a coefficient for every row of a block, and since q = 2^k those
+digits are the bits of the row index.  An element is k planes; it adds by
+xor and multiplies by and.
 
 * rabin -- the Frobenius ladder t -> t^q = sum_i t_i (x^(iq) mod f), then
   Bernstein-Yang divsteps on every row with a bit-sliced delta, once per
@@ -30,38 +31,44 @@ _BLOCK = 1 << 16
 
 
 def _block_rows(field, n: int, method: str) -> int:
-    # rows of one engine block at degree n >= 2.  F_(2^k): the largest 2^s <=
-    # _BLOCK, at least 8 so that blocks join as bytes, aligned to 2^s.  Odd p:
-    # trial takes q^s <= _BLOCK aligned to q^s, s <= n, and Rabin, whose column
-    # multiples hold n^2 k^2 digits a row, _BLOCK // (n k) from the range's start
-    q = field.q
+    # rows of one engine block at degree n >= 2; every block starts at a
+    # multiple of its size.  F_(2^k): the largest 2^s <= _BLOCK.  Odd p: trial
+    # takes q^s <= _BLOCK, s <= n, and Rabin, whose column multiples hold
+    # n^2 k^2 digits a row, _BLOCK // (n k)
     if field.p == 2:
-        return 1 << max(3, _BLOCK.bit_length() - 1)
+        return 1 << (_BLOCK.bit_length() - 1)
     if method == "trial":
-        return max(q**s for s in range(n + 1) if q**s <= _BLOCK)
+        return max(field.q**s for s in range(n + 1) if field.q**s <= _BLOCK)
     return _BLOCK // (n * field.k)
 
 
-def _flags_range(field, n: int, lo: int, hi: int, method: str) -> int:
+def _flags_range(field, n: int, lo: int, hi: int, method: str) -> tuple[list, list[int]]:
+    # the cuts of rows lo..hi - 1, one for each aligned block they meet, and
+    # the verdicts of each cut (a, b) as one int, bit r for row a + r
     if n == 1:
-        return (1 << (hi - lo)) - 1  # every monic linear polynomial
-    if field.p > 2:
+        return [(lo, hi)], [(1 << (hi - lo)) - 1]  # every monic linear polynomial
+    step = _block_rows(field, n, method)
+    cuts = [(max(lo, base), min(hi, base + step)) for base in range(lo - lo % step, hi, step)]
+    if field.p == 2:
+        rabin, trial = _rabin_flags_block, _trial_planes
+    else:
         from . import digits
 
-        return digits._flags_mask(field, n, lo, hi, method)
-    step = _block_rows(field, n, method)
-    # the rows of the range in each aligned block it meets
-    cuts = [(max(lo, base), min(hi, base + step)) for base in range(lo - lo % step, hi, step)]
+        rabin, trial = digits._rabin_flags_block, digits._trial_sieve
     if method == "trial":
-        parts = _trial_planes(field, n, cuts, step)
-    else:
-        parts = [_rabin_flags_block(field, n, a, b) for a, b in cuts]
-    rest = b"".join(part.to_bytes(step // 8, "little") for part in parts[1:])
-    return parts[0] | int.from_bytes(rest, "little") << (cuts[0][1] - cuts[0][0])
+        return cuts, trial(field, n, cuts, step)
+    return cuts, [rabin(field, n, a, b) for a, b in cuts]
 
 
 def _count_range(args) -> int:
-    return _flags_range(*args).bit_count()
+    return sum(mask.bit_count() for mask in _flags_range(*args)[1])
+
+
+def _irreducibles(field, d: int) -> list[int]:
+    # the rows of the monic irreducibles of degree d, by trial at degree d:
+    # the factors g of both trial forms, never found by Rabin
+    cuts, masks = _flags_range(field, d, 0, field.q**d, "trial")
+    return [a + r for (a, _), mask in zip(cuts, masks) for r, bit in enumerate(bin(mask)[:1:-1]) if bit == "1"]
 
 
 # A polynomial is a list of elements, constant term first, and an element a
@@ -224,7 +231,7 @@ def _trial_planes(field, n: int, cuts: list, step: int) -> list[int]:
     # ones or zero.  In a cut the bits below t vary over the rows, xored from
     # tables of 8 planes (the method of four Russians); those from t up are
     # fixed, and pick a digit's plane or its complement as the rows where it is 0.
-    k, q, nk = field.k, field.q, n * field.k
+    k, nk = field.k, n * field.k
     low = [i for i in range(k) if field.modulus[i]]
     shapes = {}  # (first row in its block, rows) -> xor tables, t, ones, [(cut, fixed bits)]
     for c, (a, b) in enumerate(cuts):
@@ -237,8 +244,7 @@ def _trial_planes(field, n: int, cuts: list, step: int) -> list[int]:
     w = nk // 8 + 1
     marked = [0] * len(cuts)
     for d in range(1, n // 2 + 1):
-        found = _flags_range(field, d, 0, q**d, "trial")
-        gs = [i for i, bit in enumerate(bin(found)[:1:-1]) if bit == "1"]
+        gs = _irreducibles(field, d)
         every = int.from_bytes((b"\1" + bytes(w - 1)) * len(gs), "little")
         f = [[every << (n - 1 - j) * k + i for i in range(k)] for j in range(n)] + [[every << nk] + [0] * (k - 1)]
         g = [[int.from_bytes(b"".join(b"\xff" * w if g >> (d - 1 - j) * k + i & 1 else bytes(w) for g in gs), "little")

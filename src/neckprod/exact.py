@@ -25,17 +25,20 @@ def _check_factor_arg(name: str, n: int) -> None:
         raise ValueError(f"{name} requires n <= 10^12 (trial-division limit), got {n}")
 
 
-def _check_size(a: int, degree_bound: int, limit: int, what: str) -> None:
+def _check_size(a: int, degree: int, limit: int, what: str, square: bool = True) -> None:
     # refuse, naming the largest feasible degree, work on the necklace values
-    # of base a past D^2 log2(a) <= limit; a = 1 has values 0 and 1.  The
-    # message leaves out a, whose decimal form takes quadratic time to write.
+    # of base a past D^2 log2(a) <= limit, or n log2(a) <= limit for one value
+    # of degree n; a = 1 has values 0 and 1.  The message leaves out a, whose
+    # decimal form takes quadratic time to write.
     if a < 2:
         return
-    feasible = math.isqrt(int(limit / math.log2(a)))
-    if degree_bound > feasible:
+    feasible = int(limit / math.log2(a))
+    if square:
+        feasible = math.isqrt(feasible)
+    if degree > feasible:
         raise ValueError(
-            f"{what} at degree {degree_bound} exceeds the size limit "
-            f"D^2 log2(a) <= {limit} (about a minute); largest feasible degree is {feasible}"
+            f"{what} at degree {degree} exceeds the size limit {'D^2' if square else 'n'} "
+            f"log2(a) <= {limit} (about a minute); largest feasible degree is {feasible}"
         )
 
 
@@ -84,13 +87,18 @@ def divisors(n: int) -> list[int]:
 def necklace_count(a: int, n: int) -> int:
     """Necklace count N(a, n) = (1/n) * sum_{d|n} mu(n/d) * a**d.
 
-    Exact for any a >= 1, n >= 1.  The divisor sum is provably divisible
-    by n; a nonzero remainder indicates a bug in this module.
+    Exact for any a >= 1 and 1 <= n <= MAX_FACTOR_N.  The divisor sum is
+    provably divisible by n; a nonzero remainder indicates a bug in this
+    module.  A value past n log2(a) = 6 * 10^6 bits is refused with
+    ValueError before any work.
     """
     if a < 1:
         raise ValueError(f"necklace_count requires a >= 1, got a={a}")
-    if n < 1:
-        raise ValueError(f"necklace_count requires n >= 1, got n={n}")
+    _check_factor_arg("necklace_count", n)
+    # N(a, n) has about n log2(a) bits, and writing it in decimal takes time
+    # quadratic in that: at this limit `necklace` took 55 s end to end for
+    # a = 2 and 58 s for a = 1000 (2 vCPU)
+    _check_size(a, n, 6_000_000, "a necklace count", square=False)
     total = 0
     for d in divisors(n):
         total += mobius(n // d) * a**d
@@ -156,8 +164,9 @@ def build_necklace_table(a: int, degree_bound: int) -> NecklaceTable:
         raise ValueError(
             f"build_necklace_table requires degree_bound >= 1, got {degree_bound}"
         )
-    # at this limit `necklace table` took 18 s end to end for a = 2 and 57 s
-    # for a = 1000, most of it writing the values in decimal (2 vCPU)
+    # at this limit `necklace table` took 15 s end to end for a = 2, 42 s for
+    # a = 1000 and 58 s for a = 10^6, most of it writing the values in
+    # decimal (2 vCPU)
     _check_size(a, degree_bound, 860_000_000, "a necklace table")
     D = degree_bound
     mu = mobius_sieve(D)

@@ -20,10 +20,12 @@ checked by Rabin's.
 
 irreducible_flags and count_irreducibles sweep all q^n monic polynomials
 through neckprod.engine, which they import once check_sweep has accepted a
-sweep that needs it; numpy is loaded only by sweeps over odd p and by
-irreducible_flags, which returns an array.  count_irreducibles answers n = 1
-with q without the engine.  For q > MAX_ENGINE_Q = 2^16 check_sweep refuses
-n >= 2 (a budget of 2^34 or more) and irreducible_flags refuses n = 1 too.
+sweep that needs it.  The engine gives one int of verdicts per aligned
+block: count_irreducibles sums their bits, and irreducible_flags unpacks
+them into an array.  numpy is loaded only by sweeps over odd p and by
+irreducible_flags.  count_irreducibles answers n = 1 with q without the
+engine.  For q > MAX_ENGINE_Q = 2^16 check_sweep refuses n >= 2 (a budget
+of 2^34 or more) and irreducible_flags refuses n = 1 too.
 
 The scalar tests above are the reference semantics and the engine is
 held to them in the test suite.  check_sweep validates every sweep before
@@ -518,8 +520,10 @@ def irreducible_flags(
 
     from . import engine
 
-    mask = engine._flags_range(field, n, 0, total, method).to_bytes(-(-total // 8), "little")
-    return np.unpackbits(np.frombuffer(mask, dtype=np.uint8), count=total, bitorder="little").astype(bool)
+    return np.concatenate([
+        np.unpackbits(np.frombuffer(mask.to_bytes(-(-(b - a) // 8), "little"), dtype=np.uint8), count=b - a, bitorder="little")
+        for (a, b), mask in zip(*engine._flags_range(field, n, 0, total, method))
+    ]).astype(bool)
 
 
 def count_irreducibles(

@@ -170,15 +170,23 @@ def verify_symbolic(a: int, degree_bound: int, cross_check: bool = False) -> Sym
     )
 
 
+def _check_float_base(name: str, a: int) -> None:
+    # the tail bound and the evaluation take a as a float: a > 1, and below
+    # 2^1023 so that neither float(a) nor a * rho can overflow
+    if a <= 1:
+        raise ValueError(f"{name} requires an integer a > 1, got a={a}")
+    if a.bit_length() > 1023:
+        raise ValueError(f"{name} requires a < 2^1023, the float range; got a of {a.bit_length()} bits")
+
+
 def tail_bound(a: int, rho: float, degree_bound: int) -> float:
     """Upper bound on sum_{n>D} N(a,n) |log(1 - z^n)| over |z| <= rho.
 
     Uses N(a,n) <= a^n/n and |log(1-u)| <= |u|/(1-|u|) (valid for |u| < 1),
     giving the closed form (a rho)^(D+1) / ((D+1) (1-rho) (1-a rho)).
-    Requires a > 1 and a*rho < 1; rounded outward.
+    Requires 1 < a < 2^1023 and a*rho < 1; rounded outward.
     """
-    if a <= 1:
-        raise ValueError(f"tail_bound requires an integer a > 1, got a={a}")
+    _check_float_base("tail_bound", a)
     if not 0.0 <= rho < 1.0:
         raise ValueError(f"tail_bound requires 0 <= rho < 1, got rho={rho}")
     if a * rho >= 1.0:
@@ -220,8 +228,7 @@ def verify_numeric(a: int, z: complex, degree_bound: int) -> NumericReport:
     product-level tail bound |P_D(z)| (e^B_log - 1) plus an explicit
     floating-point slack (D+1) * max_intermediate * 2^-50.
     """
-    if a <= 1:
-        raise ValueError(f"verify_numeric requires an integer a > 1, got a={a}")
+    _check_float_base("verify_numeric", a)
     if degree_bound < 1:
         raise ValueError(f"degree_bound must be >= 1, got {degree_bound}")
     z = complex(z)
@@ -254,7 +261,7 @@ def verify_numeric(a: int, z: complex, degree_bound: int) -> NumericReport:
 
     coeff_mass = float(sum(abs(c) for c in expansion.coeffs))
     biggest = max(max_partial, coeff_mass, abs(target), 1.0)
-    float_slack = (D + 1) * biggest * 2.0**-50
+    float_slack = (D + 1) * 2.0**-50 * biggest  # scaled first, so a near 2^1023 stays finite
 
     return NumericReport(
         base=a,

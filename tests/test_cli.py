@@ -14,11 +14,14 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import neckprod
+import neckprod.cli
+import neckprod.exact
+import neckprod.series
 import neckprod.verify
 from neckprod.cli import main, run
 from neckprod.exact import necklace_count
 from neckprod.finitefield import is_prime
-from neckprod.verify import SymbolicReport
+from neckprod.verify import BridgeReport, NumericReport, SymbolicReport
 
 
 def invoke(capsys, argv):
@@ -332,6 +335,38 @@ class TestExitStatus:
         assert (code, out) == (2, "")
         assert "largest feasible degree is 29325" in err
 
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["verify", "numeric", "--a", str(10**400), "--z", "0,0", "--degree", "1"], "a of 1329 bits"),
+            (["verify", "numeric", "--a", str(2**1023), "--z", "0,0", "--degree", "1", "--json"], "a of 1024 bits"),
+            (["necklace", "--a", "2", "--n", "6000001"], "largest feasible degree is 6000000"),
+            (["necklace", "--a", "2", "--n", str(10**12), "--json"], "largest feasible degree is 6000000"),
+            (["necklace", "--a", "1000", "--n", "602060"], "largest feasible degree is 602059"),
+            (["necklace", "--a", str(10**400), "--n", "4600"], "largest feasible degree is 4515"),
+        ],
+    )
+    def test_oversize_values_refused_at_once(self, capsys, argv, message):
+        # a base past the float range of verify numeric, and a necklace count
+        # past n log2(a) <= 6 * 10^6 bits, whose decimal form takes a minute
+        start = time.perf_counter()
+        code, out, err = invoke(capsys, argv)
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (2, "")
+        assert message in err
+
+    def test_values_just_inside_the_limits_answered(self, capsys):
+        code, out, _ = invoke(capsys, ["verify", "numeric", "--a", str(2**1023 - 1), "--z", "0,0", "--degree", "3",
+                                       "--json"])
+        report = json.loads(out)
+        assert (code, report["pass"], report["base"]) == (0, True, str(2**1023 - 1))
+        assert report["float_slack"] < float("inf")
+        # a = 1 has no size bound: N(1, n) is 0 past n = 1
+        start = time.perf_counter()
+        assert invoke(capsys, ["necklace", "--a", "1", "--n", str(10**9)]) == (0, "0\n", "")
+        assert invoke(capsys, ["necklace", "--a", "2", "--n", "2000"])[:2] == (0, f"{necklace_count(2, 2000)}\n")
+        assert time.perf_counter() - start < 1.0
+
     def test_large_extension_at_degree_one_answered_at_once(self, capsys):
         argv = ["field", "count", "--p", "2", "--k", "40", "--n", "1", "--budget", "2199023255552"]
         start = time.perf_counter()
@@ -422,6 +457,36 @@ _PLANE_SWEEPS = [
     ["field", "count", "--p", "2", "--k", str(k), "--n", str(n), "--test", test]
     for k, n in ((1, 12), (2, 6), (8, 2)) for test in ("rabin", "trial")
 ] + [["verify", "bridge", "--p", "2", "--k", "1", "--n-max", "10"]]
+# one call of every handler, each answering with exit 0
+_RENDER_CALLS = _EXACT_CALLS + _SERIES_CALLS + _SWEEP_CALLS + [
+    ["verify", "symbolic", "--a", "3", "--degree", "12", "--cross-check"],
+    ["expand", "--a", "2", "--degree", "8", "--method", "direct"],
+]
+
+
+def _refuse_to_render(*args, **kwargs):
+    raise AssertionError("rendered an output format that was not asked for")
+
+
+class TestRenderOnce:
+    @pytest.mark.parametrize("argv", _RENDER_CALLS)
+    def test_text_and_quiet_calls_build_no_json(self, capsys, monkeypatch, argv):
+        monkeypatch.setattr(neckprod.series.TruncatedSeries, "to_json", _refuse_to_render)
+        for report in (SymbolicReport, NumericReport, BridgeReport):
+            monkeypatch.setattr(report, "to_json_dict", _refuse_to_render)
+        monkeypatch.setattr(json, "dumps", _refuse_to_render)
+        code, out, _ = invoke(capsys, argv)
+        assert code == 0 and out
+        assert invoke(capsys, argv + ["--quiet"]) == (0, "", "")
+
+    @pytest.mark.parametrize("argv", _RENDER_CALLS)
+    def test_quiet_calls_build_no_text(self, capsys, monkeypatch, argv):
+        monkeypatch.setattr(neckprod.cli, "_report_lines", _refuse_to_render)
+        if argv[:2] == ["necklace", "table"]:  # the table's values are read only to render them
+            monkeypatch.setattr(neckprod.exact.NecklaceTable, "values", property(_refuse_to_render))
+        assert invoke(capsys, argv + ["--quiet"]) == (0, "", "")
+
+
 _DIGIT_SWEEPS = [
     ["field", "count", "--p", "3", "--k", "1", "--n", "4"],
     ["field", "count", "--p", "17", "--k", "2", "--n", "2"],

@@ -116,6 +116,18 @@ class TestNecklaceCount:
         # cross-checked against brute-force field enumeration in test_verify
         assert necklace_count(a, n) == expected
 
+    def test_size_limit(self):
+        # n log2(a) <= 6 * 10^6 is admitted; past it the refusal names the
+        # largest feasible n, before any work
+        with pytest.raises(ValueError, match="largest feasible degree is 6000000$"):
+            necklace_count(2, 6_000_001)
+        with pytest.raises(ValueError, match="largest feasible degree is 6$"):
+            necklace_count(2 ** 10**6, 7)
+        assert necklace_count(2 ** 10**6, 5) == (2 ** (5 * 10**6) - 2 ** 10**6) // 5
+        assert necklace_count(1, 10**9) == 0  # a = 1 has no size bound
+        with pytest.raises(ValueError, match="10\\^12"):  # the factoring limit still comes first
+            necklace_count(1, 10**12 + 1)
+
     def test_formula_four_squared(self):
         assert necklace_count(4, 2) == (4**2 - 4) // 2
 

@@ -43,11 +43,17 @@ def _scalar_flags_block(field, n, lo, hi, method):
     return np.array([test(poly) for poly in polys], dtype=bool)
 
 
+def _bits(mask, rows):
+    # the verdicts of an engine mask as a bool array, bit r for row r
+    return np.array([mask >> r & 1 for r in range(rows)], dtype=bool)
+
+
 def _flags(field, n, lo, hi, method):
-    # engine._flags_range's verdicts of rows lo..hi - 1, bit r for row lo + r,
-    # as a bool array
-    mask = engine._flags_range(field, n, lo, hi, method)
-    return np.array([mask >> r & 1 for r in range(hi - lo)], dtype=bool)
+    # engine._flags_range's verdicts of rows lo..hi - 1, its masks of the
+    # cuts (a, b) unpacked in order
+    cuts, masks = engine._flags_range(field, n, lo, hi, method)
+    assert [a for a, _ in cuts] + [hi] == [lo] + [b for _, b in cuts]
+    return np.concatenate([_bits(mask, b - a) for (a, b), mask in zip(cuts, masks)])
 
 
 class TestBuildField:
@@ -534,13 +540,56 @@ class TestProductSieve:
 
     def test_independent_of_rabin_and_scalar_tests(self, monkeypatch):
         # built first: FieldContext checks an extension's modulus by Rabin's test
-        cases = [(build_field(p, k), n) for p, k, n in [(2, 1, 14), (3, 1, 8), (3, 2, 4)]]
+        cases = [(build_field(p, k), n) for p, k, n in [(2, 1, 14), (2, 2, 5), (3, 1, 8), (3, 2, 4), (17, 2, 2)]]
         for module in (engine, digits):
             monkeypatch.setattr(module, "_rabin_flags_block", _refuse)
         for name in ("is_irreducible_trial", "is_irreducible_rabin"):
             monkeypatch.setattr(ff, name, _refuse)
         for field, n in cases:
             assert count_irreducibles(field, n, "trial") == necklace_count(field.q, n)
+
+
+# (p, k, n, _BLOCK) for both element forms: planes for F_2 and F_4, digits
+# for F_3, F_9 and F_289, each with several blocks of either test
+_SWEEP_CASES = [(2, 1, 9, 64), (2, 2, 4, 64), (3, 1, 6, 64), (3, 2, 3, 64), (17, 2, 2, 600)]
+
+
+class TestOneSweepLoop:
+    @pytest.mark.parametrize("method", ["trial", "rabin"])
+    @pytest.mark.parametrize("p,k,n,block", _SWEEP_CASES)
+    def test_unaligned_ranges_count_their_rows(self, monkeypatch, p, k, n, block, method):
+        # ranges that start and end inside blocks, across several of them or
+        # within one, count what the scalar test finds on their rows
+        field = build_field(p, k)
+        monkeypatch.setattr(engine, "_BLOCK", block)
+        step, total = engine._block_rows(field, n, method), field.q**n
+        for lo, hi in [(step - 5, 2 * step + 5), (total - step - 3, total - 1), (step + 1, step + 3)]:
+            assert len(engine._flags_range(field, n, lo, hi, method)[0]) == (hi - 1) // step - lo // step + 1
+            expected = int(_scalar_flags_block(field, n, lo, hi, method).sum())
+            assert engine._count_range((field, n, lo, hi, method)) == expected, (lo, hi)
+
+    @pytest.mark.parametrize("p,k,n,block", _SWEEP_CASES)
+    def test_block_functions_get_cuts_of_one_aligned_block(self, monkeypatch, p, k, n, block):
+        # the engine alone cuts: every call of either form's block functions,
+        # the trial's own sweeps for its factors included, stays in one block
+        field = build_field(p, k)
+        monkeypatch.setattr(engine, "_BLOCK", block)
+        module, trial_name = (engine, "_trial_planes") if p == 2 else (digits, "_trial_sieve")
+        rabin, trial, seen = module._rabin_flags_block, getattr(module, trial_name), []
+        monkeypatch.setattr(module, "_rabin_flags_block",
+                            lambda field, n, a, b: seen.append(("rabin", n, a, b)) or rabin(field, n, a, b))
+        monkeypatch.setattr(module, trial_name, lambda field, n, cuts, step: seen.extend(
+            ("trial", n, a, b) for a, b in cuts) or trial(field, n, cuts, step))
+        total = field.q**n
+        for method in ("trial", "rabin"):
+            for workers in (1, 3):
+                bounds = [total * i // workers for i in range(workers + 1)]
+                assert sum(engine._count_range((field, n, lo, hi, method))
+                           for lo, hi in zip(bounds[:-1], bounds[1:])) == necklace_count(field.q, n)
+        assert {(method, d) for method, d, _, _ in seen} >= {("trial", n), ("rabin", n)}
+        for method, d, a, b in seen:
+            step = engine._block_rows(field, d, method)
+            assert a < b and a // step == (b - 1) // step, (method, d, a, b)
 
 
 class TestCheckSweep:
@@ -1084,7 +1133,7 @@ class TestNarrowCodes:
         monkeypatch.setattr(digits, "_reduce", spy)
         # the scalar Rabin test runs about n powerings per row
         lo, hi = _sample_range(field, n, 200 if n < 12 and (k == 1 or field.q < 1000) else 60, p + n)
-        got = digits._rabin_flags_block(field, n, lo, hi)
+        got = _bits(digits._rabin_flags_block(field, n, lo, hi), hi - lo)
         expected = _scalar_flags_block(field, n, lo, hi, "rabin")
         assert seen == {np.dtype(dtype)}
         assert np.array_equal(got, expected)

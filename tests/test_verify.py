@@ -144,6 +144,21 @@ class TestVerifyNumeric:
         with pytest.raises(ValueError):
             verify_numeric(1, 0.1, 10)
 
+    @pytest.mark.parametrize("a,bits", [(10**400, 1329), (2**1023, 1024)])
+    def test_bases_past_the_float_range_refused(self, a, bits):
+        # refused before any float arithmetic, which would overflow at a * rho
+        for check in (lambda: verify_numeric(a, 0.0, 1), lambda: tail_bound(a, 0.0, 1)):
+            with pytest.raises(ValueError, match=f"a < 2\\^1023, the float range; got a of {bits} bits$"):
+                check()
+
+    def test_base_just_under_the_float_range(self):
+        a = 2**1023 - 1
+        for z in (0.0, 1e-309):
+            report = verify_numeric(a, z, 3)
+            assert report.passed and report.target == 1 - a * z
+            assert report.float_slack < float("inf")
+        assert 0 < tail_bound(a, 1e-309, 3) < 1
+
     def test_slack_separated_from_tail(self):
         report = verify_numeric(3, 0.2, 30)
         assert report.tail_bound >= 0.0
