@@ -176,6 +176,7 @@ def _cmd_expand(args) -> int:
     if getattr(args, "expand_sub", None) == "raw":
         _require(args.a is None and args.degree is None, "--a and --degree do not apply to expand raw")
         exponents = _parse_exponents(args.exponents)
+        series._check_raw(exponents, method)
         spec = series.ExponentSpec(exponents=exponents)
         head = lambda: {"exponents": [str(e) for e in exponents]}
     else:
@@ -305,7 +306,7 @@ def run(argv: list[str]) -> int:
 
 
 def main() -> None:
-    # only sweeps over odd p import numpy; their engine never calls BLAS (its
+    # only sweeps over p >= 5 import numpy; their engine never calls BLAS (its
     # one matmul is on integers), and one OpenBLAS thread makes importing
     # numpy about 70 ms cheaper.  Forked pool workers inherit it, and a value
     # the user set wins

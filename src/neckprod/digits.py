@@ -1,8 +1,9 @@
-"""The counting engine over odd p, on numpy blocks of base-p digits.
+"""The counting engine over p >= 5, on numpy blocks of base-p digits.
 
 Block functions only: neckprod.engine, which runs every sweep, cuts each
-range and calls them for odd p, each returning one int a cut as its plane
-form does.  Every array is coefficient-major, (coefficients, k, rows), with
+range and calls them for p >= 5, each returning one int a cut as its plane
+forms do.  They hold for any odd p, and the tests hold the F_(3^k) planes
+to them.  Every array is coefficient-major, (coefficients, k, rows), with
 no table (see _Arith); a block of monic polynomials holds its n free
 coefficients, the leading 1 implicit.
 

@@ -1,20 +1,23 @@
-"""The counting engine: one sweep loop for every field, and bit planes for F_(2^k).
+"""The counting engine: one sweep loop for every field, and bit planes for
+F_(2^k) and F_(3^k).
 
 finitefield's sweeps import it once check_sweep has accepted them.
 _flags_range cuts every range of monic polynomials into aligned blocks
 (_block_rows), answers n = 1, and calls one element form's Rabin or trial
-block function, each giving one int a cut, bit r for the cut's row r.  Odd
-p runs on the numpy digits of neckprod.digits.  F_(2^k) runs here on bit
-planes in Python integers (bit-slicing, Biham 1997): a plane holds one F_2
-digit of a coefficient for every row of a block, and since q = 2^k those
-digits are the bits of the row index.  An element is k planes; it adds by
-xor and multiplies by and.
+block function, each giving one int a cut, bit r for the cut's row r.
+p >= 5 runs on the numpy digits of neckprod.digits.  Characteristics 2 and
+3 run on bit planes in Python integers (bit-slicing, Biham 1997), with no
+numpy: a plane holds one bit of a base-p digit of a coefficient for every
+row of a block, and since q = p^k those digits are the digits of the row
+index.  F_(2^k) runs here: an element is k planes; it adds by xor and
+multiplies by and.  F_(3^k) runs in neckprod.ternary, k digits of two
+planes each; _planes and the delta counter of _divstep serve both.
 
 * rabin -- the Frobenius ladder t -> t^q = sum_i t_i (x^(iq) mod f), then
   Bernstein-Yang divsteps on every row with a bit-sliced delta, once per
   block on the product of the gcd conditions.
-* trial -- f mod g is F_2-linear in f's digits for each monic irreducible g
-  of degree <= n/2, found by this test at degree deg g.
+* trial -- f mod g is F_p-linear in f's digits for each monic irreducible g
+  of degree <= n/2, found by this test at degree deg g (_irreducibles).
 
 Every path is held row for row to the scalar is_irreducible_* tests of
 finitefield, which share no code with them.
@@ -32,11 +35,12 @@ _BLOCK = 1 << 16
 
 def _block_rows(field, n: int, method: str) -> int:
     # rows of one engine block at degree n >= 2; every block starts at a
-    # multiple of its size.  F_(2^k): the largest 2^s <= _BLOCK.  Odd p: trial
-    # takes q^s <= _BLOCK, s <= n, and Rabin, whose column multiples hold
-    # n^2 k^2 digits a row, _BLOCK // (n k)
-    if field.p == 2:
-        return 1 << (_BLOCK.bit_length() - 1)
+    # multiple of its size.  Planes, p = 2 or 3: the largest p^s <= _BLOCK,
+    # s <= n k (2^16 or 3^10 rows).  p >= 5: trial takes q^s <= _BLOCK,
+    # s <= n, and Rabin, whose column multiples hold n^2 k^2 digits a row,
+    # _BLOCK // (n k)
+    if field.p <= 3:
+        return max(field.p**s for s in range(n * field.k + 1) if field.p**s <= _BLOCK)
     if method == "trial":
         return max(field.q**s for s in range(n + 1) if field.q**s <= _BLOCK)
     return _BLOCK // (n * field.k)
@@ -51,6 +55,10 @@ def _flags_range(field, n: int, lo: int, hi: int, method: str) -> tuple[list, li
     cuts = [(max(lo, base), min(hi, base + step)) for base in range(lo - lo % step, hi, step)]
     if field.p == 2:
         rabin, trial = _rabin_flags_block, _trial_planes
+    elif field.p == 3:
+        from . import ternary
+
+        rabin, trial = ternary._rabin_flags_block, ternary._trial_planes
     else:
         from . import digits
 
@@ -77,20 +85,27 @@ def _irreducibles(field, d: int) -> list[int]:
 # monic polynomials holds its n free coefficients, the leading 1 implicit.
 
 
-def _planes(n: int, k: int, a: int, b: int) -> tuple[list[int], int]:
-    # the planes of rows a..b - 1 by the position of their bit in the row
-    # index (digit i of the coefficient of x^j at (n - 1 - j) k + i), and t:
-    # the rows share their bits from t up, and below t a plane is periodic
-    ones, t = (1 << (b - a)) - 1, (a ^ (b - 1)).bit_length()
+def _planes(n: int, k: int, a: int, b: int, p: int = 2) -> tuple[list, int]:
+    # the planes of rows a..b - 1 by the position of their digit in the row
+    # index in base p (digit i of the coefficient of x^j at (n - 1 - j) k + i),
+    # and t: the rows share their digits from t up, and below t a plane is
+    # periodic.  Over F_3 a position has the pair (high, low), the rows where
+    # its digit is 2 and 1.
+    ones, t = (1 << (b - a)) - 1, 0
+    while a // p**t != (b - 1) // p**t:
+        t += 1
     planes = []
     for pos in range(n * k):
-        if pos >= t:
-            planes.append(ones if a >> pos & 1 else 0)
-            continue
-        m, span = ((1 << (1 << pos)) - 1) << (1 << pos), 2 << pos  # bit pos of r < 2^t, from a mod 2^t
-        while span < 1 << t:
-            m, span = m | m << span, 2 * span
-        planes.append(m >> (a & ((1 << t) - 1)) & ones)
+        size, pair = p**pos, []
+        for v in range(p - 1, 0, -1):
+            if pos >= t:
+                pair.append(ones if a // size % p == v else 0)
+                continue
+            m, span = ((1 << size) - 1) << v * size, p * size  # digit pos = v for r < p^t, from a mod p^t
+            while span < p**t:
+                m, span = reduce(or_, (m << i * span for i in range(p))), p * span
+            pair.append(m >> a % p**t & ones)
+        planes.append(pair[0] if p == 2 else tuple(pair))
     return planes, t
 
 
@@ -163,7 +178,7 @@ def _coprime(f: list, h: list, ones: int, low: list[int]) -> int:
     delta = [ones] + [0] * (2 * n + 2).bit_length()  # 1, with room for |delta| <= 2n
     for step in range(2 * n - 1):
         F, G = F[: 2 * n - 1 - step], G[: 2 * n - 1 - step]
-        swap = reduce(or_, G[0]) & reduce(or_, delta) & ~delta[-1]  # G_0 != 0 and delta > 0
+        swap, delta = _divstep(delta, reduce(or_, G[0]), ones)
         f0s, g0s = _multiples(F[0], low), _multiples(G[0], low)
         H = []
         for fi, gi in zip(F[1:], G[1:]):
@@ -172,14 +187,21 @@ def _coprime(f: list, h: list, ones: int, low: list[int]) -> int:
             _axpy(H[-1], fi, g0s)
         F = [[u ^ (u ^ v) & swap for u, v in zip(fi, gi)] for fi, gi in zip(F, G)]
         G = H + [[0] * k]
-        # delta <- (delta xor swap) + 1 + swap: -delta + 1 where swapped, else delta + 1
-        d = [plane ^ swap for plane in delta]
-        carry = d[0] & ~swap | swap
-        delta = [d[0] ^ ones ^ swap]
-        for plane in d[1:]:
-            delta.append(plane ^ carry)
-            carry &= plane
     return ones & ~reduce(or_, delta)
+
+
+def _divstep(delta: list[int], g0: int, ones: int) -> tuple[int, list[int]]:
+    # one divstep on the bit-sliced two's-complement delta of both plane
+    # forms: swap where G_0 != 0 (g0) and delta > 0, and delta <- (delta xor
+    # swap) + 1 + swap, -delta + 1 where swapped, else delta + 1
+    swap = g0 & reduce(or_, delta) & ~delta[-1]
+    d = [plane ^ swap for plane in delta]
+    carry = d[0] & ~swap | swap
+    delta = [d[0] ^ ones ^ swap]
+    for plane in d[1:]:
+        delta.append(plane ^ carry)
+        carry &= plane
+    return swap, delta
 
 
 def _rabin_flags_block(field, n: int, lo: int, hi: int) -> int:

@@ -22,7 +22,7 @@ irreducible_flags and count_irreducibles sweep all q^n monic polynomials
 through neckprod.engine, which they import once check_sweep has accepted a
 sweep that needs it.  The engine gives one int of verdicts per aligned
 block: count_irreducibles sums their bits, and irreducible_flags unpacks
-them into an array.  numpy is loaded only by sweeps over odd p and by
+them into an array.  numpy is loaded only by sweeps over p >= 5 and by
 irreducible_flags.  count_irreducibles answers n = 1 with q without the
 engine.  For q > MAX_ENGINE_Q = 2^16 check_sweep refuses n >= 2 (a budget
 of 2^34 or more) and irreducible_flags refuses n = 1 too.
@@ -510,7 +510,7 @@ def irreducible_flags(
 
     'trial' marks every row with a monic irreducible factor of degree
     <= n/2, the question trial division decides: by linear remainder maps
-    over F_(2^k), by a product sieve over odd p.  'rabin' runs Rabin's test
+    over F_(2^k) and F_(3^k), by a product sieve over p >= 5.  'rabin' runs Rabin's test
     rowwise.  Kept public, with no CLI caller, as the rows the tests
     hold to the scalar oracles; it alone refuses n = 1 above MAX_ENGINE_Q."""
     total = check_sweep(field.p, field.k, n, method, budget)

@@ -5,6 +5,7 @@ import contextlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -355,6 +356,36 @@ class TestExitStatus:
         assert (code, out) == (2, "")
         assert message in err
 
+    @pytest.mark.parametrize(
+        "exponents,method,message",
+        [
+            ([1] * 30000, "recursive", "at 1 bits the most exponents admitted is 15874"),
+            ([1] * 30000, "direct", "at 1 bits the most exponents admitted is 7937"),
+            ([-1] * 7938, "direct", "at 1 bits the most exponents admitted is 7937"),
+            ([0] * 15875, "recursive", "15875 exponents of up to 1 bits"),
+            ([-(2**1999)] * 101, "recursive", "at 2000 bits the most exponents admitted is 100"),
+        ],
+    )
+    def test_oversize_raw_exponents_refused_at_once(self, capsys, exponents, method, message):
+        # explicit exponents past D^3 B^2 <= the expander's limit, for D
+        # exponents of at most B bits; 30,000 exponents of 1 would take about
+        # 40 s recursive and 4 minutes direct
+        argv = ["expand", "raw", "--quiet", "--method", method, "--exponents=" + ",".join(map(str, exponents))]
+        start = time.perf_counter()
+        code, out, err = invoke(capsys, argv)
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (2, "")
+        assert message in err
+
+    def test_raw_exponents_inside_the_limit_answered(self, capsys):
+        # exponents as the benchmark's 60 in [-3, 10), and 20 of 2000 bits,
+        # by both expanders
+        rng = random.Random(60)
+        for exponents in ([rng.randrange(-3, 10) for _ in range(60)], [2**1999] * 20):
+            argv = ["expand", "raw", "--exponents=" + ",".join(map(str, exponents))]
+            outs = [invoke(capsys, argv + ["--method", method]) for method in ("recursive", "direct")]
+            assert outs[0] == outs[1] and outs[0][0] == 0
+
     def test_values_just_inside_the_limits_answered(self, capsys):
         code, out, _ = invoke(capsys, ["verify", "numeric", "--a", str(2**1023 - 1), "--z", "0,0", "--degree", "3",
                                        "--json"])
@@ -421,7 +452,7 @@ _GUARD = """
 import sys
 from neckprod.cli import run
 code = run(sys.argv[1:])
-watched = ("numpy", "concurrent.futures", "neckprod.engine", "neckprod.digits", "neckprod.exact",
+watched = ("numpy", "concurrent.futures", "neckprod.engine", "neckprod.digits", "neckprod.ternary", "neckprod.exact",
            "neckprod.finitefield", "neckprod.series", "neckprod.verify", "dataclasses", "inspect", "json")
 loaded = [m for m in watched if m in sys.modules]
 import json
@@ -452,11 +483,16 @@ _SWEEP_CALLS = [
     ["field", "count", "--p", "2", "--k", "1", "--n", "2"],
     ["verify", "bridge", "--p", "2", "--k", "1", "--n-max", "3"],
 ]
-# sweeps over F_(2^k) run on bit planes; those over odd p on numpy digits
+# sweeps over F_(2^k) and F_(3^k) run on bit planes; those over p >= 5 on
+# numpy digits
 _PLANE_SWEEPS = [
     ["field", "count", "--p", "2", "--k", str(k), "--n", str(n), "--test", test]
     for k, n in ((1, 12), (2, 6), (8, 2)) for test in ("rabin", "trial")
 ] + [["verify", "bridge", "--p", "2", "--k", "1", "--n-max", "10"]]
+_TERNARY_SWEEPS = [
+    ["field", "count", "--p", "3", "--k", str(k), "--n", str(n), "--test", test]
+    for k, n in ((1, 4), (1, 11), (2, 4), (5, 2)) for test in ("rabin", "trial")
+] + [["verify", "bridge", "--p", "3", "--k", "1", "--n-max", "8"]]
 # one call of every handler, each answering with exit 0
 _RENDER_CALLS = _EXACT_CALLS + _SERIES_CALLS + _SWEEP_CALLS + [
     ["verify", "symbolic", "--a", "3", "--degree", "12", "--cross-check"],
@@ -488,7 +524,7 @@ class TestRenderOnce:
 
 
 _DIGIT_SWEEPS = [
-    ["field", "count", "--p", "3", "--k", "1", "--n", "4"],
+    ["field", "count", "--p", "5", "--k", "1", "--n", "4"],
     ["field", "count", "--p", "17", "--k", "2", "--n", "2"],
 ]
 
@@ -530,11 +566,19 @@ class TestImportGuard:
     def test_p2_sweeps_leave_numpy_unloaded(self, argv):
         loaded = _modules_loaded_by(argv)
         assert "neckprod.engine" in loaded
+        assert not {"numpy", "neckprod.digits", "neckprod.ternary"} & set(loaded)
+
+    @pytest.mark.parametrize("argv", _TERNARY_SWEEPS)
+    def test_p3_sweeps_leave_numpy_unloaded(self, argv):
+        loaded = _modules_loaded_by(argv)
+        assert {"neckprod.engine", "neckprod.ternary"} <= set(loaded)
         assert not {"numpy", "neckprod.digits"} & set(loaded)
 
     @pytest.mark.parametrize("argv", _DIGIT_SWEEPS)
     def test_odd_p_sweeps_load_numpy(self, argv):
-        assert {"neckprod.engine", "neckprod.digits", "numpy"} <= set(_modules_loaded_by(argv))
+        loaded = _modules_loaded_by(argv)
+        assert {"neckprod.engine", "neckprod.digits", "numpy"} <= set(loaded)
+        assert "neckprod.ternary" not in loaded
 
 
 # the package's public surface, checked in a fresh interpreter so that no

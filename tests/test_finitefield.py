@@ -1,6 +1,7 @@
 """Tests for field construction, monic enumeration, and irreducibility tests."""
 
 import concurrent.futures
+import functools
 import pickle
 import time
 import tracemalloc
@@ -24,6 +25,7 @@ from neckprod.finitefield import (
 )
 import neckprod.digits as digits
 import neckprod.engine as engine
+import neckprod.ternary as ternary
 import neckprod.finitefield as ff
 from neckprod.finitefield import _index_coeffs
 
@@ -274,21 +276,23 @@ class TestAgreementAndEngine:
             assert np.array_equal(irreducible_flags(field, 12, method), whole[method])
 
     def test_rabin_blocks_hold_block_over_n_rows(self, monkeypatch):
-        # the Frobenius column multiples hold n^2 k^2 digits per row: every
-        # F_(2^k), on bit planes, keeps _BLOCK rows a block, odd p takes
-        # _BLOCK // (n k)
+        # the Frobenius column multiples hold n^2 k^2 digits per row: p >= 5
+        # takes _BLOCK // (n k) rows a block; the plane forms keep the largest
+        # 2^s or 3^s <= _BLOCK, _BLOCK rows for every F_(2^k) and 3^10 for F_(3^k)
         ranges = []
-        for module in (engine, digits):
-            monkeypatch.setattr(module, "_rabin_flags_block",
-                                lambda field, n, lo, hi, block=module._rabin_flags_block:
+        for module, name in ((engine, "_rabin_flags_block"), (ternary, "_rabin_flags_block"),
+                             (digits, "_rabin_flags_block")):
+            monkeypatch.setattr(module, name,
+                                lambda field, n, lo, hi, block=getattr(module, name):
                                 ranges.append((lo, hi)) or block(field, n, lo, hi))
         assert count_irreducibles(build_field(2, 1), 17, "rabin") == necklace_count(2, 17)
         assert ranges == [(0, engine._BLOCK), (engine._BLOCK, 2 * engine._BLOCK)]
         ranges.clear()
-        assert count_irreducibles(build_field(3, 1), 10, "rabin") == necklace_count(3, 10)
-        rows = engine._BLOCK // 10
-        assert ranges == [(lo, min(lo + rows, 3**10)) for lo in range(0, 3**10, rows)]
-        for p, k, n, rows in [(2, 2, 9, engine._BLOCK), (3, 2, 5, engine._BLOCK // 10)]:
+        assert count_irreducibles(build_field(5, 1), 7, "rabin") == necklace_count(5, 7)
+        rows = engine._BLOCK // 7
+        assert ranges == [(lo, min(lo + rows, 5**7)) for lo in range(0, 5**7, rows)]
+        for p, k, n, rows in [(2, 2, 9, engine._BLOCK), (5, 2, 3, engine._BLOCK // 6), (3, 1, 11, 3**10),
+                              (3, 2, 6, 3**10)]:
             ranges.clear()
             assert count_irreducibles(build_field(p, k), n, "rabin") == necklace_count(p**k, n)
             assert ranges == [(lo, min(lo + rows, p ** (k * n))) for lo in range(0, p ** (k * n), rows)]
@@ -406,22 +410,22 @@ class TestGF2Engine:
         assert not _flags(field, 32, 0, 4, "trial").any()
 
     def test_other_fields_keep_their_paths(self, monkeypatch):
-        # every p = 2 block, extensions and trial included, runs on bit planes
-        # and none on the digit code; no odd-p block runs on planes
+        # every p = 2 and p = 3 block, extensions and trial included, runs on
+        # bit planes and none on the digit code; no block over p >= 5 runs on planes
         calls = []
         planes = engine._planes
         monkeypatch.setattr(engine, "_BLOCK", 1024)
         monkeypatch.setattr(engine, "_planes", lambda *args: calls.append(args) or planes(*args))
         for name in ("_rabin_flags_block", "_sieve_block", "_Arith"):
             monkeypatch.setattr(digits, name, _refuse)
-        for p, k, n in [(2, 1, 12), (2, 2, 5), (2, 4, 3), (2, 8, 2)]:
+        for p, k, n in [(2, 1, 12), (2, 2, 5), (2, 4, 3), (2, 8, 2), (3, 1, 8), (3, 2, 4), (3, 5, 2)]:
             for method in ("rabin", "trial"):
                 calls.clear()
-                assert count_irreducibles(build_field(p, k), n, method) == necklace_count(2**k, n)
-                assert calls, (k, method)
+                assert count_irreducibles(build_field(p, k), n, method) == necklace_count(p**k, n)
+                assert calls, (p, k, method)
         monkeypatch.undo()
         monkeypatch.setattr(engine, "_planes", _refuse)
-        for p, k, n in [(3, 1, 4), (3, 2, 2), (5, 2, 2)]:
+        for p, k, n in [(5, 1, 4), (7, 1, 3), (5, 2, 2)]:
             for method in ("rabin", "trial"):
                 assert count_irreducibles(build_field(p, k), n, method) == necklace_count(p**k, n)
 
@@ -497,7 +501,7 @@ class TestGF2Engine:
 
 
 # fields and degrees on which the sieve's blocks are checked
-_SIEVE_CASES = [(2, 1, 14), (3, 1, 9), (3, 2, 4), (5, 2, 3)]
+_SIEVE_CASES = [(2, 1, 14), (3, 1, 9), (3, 2, 4), (5, 2, 3), (5, 1, 6), (7, 1, 4)]
 
 
 class TestProductSieve:
@@ -509,7 +513,7 @@ class TestProductSieve:
         monkeypatch.setattr(engine, "_BLOCK", block)
         assert np.array_equal(irreducible_flags(field, n, "trial"), rabin)
 
-    @pytest.mark.parametrize("p,k,n", [(2, 1, 10), (3, 1, 6), (3, 2, 4)])
+    @pytest.mark.parametrize("p,k,n", [(2, 1, 10), (3, 1, 6), (3, 2, 4), (5, 1, 5)])
     def test_blocks_of_q_rows(self, monkeypatch, p, k, n):
         # a factor of degree d > s leaves no coefficient of h free: the
         # prefix fixes all of h, and only products that match it are marked
@@ -540,18 +544,24 @@ class TestProductSieve:
 
     def test_independent_of_rabin_and_scalar_tests(self, monkeypatch):
         # built first: FieldContext checks an extension's modulus by Rabin's test
-        cases = [(build_field(p, k), n) for p, k, n in [(2, 1, 14), (2, 2, 5), (3, 1, 8), (3, 2, 4), (17, 2, 2)]]
+        cases = [(build_field(p, k), n) for p, k, n in [(2, 1, 14), (2, 2, 5), (3, 1, 8), (3, 2, 4), (5, 1, 6),
+                                                        (17, 2, 2)]]
         for module in (engine, digits):
             monkeypatch.setattr(module, "_rabin_flags_block", _refuse)
+        monkeypatch.setattr(ternary, "_rabin_flags_block", _refuse)
         for name in ("is_irreducible_trial", "is_irreducible_rabin"):
             monkeypatch.setattr(ff, name, _refuse)
         for field, n in cases:
             assert count_irreducibles(field, n, "trial") == necklace_count(field.q, n)
 
 
-# (p, k, n, _BLOCK) for both element forms: planes for F_2 and F_4, digits
-# for F_3, F_9 and F_289, each with several blocks of either test
-_SWEEP_CASES = [(2, 1, 9, 64), (2, 2, 4, 64), (3, 1, 6, 64), (3, 2, 3, 64), (17, 2, 2, 600)]
+# (p, k, n, _BLOCK) for every element form: planes for F_2, F_4, F_3 and
+# F_9, digits for F_5, F_7 and F_289, each with several blocks of either test
+_SWEEP_CASES = [(2, 1, 9, 64), (2, 2, 4, 64), (3, 1, 6, 64), (3, 2, 3, 64), (17, 2, 2, 600), (5, 1, 4, 64),
+                (7, 1, 3, 64)]
+# each form's Rabin and trial block functions
+_BLOCK_FUNCTIONS = {2: (engine, "_rabin_flags_block", "_trial_planes"),
+                    3: (ternary, "_rabin_flags_block", "_trial_planes")}
 
 
 class TestOneSweepLoop:
@@ -574,9 +584,9 @@ class TestOneSweepLoop:
         # the trial's own sweeps for its factors included, stays in one block
         field = build_field(p, k)
         monkeypatch.setattr(engine, "_BLOCK", block)
-        module, trial_name = (engine, "_trial_planes") if p == 2 else (digits, "_trial_sieve")
-        rabin, trial, seen = module._rabin_flags_block, getattr(module, trial_name), []
-        monkeypatch.setattr(module, "_rabin_flags_block",
+        module, rabin_name, trial_name = _BLOCK_FUNCTIONS.get(p, (digits, "_rabin_flags_block", "_trial_sieve"))
+        rabin, trial, seen = getattr(module, rabin_name), getattr(module, trial_name), []
+        monkeypatch.setattr(module, rabin_name,
                             lambda field, n, a, b: seen.append(("rabin", n, a, b)) or rabin(field, n, a, b))
         monkeypatch.setattr(module, trial_name, lambda field, n, cuts, step: seen.extend(
             ("trial", n, a, b) for a, b in cuts) or trial(field, n, cuts, step))
@@ -590,6 +600,185 @@ class TestOneSweepLoop:
         for method, d, a, b in seen:
             step = engine._block_rows(field, d, method)
             assert a < b and a // step == (b - 1) // step, (method, d, a, b)
+
+
+def _ternary_element(codes, k):
+    # element codes over F_(3^k) -> the p = 3 plane form: digit i of codes[r]
+    # as bit r of the planes (high, low), set where the digit is 2 and 1
+    digits = [[c // 3**i % 3 for c in codes] for i in range(k)]
+    return [(sum((v == 2) << r for r, v in enumerate(ds)), sum((v == 1) << r for r, v in enumerate(ds)))
+            for ds in digits]
+
+
+def _ternary_codes(element, rows):
+    # inverse of _ternary_element for rows codes
+    return [sum((2 * (high >> r & 1) + (low >> r & 1)) * 3**i for i, (high, low) in enumerate(element))
+            for r in range(rows)]
+
+
+def _ternary_poly(codes, k):
+    # (n, rows) codes -> a polynomial of plane elements
+    return [_ternary_element(np.asarray(row).tolist(), k) for row in codes]
+
+
+def _ternary_array(poly, rows):
+    return np.array([_ternary_codes(e, rows) for e in poly])
+
+
+@functools.lru_cache(maxsize=None)
+def _scalar_sweep(p, k, n, method):
+    # a scalar test's verdicts on every row, shared by both engine tests
+    field = build_field(p, k)
+    return _scalar_flags_block(field, n, 0, field.q**n, method)
+
+
+class TestTernaryPlanes:
+    # the p = 3 plane form: its rows against the scalar tests, its cuts
+    # against whole sweeps, its arithmetic against FieldContext, and its rows
+    # against the digits engine, which still serves any odd p
+    @pytest.mark.parametrize("p,k,low_n,top_n", [(3, 1, 6, 8), (3, 2, 4, 4), (3, 3, 3, 3)])
+    @pytest.mark.parametrize("method", ["trial", "rabin"])
+    def test_matches_scalar_oracles_exhaustively(self, p, k, low_n, top_n, method):
+        # with the lower degrees of TestAgreementAndEngine and
+        # TestLogTableEngine, every row of F_3 n <= 8, F_9 n <= 4 and F_27
+        # n <= 3.  The scalar Rabin test takes about 1.5 ms a row over F_9
+        # and F_27, so there its verdicts are checked on every row through
+        # the scalar trial test's, and by itself on sampled rows
+        field = build_field(p, k)
+        for n in range(low_n, top_n + 1):
+            total = field.q**n
+            flags = irreducible_flags(field, n, method)
+            assert np.array_equal(flags, _scalar_sweep(p, k, n, method if k == 1 else "trial")), n
+            rows = np.random.default_rng(n).integers(0, total, size=60).tolist()
+            assert flags[rows].tolist() == [_scalar_flags_block(field, n, i, i + 1, method)[0] for i in rows]
+
+    @pytest.mark.parametrize("method", ["trial", "rabin"])
+    def test_worker_cut_ranges_match_the_full_sweep(self, method):
+        # cuts as --workers 3 and 7 make them over F_3 n=11, three blocks of
+        # 3^10 rows, moved to odd bounds, some inside a block
+        field, n = build_field(3, 1), 11
+        total, step = 3**n, engine._block_rows(field, n, method)
+        whole = irreducible_flags(field, n, method)
+        assert step == 3**10 and whole.sum() == necklace_count(3, n)
+        for workers in (3, 7):
+            bounds = [0] + [total * i // workers | 1 for i in range(1, workers + 1)]
+            assert bounds[-1] == total and any(b % step for b in bounds)
+            for lo, hi in zip(bounds[:-1], bounds[1:]):
+                assert np.array_equal(_flags(field, n, lo, hi, method), whole[lo:hi]), (workers, lo)
+        assert count_irreducibles(field, n, method, workers=2) == necklace_count(3, n)
+
+    @pytest.mark.parametrize("block", [30, 500])
+    @pytest.mark.parametrize("p,k,n", [(3, 1, 9), (3, 2, 4), (3, 3, 3)])
+    def test_block_size_does_not_change_flags(self, monkeypatch, p, k, n, block):
+        # _BLOCK patched to 27 or 243 rows a block, cut at unaligned bounds too
+        field = build_field(p, k)
+        whole = {m: irreducible_flags(field, n, m) for m in ("trial", "rabin")}
+        monkeypatch.setattr(engine, "_BLOCK", block)
+        total = field.q**n
+        for method in ("trial", "rabin"):
+            assert engine._block_rows(field, n, method) == (27 if block == 30 else 243)
+            assert np.array_equal(irreducible_flags(field, n, method), whole[method]), method
+            lo, hi = 100, total - 101
+            assert np.array_equal(_flags(field, n, lo, hi, method), whole[method][lo:hi]), method
+        assert np.array_equal(whole["trial"], whole["rabin"])
+
+    @pytest.mark.parametrize("p,k,n", [(3, 1, 11), (3, 2, 5)])
+    def test_matches_digits_row_for_row(self, monkeypatch, p, k, n):
+        # two independent engines: the planes, and the numpy digits of every
+        # odd p put in their place on the same blocks
+        field = build_field(p, k)
+        planes = {m: irreducible_flags(field, n, m) for m in ("trial", "rabin")}
+        ran = []
+        monkeypatch.setattr(ternary, "_rabin_flags_block",
+                            lambda *args: ran.append("rabin") or digits._rabin_flags_block(*args))
+        monkeypatch.setattr(ternary, "_trial_planes", lambda *args: ran.append("trial") or digits._trial_sieve(*args))
+        monkeypatch.setattr(engine, "_planes", _refuse)
+        for method in ("trial", "rabin"):
+            assert np.array_equal(irreducible_flags(field, n, method), planes[method]), method
+        assert set(ran) == {"trial", "rabin"}
+        assert planes["trial"].sum() == necklace_count(field.q, n)
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_arithmetic_on_all_triples(self, k):
+        # add, negate and r + c e, with e's multiples y^a e, on every triple of
+        # elements, and the scalar form of r + c e, against FieldContext
+        field = build_field(3, k)
+        fold = ternary._fold(field)
+        r, c, e = (m.ravel().tolist() for m in np.meshgrid(*[np.arange(field.q)] * 3))
+        rows = len(r)
+        pr, pc, pe = (_ternary_element(m, k) for m in (r, c, e))
+        assert _ternary_codes([ternary._add(u, v) for u, v in zip(pr, pc)], rows) == list(map(field.add, r, c))
+        assert _ternary_codes(ternary._neg(pr), rows) == list(map(field.neg, r))
+        out = list(pr)
+        ternary._axpy(out, pc, ternary._multiples(pe, fold))
+        assert _ternary_codes(out, rows) == [field.add(x, field.mul(y, z)) for x, y, z in zip(r, c, e)]
+        r, c = (m.ravel().tolist() for m in np.meshgrid(*[np.arange(field.q)] * 2))
+        for z in range(field.q):  # a scalar e, given by the digits of y^a e
+            out = _ternary_element(r, k)
+            ternary._axpy_scalar(out, _ternary_element(c, k), [field.element_vector(field.mul(3**a, z)) for a in range(k)])
+            assert _ternary_codes(out, len(r)) == [field.add(x, field.mul(y, z)) for x, y in zip(r, c)]
+
+    @pytest.mark.parametrize("k,n", [(1, 2), (1, 4), (1, 7), (2, 2), (2, 3), (2, 5), (3, 2), (3, 4), (5, 3)])
+    def test_mulmod_reduce_and_columns_match_scalar(self, k, n):
+        # against _poly_mulmod and _poly_powmod row by row; F_9 n <= 4, F_27
+        # and F_243 take x^q by cubings, the others step their columns up
+        # from x; rows of code q - 1 reach every digit 2
+        field = build_field(3, k)
+        q, rows, fold = field.q, 40, ternary._fold(field)
+        rng = np.random.default_rng(q + n)
+        a, b, f = rng.integers(0, q, size=(3, n, rows))
+        prod = rng.integers(0, q, size=(2 * n - 1, rows))
+        for m in (a, b, f, prod):
+            m[:, :3] = q - 1
+        pf = _ternary_poly(f, k)
+        fs = [ternary._multiples(e, fold) for e in pf]
+        got = _ternary_array(ternary._mulmod(_ternary_poly(a, k), _ternary_poly(b, k), fs, fold), rows)
+        reduced = _ternary_array(ternary._reduce(_ternary_poly(prod, k), fs), rows)
+        x = [[(0, 0)] * k for _ in range(n)]
+        x[1 % n][0] = (0, (1 << rows) - 1)
+        cols = [_ternary_array(col, rows) for col in ternary._frobenius_columns(field, x, fs, fold)] if n > 1 else []
+        for i in range(rows):
+            fi = f[:, i].tolist() + [1]
+            assert got[:, i].tolist() == ff._poly_mulmod(field, a[:, i].tolist(), b[:, i].tolist(), fi)
+            assert reduced[:, i].tolist() == ff._poly_mulmod(field, prod[:, i].tolist(), [1], fi)
+            for j, col in enumerate(cols):
+                assert col[:, i].tolist() == ff._poly_powmod(field, [0, 1] + [0] * (n - 2), j * q, fi), (i, j)
+
+    def test_scalar_reduce_matches_scalar_rem(self):
+        # _reduce_scalar3, the trial's remainder by one g, on planes of rows
+        # against schoolbook division of each row
+        for k, n, d in [(1, 9, 4), (2, 5, 2), (3, 4, 1)]:
+            field = build_field(3, k)
+            q, rows = field.q, 50
+            rng = np.random.default_rng(k * 10 + n)
+            a = rng.integers(0, q, size=(n + 1, rows))
+            g = rng.integers(0, q, size=d).tolist() + [1]
+            negs = [[field.element_vector(field.neg(field.mul(3**j, gi))) for j in range(k)]
+                    for gi in g[:d]]
+            got = _ternary_array(ternary._reduce_scalar(_ternary_poly(a, k), negs), rows)
+            for i in range(rows):
+                assert got[:, i].tolist() == _scalar_rem(field, a[:, i].tolist(), g)
+
+    @pytest.mark.parametrize("k,n", [(1, 5), (2, 3), (5, 2)])
+    def test_coprime_matches_scalar_gcd(self, k, n):
+        # the divstep finish with the shared delta counter, against the
+        # scalar gcd, with x dividing both and h = 0 among the rows
+        field = build_field(3, k)
+        rng = np.random.default_rng(k * 10 + n)
+        rows = 300
+        f = np.ones((rows, n + 1), dtype=np.int64)
+        f[:, :n] = rng.integers(0, field.q, size=(rows, n))
+        h = np.zeros_like(f)
+        h[:, :n] = rng.integers(0, field.q, size=(rows, n))
+        h[: rows // 3, rng.integers(1, n) :] = 0
+        f[-10:-5, 0] = h[-10:-5, 0] = 0
+        h[-10:-5, 1] = 1
+        h[-5:] = 0
+        expected = [ff._poly_gcd_is_one(field, fr.tolist(), hr.tolist()) for fr, hr in zip(f, h)]
+        verdict = ternary._coprime(_ternary_poly(f.T[:n], k), _ternary_poly(h.T[:n], k), (1 << rows) - 1,
+                                   ternary._fold(field))
+        assert [bool(verdict >> r & 1) for r in range(rows)] == expected
+        assert 0 < sum(expected) < rows - 5
 
 
 class TestCheckSweep:
@@ -671,7 +860,7 @@ class TestCounts:
 
     @pytest.mark.parametrize("method,block,jobs", [("rabin", 500, 3), ("trial", 500, 3), ("rabin", 8400, 2)])
     def test_workers_take_whole_blocks(self, monkeypatch, method, block, jobs):
-        # F_3 n=7 in blocks of 71 or 1200 Rabin rows, or 3^5 sieve rows
+        # F_5 n=5 in blocks of 100 or 1680 Rabin rows, or 5^3 sieve rows
         pools = []
 
         class InlinePool:  # runs the jobs here and keeps them
@@ -691,14 +880,14 @@ class TestCounts:
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
         monkeypatch.setattr(engine, "_BLOCK", block)
-        field = build_field(3, 1)
-        assert count_irreducibles(field, 7, method, workers=3) == necklace_count(3, 7)
+        field = build_field(5, 1)
+        assert count_irreducibles(field, 5, method, workers=3) == necklace_count(5, 5)
         [pool] = pools
-        step = engine._block_rows(field, 7, method)
+        step = engine._block_rows(field, 5, method)
         los, his = zip(*(job[2:4] for job in pool.jobs))
         assert pool.max_workers == len(pool.jobs) == jobs
         assert all(lo % step == 0 for lo in los)
-        assert (0,) + his == los + (3**7,)
+        assert (0,) + his == los + (5**5,)
 
     def test_counts_independent_of_modulus(self):
         # representation choice cannot affect the counts: rebuild F_9 and F_8
@@ -1186,6 +1375,7 @@ class TestNarrowCodes:
             return sieve_block(field, n, s, base, factors)
 
         monkeypatch.setattr(digits, "_sieve_block", spy)
+        monkeypatch.setattr(ternary, "_trial_planes", digits._trial_sieve)  # p = 3 sweeps run on planes
         # the scalar trial test tries every divisor, so few rows for large p
         lo, hi = _sample_range(field, n, 200 if field.q < 1000 else 16, p + n)
         got = _flags(field, n, lo, hi, "trial")
