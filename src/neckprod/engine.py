@@ -1,5 +1,4 @@
-"""The counting engine: one sweep loop for every field, and bit planes for
-F_(2^k) and F_(3^k).
+"""The counting engine: one sweep loop for every field, and bit planes for F_(2^k).
 
 finitefield's sweeps import it once check_sweep has accepted them.
 _flags_range cuts every range of monic polynomials into aligned blocks
