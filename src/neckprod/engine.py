@@ -1,4 +1,4 @@
-"""The counting engine: one sweep loop for every field, and bit planes for F_(2^k).
+"""The counting engine: one sweep loop for every field, one plane Rabin test.
 
 finitefield's sweeps import it once check_sweep has accepted them.
 _flags_range cuts every range of monic polynomials into aligned blocks
@@ -8,15 +8,17 @@ p >= 5 runs on the numpy digits of neckprod.digits.  Characteristics 2 and
 3 run on bit planes in Python integers (bit-slicing, Biham 1997), with no
 numpy: a plane holds one bit of a base-p digit of a coefficient for every
 row of a block, and since q = p^k those digits are the digits of the row
-index.  F_(2^k) runs here: an element is k planes; it adds by xor and
-multiplies by and.  F_(3^k) runs in neckprod.ternary, k digits of two
-planes each; _planes and the delta counter of _divstep serve both.
+index.  A plane form (_Form) holds one characteristic's digit operations:
+F_2's is here, a digit one plane that adds by xor and multiplies by and;
+F_3's, a digit two planes, is in neckprod.ternary, imported only for p = 3.
 
-* rabin -- the Frobenius ladder t -> t^q = sum_i t_i (x^(iq) mod f), then
-  Bernstein-Yang divsteps on every row with a bit-sliced delta, once per
-  block on the product of the gcd conditions.
-* trial -- f mod g is F_p-linear in f's digits for each monic irreducible g
-  of degree <= n/2, found by this test at degree deg g (_irreducibles).
+* rabin -- one block function for both plane forms: the Frobenius ladder
+  t -> t^q = sum_i t_i (x^(iq) mod f), with x^q by k p-th powers when
+  q > 2n, then Bernstein-Yang divsteps on every row with a bit-sliced
+  delta, once per block on the product of the gcd conditions.
+* trial -- over F_(2^k), f mod g is F_2-linear in f's digits for each
+  monic irreducible g of degree <= n/2, found by this test at degree deg g
+  (_irreducibles); neckprod.ternary holds the trial over F_(3^k).
 
 Every path is held row for row to the scalar is_irreducible_* tests of
 finitefield, which share no code with them.
@@ -24,8 +26,9 @@ finitefield, which share no code with them.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from functools import reduce
-from operator import or_
+from operator import or_, pos, xor
 
 from .finitefield import _prime_factors
 
@@ -52,13 +55,12 @@ def _flags_range(field, n: int, lo: int, hi: int, method: str) -> tuple[list, li
         return [(lo, hi)], [(1 << (hi - lo)) - 1]  # every monic linear polynomial
     step = _block_rows(field, n, method)
     cuts = [(max(lo, base), min(hi, base + step)) for base in range(lo - lo % step, hi, step)]
-    if field.p == 2:
-        rabin, trial = _rabin_flags_block, _trial_planes
-    elif field.p == 3:
+    rabin, trial = _rabin_flags_block, _trial_planes
+    if field.p == 3:
         from . import ternary
 
-        rabin, trial = ternary._rabin_flags_block, ternary._trial_planes
-    else:
+        trial = ternary._trial_planes
+    elif field.p > 3:
         from . import digits
 
         rabin, trial = digits._rabin_flags_block, digits._trial_sieve
@@ -78,10 +80,42 @@ def _irreducibles(field, d: int) -> list[int]:
     return [a + r for (a, _), mask in zip(cuts, masks) for r, bit in enumerate(bin(mask)[:1:-1]) if bit == "1"]
 
 
-# A polynomial is a list of elements, constant term first, and an element a
-# list of k planes, its digits over F_2; low lists the i < k with
-# y^k = sum_(i in low) y^i, y the generator of F_q over F_2.  A block of
-# monic polynomials holds its n free coefficients, the leading 1 implicit.
+# A plane form is a record of digit operations on planes: an F_2 digit is one
+# plane, and an F_3 digit the pair (high, low) of neckprod.ternary.  An
+# element of F_(p^k) is a list of k digits, and fold lists (i, c) for
+# y^k = sum c y^i, c = -m_i mod p for the nonzero coefficients m_i of the
+# field modulus, y the generator of F_q over F_p.  A polynomial is a list of
+# elements, constant term first; a block of monic polynomials holds its n
+# free coefficients, the leading 1 implicit.  A form's digit operations:
+# zero; one(rows), 1 on those rows and 0 elsewhere; add and neg; nonzero, the
+# rows where a digit is not 0; select(swap, u, v), v on the rows of swap and
+# u elsewhere.  axpy(rs, c, yss) adds c e_j to each element rs[j], for
+# yss[j] = _multiples(e_j), taking each digit of c once across the row; one
+# element is a row of one.
+_Form = namedtuple("_Form", "zero one add neg nonzero select axpy fold")
+
+
+def _axpy(rs: list, c: list[int], yss: list) -> None:
+    for a, ca in enumerate(c):
+        if ca:
+            for r, ys in zip(rs, yss):
+                for b, y in enumerate(ys[a]):
+                    r[b] ^= ca & y
+
+
+# F_2: a digit adds by xor, multiplies by and, and is its own negative
+_F2 = _Form(0, pos, xor, pos, pos, lambda swap, u, v: u ^ (u ^ v) & swap, _axpy, ())
+
+
+def _form(field) -> _Form:
+    # the plane form of F_(2^k) or F_(3^k), with the fold of its modulus
+    if field.p == 2:
+        form = _F2
+    else:
+        from . import ternary
+
+        form = ternary._F3
+    return form._replace(fold=[(i, -m % field.p) for i, m in enumerate(field.modulus[: field.k]) if m])
 
 
 def _planes(n: int, k: int, a: int, b: int, p: int = 2) -> tuple[list, int]:
@@ -108,84 +142,88 @@ def _planes(n: int, k: int, a: int, b: int, p: int = 2) -> tuple[list, int]:
     return planes, t
 
 
-def _multiples(e: list[int], low: list[int]) -> list[list[int]]:
+def _multiples(e: list, form: _Form) -> list[list]:
     # y^a e for a < k, each the one before shifted up a digit with its top
     # digit folded
     ys = [e]
     while len(ys) < len(e):
         top = ys[-1][-1]
-        ys.append([0] + ys[-1][:-1])
-        for i in low:
-            ys[-1][i] ^= top
+        ys.append([form.zero] + ys[-1][:-1])
+        for i, c in form.fold:
+            ys[-1][i] = form.add(ys[-1][i], top if c == 1 else form.neg(top))
     return ys
 
 
-def _axpy(r: list[int], c: list[int], ys: list[list[int]]) -> None:
-    # r += c e in place, for elements r and c and ys = _multiples(e)
+def _axpy_scalar(r: list, c: list, ys: list, form: _Form) -> None:
+    # r += c e in place for a scalar element e, ys[a] the F_p digits of y^a e:
+    # each adds a digit of c or its negative
     for ca, y in zip(c, ys):
-        if ca:
-            for i, yi in enumerate(y):
-                r[i] ^= ca & yi
+        for b, v in enumerate(y):
+            if v:
+                r[b] = form.add(r[b], ca if v == 1 else form.neg(ca))
 
 
-def _reduce(prod: list, fs: list) -> list:
+def _reduce(prod: list, fs: list, form: _Form) -> list:
     # prod mod g, in place, for fs the multiples of the coefficients of a
     # monic g below its leading 1
     d = len(fs)
     for j in range(len(prod) - 1, d - 1, -1):
-        for i, ys in enumerate(fs):
-            _axpy(prod[j - d + i], prod[j], ys)
+        form.axpy(prod[j - d : j], [form.neg(u) for u in prod[j]], fs)
     return prod[:d]
 
 
-def _mulmod(a: list, b: list, fs: list, low: list[int]) -> list:
-    prod = [[0] * len(a[0]) for _ in range(2 * len(a) - 1)]
+def _mulmod(a: list, b: list, fs: list, form: _Form) -> list:
+    prod = [[form.zero] * len(a[0]) for _ in range(2 * len(a) - 1)]
+    ams = [_multiples(e, form) for e in a]
     for j, bj in enumerate(b):
-        ys = _multiples(bj, low)
-        for i, ai in enumerate(a):
-            _axpy(prod[i + j], ai, ys)
-    return _reduce(prod, fs)
+        form.axpy(prod[j : j + len(a)], bj, ams)
+    return _reduce(prod, fs, form)
 
 
-def _frobenius_columns(q: int, x: list, fs: list, low: list[int]) -> list:
+def _frobenius_columns(field, x: list, fs: list, form: _Form) -> list:
     # C_i = x^(iq) mod f for i < n: up to q = 2n C_(i-1) shifted up q degrees,
-    # above C_(i-1) x^q, with x^q by k squarings
-    n, k = len(x), len(x[0])
-    cols = [[list(x[1])] + [[0] * k for _ in range(n - 1)]]  # 1, as x's coefficient of x
+    # above C_(i-1) x^q, with x^q by k p-th powers u^p = sum_i u_i^p x^(pi),
+    # where e^p = sum_a e_a y^(pa) for the digits e_a of e
+    n, k, p, q, zero = len(x), field.k, field.p, field.q, form.zero
+    cols = [[list(x[1])] + [[zero] * k for _ in range(n - 1)]]  # 1, as x's coefficient of x
     if q <= 2 * n:
         while len(cols) < n:
-            cols.append(_reduce([[0] * k for _ in range(q)] + [list(e) for e in cols[-1]], fs))
+            cols.append(_reduce([[zero] * k for _ in range(q)] + [list(e) for e in cols[-1]], fs, form))
         return cols
+    powers = [field.element_vector(field._power(p, p * a)) for a in range(k)]  # y^(pa), y of code p as k > 1
     xq = x
     for _ in range(k):
-        xq = _mulmod(xq, xq, fs, low)
+        prod = [[zero] * k for _ in range(p * (n - 1) + 1)]
+        for i, e in enumerate(xq):
+            _axpy_scalar(prod[p * i], e, powers, form)
+        xq = _reduce(prod, fs, form)
     cols.append(xq)
     while len(cols) < n:
-        cols.append(_mulmod(cols[-1], xq, fs, low))
+        cols.append(_mulmod(cols[-1], xq, fs, form))
     return cols
 
 
-def _coprime(f: list, h: list, ones: int, low: list[int]) -> int:
+def _coprime(f: list, h: list, ones: int, form: _Form) -> int:
     """Rowwise verdict gcd(f, h) = 1, as planes of width ones, for f monic of
     degree n given by its n free coefficients and h of lower degree: the
     divsteps of digits._coprime (Bernstein and Yang 2019) on F = x^n f(1/x)
-    and G = x^(n-1) h(1/x), with delta a two's-complement counter bit-sliced
-    over the rows; the gcd is 1 where it ends at 0."""
-    n, k = len(f), len(f[0])
-    F = [[ones] + [0] * (k - 1)] + f[::-1]
-    G = h[::-1] + [[0] * k]
+    and G = x^(n-1) h(1/x), G <- (F_0 G - G_0 F) / x, with delta a
+    two's-complement counter bit-sliced over the rows; the gcd is 1 where it
+    ends at 0."""
+    n, k, zero = len(f), len(f[0]), form.zero
+    F = [[form.one(ones)] + [zero] * (k - 1)] + f[::-1]
+    G = h[::-1] + [[zero] * k]
     delta = [ones] + [0] * (2 * n + 2).bit_length()  # 1, with room for |delta| <= 2n
     for step in range(2 * n - 1):
         F, G = F[: 2 * n - 1 - step], G[: 2 * n - 1 - step]
-        swap, delta = _divstep(delta, reduce(or_, G[0]), ones)
-        f0s, g0s = _multiples(F[0], low), _multiples(G[0], low)
-        H = []
-        for fi, gi in zip(F[1:], G[1:]):
-            H.append([0] * k)
-            _axpy(H[-1], gi, f0s)
-            _axpy(H[-1], fi, g0s)
-        F = [[u ^ (u ^ v) & swap for u, v in zip(fi, gi)] for fi, gi in zip(F, G)]
-        G = H + [[0] * k]
+        swap, delta = _divstep(delta, reduce(or_, map(form.nonzero, G[0])), ones)
+        f0s, g0s = [_multiples(F[0], form)], [_multiples([form.neg(u) for u in G[0]], form)]
+        H = [[zero] * k for _ in F[1:]]
+        for hi, fi, gi in zip(H, F[1:], G[1:]):
+            form.axpy([hi], gi, f0s)
+            form.axpy([hi], fi, g0s)
+        F = [[form.select(swap, u, v) for u, v in zip(fi, gi)] for fi, gi in zip(F, G)]
+        G = H + [[zero] * k]
     return ones & ~reduce(or_, delta)
 
 
@@ -204,37 +242,38 @@ def _divstep(delta: list[int], g0: int, ones: int) -> tuple[int, list[int]]:
 
 
 def _rabin_flags_block(field, n: int, lo: int, hi: int) -> int:
-    k, q, ones = field.k, field.q, (1 << (hi - lo)) - 1
-    low = [i for i in range(k) if field.modulus[i]]
-    planes, _ = _planes(n, k, lo, hi)
+    form, k, q, ones = _form(field), field.k, field.q, (1 << (hi - lo)) - 1
+    planes, _ = _planes(n, k, lo, hi, field.p)
     f = [planes[(n - 1 - j) * k : (n - j) * k] for j in range(n)]
-    fs = [_multiples(c, low) for c in f]
-    x = [[0] * k for _ in range(n)]
-    x[1][0] = ones
+    fs = [_multiples(c, form) for c in f]
+    x = [[form.zero] * k for _ in range(n)]
+    x[1][0] = form.one(ones)
     # t -> t^q is F_q-linear: t^q = sum_i t_i C_i
-    cols = [[_multiples(c, low) for c in col] for col in _frobenius_columns(q, x, fs, low)]
+    cols = [[_multiples(c, form) for c in col] for col in _frobenius_columns(field, x, fs, form)]
     placed = -(-n // q)  # C_i = x^(iq) is a single 1 for iq < n: t_i is placed
     checkpoints = {n // l for l in _prime_factors(n)}
     t, saved = x, []
     for j in range(1, n + 1):
-        acc = [[0] * k for _ in range(n)]
+        acc = [[form.zero] * k for _ in range(n)]
         for i in range(placed):
             acc[i * q] = list(t[i])
-        for i in range(placed, n):  # _axpy inlined, each digit of t_i against every coefficient
-            for a, ta in enumerate(t[i]):
-                if ta:
-                    for r, ys in zip(acc, cols[i]):
-                        for b, y in enumerate(ys[a]):
-                            r[b] ^= ta & y
+        for i in range(placed, n):
+            form.axpy(acc, t[i], cols[i])
         t = acc
         if j in checkpoints:
             saved.append(t)
-    flags = ones & ~reduce(or_, (u ^ v for ti, xi in zip(t, x) for u, v in zip(ti, xi)))
+
+    def minus_x(u: list) -> list:
+        u = [list(e) for e in u]
+        u[1][0] = form.add(u[1][0], form.neg(x[1][0]))
+        return u
+
+    flags = ones & ~reduce(or_, map(form.nonzero, (u for e in minus_x(t) for u in e)))
     # survivors have all factor degrees dividing n; finish every row with the
     # gcd conditions on the saved powers, gcd(f, prod_l (x^(q^(n/l)) - x)) = 1
     # holding iff each factor's does (Gao and Panario 1997)
-    diffs = [[[u ^ v for u, v in zip(si, xi)] for si, xi in zip(s, x)] for s in saved]
-    return flags & _coprime(f, reduce(lambda u, v: _mulmod(u, v, fs, low), diffs), ones, low)
+    diffs = [minus_x(s) for s in saved]
+    return flags & _coprime(f, reduce(lambda u, v: _mulmod(u, v, fs, form), diffs), ones, form)
 
 
 def _span(planes: list[int]) -> list[int]:
@@ -252,8 +291,7 @@ def _trial_planes(field, n: int, cuts: list, step: int) -> list[int]:
     # ones or zero.  In a cut the bits below t vary over the rows, xored from
     # tables of 8 planes (the method of four Russians); those from t up are
     # fixed, and pick a digit's plane or its complement as the rows where it is 0.
-    k, nk = field.k, n * field.k
-    low = [i for i in range(k) if field.modulus[i]]
+    k, nk, form = field.k, n * field.k, _form(field)
     shapes = {}  # (first row in its block, rows) -> xor tables, t, ones, [(cut, fixed bits)]
     for c, (a, b) in enumerate(cuts):
         if (a % step, b - a) not in shapes:
@@ -270,7 +308,8 @@ def _trial_planes(field, n: int, cuts: list, step: int) -> list[int]:
         f = [[every << (n - 1 - j) * k + i for i in range(k)] for j in range(n)] + [[every << nk] + [0] * (k - 1)]
         g = [[int.from_bytes(b"".join(b"\xff" * w if g >> (d - 1 - j) * k + i & 1 else bytes(w) for g in gs), "little")
               for i in range(k)] for j in range(d)]
-        rem = [plane.to_bytes(w * len(gs), "little") for e in _reduce(f, [_multiples(e, low) for e in g]) for plane in e]
+        rem = _reduce(f, [_multiples(e, form) for e in g], form)
+        rem = [plane.to_bytes(w * len(gs), "little") for e in rem for plane in e]
         for r in range(0, w * len(gs), w):
             digits = [int.from_bytes(plane[r : r + w], "little") for plane in rem]
             for tables, t, ones, members in shapes.values():

@@ -280,10 +280,9 @@ class TestAgreementAndEngine:
         # takes _BLOCK // (n k) rows a block; the plane forms keep the largest
         # 2^s or 3^s <= _BLOCK, _BLOCK rows for every F_(2^k) and 3^10 for F_(3^k)
         ranges = []
-        for module, name in ((engine, "_rabin_flags_block"), (ternary, "_rabin_flags_block"),
-                             (digits, "_rabin_flags_block")):
-            monkeypatch.setattr(module, name,
-                                lambda field, n, lo, hi, block=getattr(module, name):
+        for module in (engine, digits):
+            monkeypatch.setattr(module, "_rabin_flags_block",
+                                lambda field, n, lo, hi, block=module._rabin_flags_block:
                                 ranges.append((lo, hi)) or block(field, n, lo, hi))
         assert count_irreducibles(build_field(2, 1), 17, "rabin") == necklace_count(2, 17)
         assert ranges == [(0, engine._BLOCK), (engine._BLOCK, 2 * engine._BLOCK)]
@@ -460,7 +459,7 @@ class TestGF2Engine:
             group = [(u, v) for u, v in pairs if u.bit_length() == m]
             # coefficient i of the polynomials of a side as one plane, bit r for row r
             a, b = ([[sum((w >> i & 1) << r for r, w in enumerate(side))] for i in range(m - 1)] for side in zip(*group))
-            verdict = engine._coprime(a, b, (1 << len(group)) - 1, [])
+            verdict = engine._coprime(a, b, (1 << len(group)) - 1, engine._form(field))
             got += [bool(verdict >> r & 1) for r in range(len(group))]
             expected += [ff._poly_gcd_is_one(field, bits(u, m), bits(v, m)) for u, v in group]
         assert max(u.bit_length() for u, _ in pairs) == 64
@@ -468,9 +467,12 @@ class TestGF2Engine:
         assert 0 < sum(expected) < len(pairs)
 
     def test_trial_matches_rabin_past_the_exhaustive_range(self):
-        field = build_field(2, 1)
-        for n in range(17, 21):
-            assert np.array_equal(irreducible_flags(field, n, "trial"), irreducible_flags(field, n, "rabin")), n
+        # row for row past 2^16 rows, over F_2 and over both plane forms'
+        # extensions and F_3, each sweep several blocks of the Rabin ladder
+        cases = [(2, 1, n) for n in range(17, 21)] + [(3, 1, 12), (3, 2, 6), (3, 3, 4), (2, 2, 9), (2, 4, 5), (2, 3, 7)]
+        for p, k, n in cases:
+            field = build_field(p, k)
+            assert np.array_equal(irreducible_flags(field, n, "trial"), irreducible_flags(field, n, "rabin")), (p, k, n)
 
     def test_f256_quadratics_exhaustively(self):
         # every monic quadratic over F_256, by both tests, against the
@@ -548,7 +550,6 @@ class TestProductSieve:
                                                         (17, 2, 2)]]
         for module in (engine, digits):
             monkeypatch.setattr(module, "_rabin_flags_block", _refuse)
-        monkeypatch.setattr(ternary, "_rabin_flags_block", _refuse)
         for name in ("is_irreducible_trial", "is_irreducible_rabin"):
             monkeypatch.setattr(ff, name, _refuse)
         for field, n in cases:
@@ -559,9 +560,9 @@ class TestProductSieve:
 # F_9, digits for F_5, F_7 and F_289, each with several blocks of either test
 _SWEEP_CASES = [(2, 1, 9, 64), (2, 2, 4, 64), (3, 1, 6, 64), (3, 2, 3, 64), (17, 2, 2, 600), (5, 1, 4, 64),
                 (7, 1, 3, 64)]
-# each form's Rabin and trial block functions
-_BLOCK_FUNCTIONS = {2: (engine, "_rabin_flags_block", "_trial_planes"),
-                    3: (ternary, "_rabin_flags_block", "_trial_planes")}
+# each form's Rabin module and trial module and function: one Rabin block
+# function for both plane forms
+_BLOCK_FUNCTIONS = {2: (engine, engine, "_trial_planes"), 3: (engine, ternary, "_trial_planes")}
 
 
 class TestOneSweepLoop:
@@ -584,11 +585,11 @@ class TestOneSweepLoop:
         # the trial's own sweeps for its factors included, stays in one block
         field = build_field(p, k)
         monkeypatch.setattr(engine, "_BLOCK", block)
-        module, rabin_name, trial_name = _BLOCK_FUNCTIONS.get(p, (digits, "_rabin_flags_block", "_trial_sieve"))
-        rabin, trial, seen = getattr(module, rabin_name), getattr(module, trial_name), []
-        monkeypatch.setattr(module, rabin_name,
+        rabin_module, trial_module, trial_name = _BLOCK_FUNCTIONS.get(p, (digits, digits, "_trial_sieve"))
+        rabin, trial, seen = rabin_module._rabin_flags_block, getattr(trial_module, trial_name), []
+        monkeypatch.setattr(rabin_module, "_rabin_flags_block",
                             lambda field, n, a, b: seen.append(("rabin", n, a, b)) or rabin(field, n, a, b))
-        monkeypatch.setattr(module, trial_name, lambda field, n, cuts, step: seen.extend(
+        monkeypatch.setattr(trial_module, trial_name, lambda field, n, cuts, step: seen.extend(
             ("trial", n, a, b) for a, b in cuts) or trial(field, n, cuts, step))
         total = field.q**n
         for method in ("trial", "rabin"):
@@ -689,7 +690,7 @@ class TestTernaryPlanes:
         field = build_field(p, k)
         planes = {m: irreducible_flags(field, n, m) for m in ("trial", "rabin")}
         ran = []
-        monkeypatch.setattr(ternary, "_rabin_flags_block",
+        monkeypatch.setattr(engine, "_rabin_flags_block",
                             lambda *args: ran.append("rabin") or digits._rabin_flags_block(*args))
         monkeypatch.setattr(ternary, "_trial_planes", lambda *args: ran.append("trial") or digits._trial_sieve(*args))
         monkeypatch.setattr(engine, "_planes", _refuse)
@@ -700,43 +701,48 @@ class TestTernaryPlanes:
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_arithmetic_on_all_triples(self, k):
-        # add, negate and r + c e, with e's multiples y^a e, on every triple of
-        # elements, and the scalar form of r + c e, against FieldContext
+        # the F_3 form's add, negate, select and r + c e, with e's multiples
+        # y^a e, on every triple of elements, and the scalar form of r + c e,
+        # against FieldContext
         field = build_field(3, k)
-        fold = ternary._fold(field)
+        form = engine._form(field)
         r, c, e = (m.ravel().tolist() for m in np.meshgrid(*[np.arange(field.q)] * 3))
         rows = len(r)
         pr, pc, pe = (_ternary_element(m, k) for m in (r, c, e))
-        assert _ternary_codes([ternary._add(u, v) for u, v in zip(pr, pc)], rows) == list(map(field.add, r, c))
-        assert _ternary_codes(ternary._neg(pr), rows) == list(map(field.neg, r))
+        assert _ternary_codes([form.add(u, v) for u, v in zip(pr, pc)], rows) == list(map(field.add, r, c))
+        assert _ternary_codes([form.neg(u) for u in pr], rows) == list(map(field.neg, r))
+        swap = sum(1 << i for i in range(0, rows, 3))  # rows 0, 3, 6, ... take c
+        assert _ternary_codes([form.select(swap, u, v) for u, v in zip(pr, pc)], rows) == [
+            y if i % 3 == 0 else x for i, (x, y) in enumerate(zip(r, c))]
         out = list(pr)
-        ternary._axpy(out, pc, ternary._multiples(pe, fold))
+        form.axpy([out], pc, [engine._multiples(pe, form)])
         assert _ternary_codes(out, rows) == [field.add(x, field.mul(y, z)) for x, y, z in zip(r, c, e)]
         r, c = (m.ravel().tolist() for m in np.meshgrid(*[np.arange(field.q)] * 2))
         for z in range(field.q):  # a scalar e, given by the digits of y^a e
-            out = _ternary_element(r, k)
-            ternary._axpy_scalar(out, _ternary_element(c, k), [field.element_vector(field.mul(3**a, z)) for a in range(k)])
+            out, ys = _ternary_element(r, k), [field.element_vector(field.mul(3**a, z)) for a in range(k)]
+            engine._axpy_scalar(out, _ternary_element(c, k), ys, form)
             assert _ternary_codes(out, len(r)) == [field.add(x, field.mul(y, z)) for x, y in zip(r, c)]
 
     @pytest.mark.parametrize("k,n", [(1, 2), (1, 4), (1, 7), (2, 2), (2, 3), (2, 5), (3, 2), (3, 4), (5, 3)])
     def test_mulmod_reduce_and_columns_match_scalar(self, k, n):
-        # against _poly_mulmod and _poly_powmod row by row; F_9 n <= 4, F_27
-        # and F_243 take x^q by cubings, the others step their columns up
-        # from x; rows of code q - 1 reach every digit 2
+        # the shared plane functions on the F_3 form, against _poly_mulmod and
+        # _poly_powmod row by row; F_9 n <= 4, F_27 and F_243 take x^q by k
+        # cubings, the others step their columns up from x; rows of code
+        # q - 1 reach every digit 2
         field = build_field(3, k)
-        q, rows, fold = field.q, 40, ternary._fold(field)
+        q, rows, form = field.q, 40, engine._form(field)
         rng = np.random.default_rng(q + n)
         a, b, f = rng.integers(0, q, size=(3, n, rows))
         prod = rng.integers(0, q, size=(2 * n - 1, rows))
         for m in (a, b, f, prod):
             m[:, :3] = q - 1
         pf = _ternary_poly(f, k)
-        fs = [ternary._multiples(e, fold) for e in pf]
-        got = _ternary_array(ternary._mulmod(_ternary_poly(a, k), _ternary_poly(b, k), fs, fold), rows)
-        reduced = _ternary_array(ternary._reduce(_ternary_poly(prod, k), fs), rows)
+        fs = [engine._multiples(e, form) for e in pf]
+        got = _ternary_array(engine._mulmod(_ternary_poly(a, k), _ternary_poly(b, k), fs, form), rows)
+        reduced = _ternary_array(engine._reduce(_ternary_poly(prod, k), fs, form), rows)
         x = [[(0, 0)] * k for _ in range(n)]
         x[1 % n][0] = (0, (1 << rows) - 1)
-        cols = [_ternary_array(col, rows) for col in ternary._frobenius_columns(field, x, fs, fold)] if n > 1 else []
+        cols = [_ternary_array(col, rows) for col in engine._frobenius_columns(field, x, fs, form)] if n > 1 else []
         for i in range(rows):
             fi = f[:, i].tolist() + [1]
             assert got[:, i].tolist() == ff._poly_mulmod(field, a[:, i].tolist(), b[:, i].tolist(), fi)
@@ -758,27 +764,6 @@ class TestTernaryPlanes:
             got = _ternary_array(ternary._reduce_scalar(_ternary_poly(a, k), negs), rows)
             for i in range(rows):
                 assert got[:, i].tolist() == _scalar_rem(field, a[:, i].tolist(), g)
-
-    @pytest.mark.parametrize("k,n", [(1, 5), (2, 3), (5, 2)])
-    def test_coprime_matches_scalar_gcd(self, k, n):
-        # the divstep finish with the shared delta counter, against the
-        # scalar gcd, with x dividing both and h = 0 among the rows
-        field = build_field(3, k)
-        rng = np.random.default_rng(k * 10 + n)
-        rows = 300
-        f = np.ones((rows, n + 1), dtype=np.int64)
-        f[:, :n] = rng.integers(0, field.q, size=(rows, n))
-        h = np.zeros_like(f)
-        h[:, :n] = rng.integers(0, field.q, size=(rows, n))
-        h[: rows // 3, rng.integers(1, n) :] = 0
-        f[-10:-5, 0] = h[-10:-5, 0] = 0
-        h[-10:-5, 1] = 1
-        h[-5:] = 0
-        expected = [ff._poly_gcd_is_one(field, fr.tolist(), hr.tolist()) for fr, hr in zip(f, h)]
-        verdict = ternary._coprime(_ternary_poly(f.T[:n], k), _ternary_poly(h.T[:n], k), (1 << rows) - 1,
-                                   ternary._fold(field))
-        assert [bool(verdict >> r & 1) for r in range(rows)] == expected
-        assert 0 < sum(expected) < rows - 5
 
 
 class TestCheckSweep:
@@ -958,12 +943,16 @@ def _codes(field, digits):
 
 def _plane_element(field, codes):
     # element codes over F_(2^k) -> the plane form, bit r of plane i the digit
-    # i of codes[r]
+    # i of codes[r]; over F_(3^k) the two-plane form of _ternary_element
+    if field.p == 3:
+        return _ternary_element(codes, field.k)
     return [int("".join(str(c >> i & 1) for c in reversed(codes)) or "0", 2) for i in range(field.k)]
 
 
 def _plane_codes(field, element, rows):
     # inverse of _plane_element for rows codes
+    if field.p == 3:
+        return _ternary_codes(element, rows)
     digits = [format(plane, f"0{rows}b")[::-1] for plane in element]
     return [sum(int(digits[i][r]) << i for i in range(field.k)) for r in range(rows)]
 
@@ -971,11 +960,6 @@ def _plane_codes(field, element, rows):
 def _plane_poly(field, codes):
     # (n, rows) codes -> a polynomial of plane elements
     return [_plane_element(field, np.asarray(row).tolist()) for row in codes]
-
-
-def _low(field):
-    # the i < k with y^k = sum of y^i over F_(2^k)
-    return [i for i in range(field.k) if field.modulus[i]]
 
 
 class TestLogTableEngine:
@@ -1033,7 +1017,7 @@ class TestLogTableEngine:
         if p == 2:
             pa, pb = _plane_element(field, a.tolist()), _plane_element(field, b.tolist())
             prod = [0] * k
-            engine._axpy(prod, pa, engine._multiples(pb, _low(field)))
+            engine._axpy([prod], pa, [engine._multiples(pb, engine._form(field))])
             products = _plane_codes(field, prod, q * q)
             assert products == [field.mul(x, y) for x, y in zip(a.tolist(), b.tolist())]
             assert _plane_codes(field, [u ^ v for u, v in zip(pa, pb)], q * q) == (a ^ b).tolist()
@@ -1060,7 +1044,8 @@ class TestLogTableEngine:
         if p == 2:
             for mult in (c, c % p):
                 out = _plane_element(field, r.tolist())
-                engine._axpy(out, _plane_element(field, mult.tolist()), engine._multiples(_plane_element(field, g.tolist()), _low(field)))
+                engine._axpy([out], _plane_element(field, mult.tolist()),
+                             [engine._multiples(_plane_element(field, g.tolist()), engine._form(field))])
                 assert _plane_codes(field, out, r.size) == [field.sub(x, field.mul(y, z))
                                                             for x, y, z in zip(r.tolist(), mult.tolist(), g.tolist())]
             return
@@ -1077,8 +1062,9 @@ class TestLogTableEngine:
 
     @pytest.mark.parametrize("p,k", [(3, 1), (65521, 1), (2, 2), (3, 2), (17, 2)])
     def test_mulmod_and_reduce_match_scalar(self, p, k):
-        # coefficient-major blocks against _poly_mulmod column by column;
-        # columns of code q - 1 (every digit p - 1) reach the largest lazy
+        # coefficient-major blocks against _poly_mulmod column by column, on
+        # the plane form of p <= 3 and the digits of odd p, both over F_3 and
+        # F_9; columns of code q - 1 (every digit p - 1) reach the largest lazy
         # intermediates
         field = build_field(p, k)
         q, n, rows = field.q, 4, 60
@@ -1087,42 +1073,49 @@ class TestLogTableEngine:
         prod = rng.integers(0, q, size=(2 * n - 1, rows))
         for m in (a, b, f, prod):
             m[:, :5] = q - 1
-        if p == 2:
-            fs = [engine._multiples(e, _low(field)) for e in _plane_poly(field, f)]
-            got = engine._mulmod(_plane_poly(field, a), _plane_poly(field, b), fs, _low(field))
-            got = np.array([_plane_codes(field, e, rows) for e in got])
-            reduced = np.array([_plane_codes(field, e, rows) for e in engine._reduce(_plane_poly(field, prod), fs)])
-        else:
+        results = []
+        if p <= 3:
+            form = engine._form(field)
+            fs = [engine._multiples(e, form) for e in _plane_poly(field, f)]
+            got = engine._mulmod(_plane_poly(field, a), _plane_poly(field, b), fs, form)
+            reduced = engine._reduce(_plane_poly(field, prod), fs, form)
+            results.append([np.array([_plane_codes(field, e, rows) for e in m]) for m in (got, reduced)])
+        if p >= 3:
             ar = digits._Arith(field)
             da, db, df, dprod = (_digits(field, m) for m in (a, b, f, prod))
             fs = ar.multiples(df)
-            got = _codes(field, digits._mulmod(ar, da, ar.multiples(ar.sub(0, db)), fs))
-            reduced = _codes(field, digits._reduce(ar, dprod, fs))
-        for i in range(rows):
-            fi = f[:, i].tolist() + [1]
-            assert got[:, i].tolist() == ff._poly_mulmod(field, a[:, i].tolist(), b[:, i].tolist(), fi)
-            assert reduced[:, i].tolist() == ff._poly_mulmod(field, prod[:, i].tolist(), [1], fi)
+            results.append([_codes(field, digits._mulmod(ar, da, ar.multiples(ar.sub(0, db)), fs)),
+                            _codes(field, digits._reduce(ar, dprod, fs))])
+        for got, reduced in results:
+            for i in range(rows):
+                fi = f[:, i].tolist() + [1]
+                assert got[:, i].tolist() == ff._poly_mulmod(field, a[:, i].tolist(), b[:, i].tolist(), fi)
+                assert reduced[:, i].tolist() == ff._poly_mulmod(field, prod[:, i].tolist(), [1], fi)
 
     # q = 2n (F_4 n = 2, F_16 n = 8) is the last to step its columns up from
-    # x, q = 2n + 1 (F_5 n = 2, F_17 n = 8) the first to multiply them from x^q
+    # x, q = 2n + 1 (F_5 n = 2, F_17 n = 8) the first to multiply them from x^q;
+    # the plane forms take x^q by k p-th powers, odd k among them (F_8, F_32,
+    # F_27, F_243)
     @pytest.mark.parametrize("p,k,n", [(2, 1, 2), (2, 1, 5), (2, 1, 9), (3, 1, 4), (7, 1, 4), (2, 2, 2),
                                        (2, 4, 8), (3, 2, 5), (5, 1, 2), (17, 1, 8), (2, 4, 3), (5, 2, 2),
-                                       (2, 8, 2)])
+                                       (2, 8, 2), (2, 3, 2), (2, 5, 3), (3, 3, 2), (3, 5, 3)])
     def test_frobenius_columns_match_scalar_powers(self, p, k, n):
-        # -C_i for C_i = x^(iq) mod f against _poly_powmod row by row; p = 2
-        # on bit planes, where -C_i = C_i; rows of f of code q - 1 reach the
-        # largest lazy intermediates
+        # C_i = x^(iq) mod f on the plane form of p <= 3, and -C_i on the
+        # digits of odd p, both over F_3 and F_(3^k), against _poly_powmod row
+        # by row; rows of f of code q - 1 reach the largest lazy intermediates
         field = build_field(p, k)
         q, rows = field.q, 70
         f = np.random.default_rng(q + n).integers(0, q, size=(n, rows))
         f[:, :5] = q - 1
-        if p == 2:
-            x = [[0] * k for _ in range(n)]
-            x[1][0] = (1 << rows) - 1
-            fs = [engine._multiples(e, _low(field)) for e in _plane_poly(field, f)]
-            cols = engine._frobenius_columns(q, x, fs, _low(field))
-            cols = np.array([[_plane_codes(field, e, rows) for e in col] for col in cols])
-        else:
+        results = []
+        if p <= 3:
+            form = engine._form(field)
+            x = [[form.zero] * k for _ in range(n)]
+            x[1][0] = form.one((1 << rows) - 1)
+            fs = [engine._multiples(e, form) for e in _plane_poly(field, f)]
+            cols = engine._frobenius_columns(field, x, fs, form)
+            results.append((1, np.array([[_plane_codes(field, e, rows) for e in col] for col in cols])))
+        if p >= 3:
             ar = digits._Arith(field)
             dtype = ar.check_headroom(3 * n - 1)
             df = _digits(field, f, dtype)
@@ -1130,13 +1123,14 @@ class TestLogTableEngine:
             x[1, 0] = 1
             cols = digits._frobenius_columns(ar, q, x, ar.multiples(df))
             assert cols.dtype == dtype and cols.shape == (n, n, k, rows)
-            cols = _codes(field, cols)
-        assert cols.shape == (n, n, rows)
-        for r in range(rows):
-            fr = f[:, r].tolist() + [1]
-            for i in range(n):
-                power = ff._poly_powmod(field, [0, 1] + [0] * (n - 2), i * q, fr)
-                assert cols[i, :, r].tolist() == [field.neg(c) for c in power], (r, i)
+            results.append((-1, _codes(field, cols)))
+        for sign, cols in results:
+            assert cols.shape == (n, n, rows)
+            for r in range(rows):
+                fr = f[:, r].tolist() + [1]
+                for i in range(n):
+                    power = ff._poly_powmod(field, [0, 1] + [0] * (n - 2), i * q, fr)
+                    assert cols[i, :, r].tolist() == [field.mul(sign % p, c) for c in power], (sign, r, i)
 
     def test_lazy_reduction_bound_is_checked(self):
         # (width + n) (p - 1)^2 past 2^62 is refused; with no rows the arrays
@@ -1169,18 +1163,18 @@ class TestLogTableEngine:
         a[:3] = [0, 1, field.q - 1]
         b[3:5] = [0, a[4]]
         if p == 2:
-            low, (pa, pb, pc) = _low(field), (_plane_element(field, m.tolist()) for m in (a, b, c))
+            form, (pa, pb, pc) = engine._form(field), (_plane_element(field, m.tolist()) for m in (a, b, c))
             triples = list(zip(a.tolist(), b.tolist(), c.tolist()))
             assert _plane_codes(field, [u ^ v for u, v in zip(pa, pb)], 200) == [field.sub(x, y) for x, y, _ in triples]
             prod = [0] * k
-            engine._axpy(prod, pa, engine._multiples(pb, low))
+            engine._axpy([prod], pa, [engine._multiples(pb, form)])
             assert _plane_codes(field, prod, 200) == [field._mul_direct(x, y) for x, y, _ in triples]
-            engine._axpy(pc, pa, engine._multiples(pb, low))
+            engine._axpy([pc], pa, [engine._multiples(pb, form)])
             assert _plane_codes(field, pc, 200) == [field.sub(z, field._mul_direct(x, y)) for x, y, z in triples]
             nonzero = a[a > 0].tolist()
             prod = [0] * k
             inv = _plane_element(field, [field.inv(x) for x in nonzero])
-            engine._axpy(prod, _plane_element(field, nonzero), engine._multiples(inv, low))
+            engine._axpy([prod], _plane_element(field, nonzero), [engine._multiples(inv, form)])
             assert _plane_codes(field, prod, len(nonzero)) == [1] * len(nonzero)
             return
         ar = digits._Arith(field)
@@ -1195,10 +1189,12 @@ class TestLogTableEngine:
         inv = _codes(field, digits._power(ar, _digits(field, nonzero, dtype), field.q - 2))
         assert inv.tolist() == [field.inv(x) for x in nonzero.tolist()]
 
-    @pytest.mark.parametrize("p,k,n", [(2, 1, 6), (3, 1, 5), (2, 2, 4), (3, 2, 3), (2, 8, 2), (17, 2, 2)])
+    @pytest.mark.parametrize("p,k,n", [(2, 1, 6), (3, 1, 5), (2, 2, 4), (3, 2, 3), (2, 8, 2), (17, 2, 2),
+                                       (3, 5, 2)])
     def test_batched_finish_matches_scalar_gcd(self, p, k, n):
-        # the divstep finish, on digit arrays over odd p and on bit planes
-        # over F_(2^k), against the scalar gcd
+        # the divstep finish, on digit arrays over odd p and on the plane
+        # forms of F_(2^k) and F_(3^k), both over F_3, F_9 and F_243, against
+        # the scalar gcd
         field = build_field(p, k)
         rng = np.random.default_rng(p * 100 + k * 10 + n)
         rows = 300
@@ -1211,19 +1207,21 @@ class TestLogTableEngine:
         h[-10:-5, 1] = 1
         h[-5:] = 0  # gcd(f, 0) = f has degree n
         expected = [ff._poly_gcd_is_one(field, fr.tolist(), hr.tolist()) for fr, hr in zip(f, h)]
-        if p == 2:
-            pf, ph = _plane_poly(field, f.T[:n]), _plane_poly(field, h.T[:n])
-            verdict = engine._coprime(pf, ph, (1 << rows) - 1, _low(field))
-            got = np.array([verdict >> r & 1 for r in range(rows)], dtype=bool)
-            assert engine._coprime(pf, ph, 0, _low(field)) == 0  # no rows
-        else:
+        verdicts = []
+        if p <= 3:
+            form, pf, ph = engine._form(field), _plane_poly(field, f.T[:n]), _plane_poly(field, h.T[:n])
+            verdict = engine._coprime(pf, ph, (1 << rows) - 1, form)
+            verdicts.append(np.array([verdict >> r & 1 for r in range(rows)], dtype=bool))
+            assert engine._coprime(pf, ph, 0, form) == 0  # no rows
+        if p >= 3:
             ar = digits._Arith(field)
             df, dh = _digits(field, f.T), _digits(field, h.T)
-            got = digits._coprime(ar, df, dh)
+            verdicts.append(digits._coprime(ar, df, dh))
             assert digits._coprime(ar, df[..., :0], dh[..., :0]).shape == (0,)
-        assert got.tolist() == expected
-        assert not got[-10:].any()
-        assert 0 < got.sum() < rows - 5
+        for got in verdicts:
+            assert got.tolist() == expected
+            assert not got[-10:].any()
+            assert 0 < got.sum() < rows - 5
 
     def test_arith_builds_no_table(self):
         # an O(q) table on either field would take at least 2^16 entries: the
