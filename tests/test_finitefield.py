@@ -765,6 +765,27 @@ class TestTernaryPlanes:
             for i in range(rows):
                 assert got[:, i].tolist() == _scalar_rem(field, a[:, i].tolist(), g)
 
+    @pytest.mark.parametrize("k,n", [(1, 5), (2, 3), (5, 2)])
+    def test_coprime_matches_scalar_gcd(self, k, n):
+        # the shared divstep finish on the F_3 form, against the scalar gcd,
+        # with x dividing both and h = 0 among the rows
+        field = build_field(3, k)
+        rng = np.random.default_rng(k * 10 + n)
+        rows = 300
+        f = np.ones((rows, n + 1), dtype=np.int64)
+        f[:, :n] = rng.integers(0, field.q, size=(rows, n))
+        h = np.zeros_like(f)
+        h[:, :n] = rng.integers(0, field.q, size=(rows, n))
+        h[: rows // 3, rng.integers(1, n) :] = 0
+        f[-10:-5, 0] = h[-10:-5, 0] = 0
+        h[-10:-5, 1] = 1
+        h[-5:] = 0
+        expected = [ff._poly_gcd_is_one(field, fr.tolist(), hr.tolist()) for fr, hr in zip(f, h)]
+        verdict = engine._coprime(_ternary_poly(f.T[:n], k), _ternary_poly(h.T[:n], k), (1 << rows) - 1,
+                                  engine._form(field))
+        assert [bool(verdict >> r & 1) for r in range(rows)] == expected
+        assert 0 < sum(expected) < rows - 5
+
 
 class TestCheckSweep:
     def test_returns_sweep_size(self):
