@@ -1,4 +1,5 @@
-"""The counting engine: one sweep loop for every field, one plane Rabin test.
+"""The counting engine: one sweep loop for every field, one plane Rabin test
+and one plane trial.
 
 finitefield's sweeps import it once check_sweep has accepted them.
 _flags_range cuts every range of monic polynomials into aligned blocks
@@ -9,16 +10,19 @@ p >= 5 runs on the numpy digits of neckprod.digits.  Characteristics 2 and
 numpy: a plane holds one bit of a base-p digit of a coefficient for every
 row of a block, and since q = p^k those digits are the digits of the row
 index.  A plane form (_Form) holds one characteristic's digit operations:
-F_2's is here, a digit one plane that adds by xor and multiplies by and;
-F_3's, a digit two planes, is in neckprod.ternary, imported only for p = 3.
+_F2, a digit one plane that adds by xor and multiplies by and, and _F3, a
+digit two planes (Boothby and Bradshaw 2009).  Both block functions run on
+either form:
 
-* rabin -- one block function for both plane forms: the Frobenius ladder
-  t -> t^q = sum_i t_i (x^(iq) mod f), with x^q by k p-th powers when
-  q > 2n, then Bernstein-Yang divsteps on every row with a bit-sliced
-  delta, once per block on the product of the gcd conditions.
-* trial -- over F_(2^k), f mod g is F_2-linear in f's digits for each
-  monic irreducible g of degree <= n/2, found by this test at degree deg g
-  (_irreducibles); neckprod.ternary holds the trial over F_(3^k).
+* rabin -- the Frobenius ladder t -> t^q = sum_i t_i (x^(iq) mod f), with
+  x^q by k p-th powers when q > 2n, then Bernstein-Yang divsteps on every
+  row with a bit-sliced delta, once per block on the product of the gcd
+  conditions.
+* trial -- f mod g is F_p-linear in f's digits for each monic irreducible
+  g of degree <= n/2, found by this test at degree deg g (_irreducibles):
+  per g, one remainder of a block's varying digits, shared by every
+  aligned block, and the fixed digits' remainder per block; g divides the
+  rows where the two cancel.
 
 Every path is held row for row to the scalar is_irreducible_* tests of
 finitefield, which share no code with them.
@@ -28,7 +32,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from functools import reduce
-from operator import or_, pos, xor
+from operator import and_, or_, pos, xor
 
 from .finitefield import _prime_factors
 
@@ -56,11 +60,7 @@ def _flags_range(field, n: int, lo: int, hi: int, method: str) -> tuple[list, li
     step = _block_rows(field, n, method)
     cuts = [(max(lo, base), min(hi, base + step)) for base in range(lo - lo % step, hi, step)]
     rabin, trial = _rabin_flags_block, _trial_planes
-    if field.p == 3:
-        from . import ternary
-
-        trial = ternary._trial_planes
-    elif field.p > 3:
+    if field.p > 3:
         from . import digits
 
         rabin, trial = digits._rabin_flags_block, digits._trial_sieve
@@ -81,18 +81,18 @@ def _irreducibles(field, d: int) -> list[int]:
 
 
 # A plane form is a record of digit operations on planes: an F_2 digit is one
-# plane, and an F_3 digit the pair (high, low) of neckprod.ternary.  An
-# element of F_(p^k) is a list of k digits, and fold lists (i, c) for
+# plane, and an F_3 digit the pair (high, low), the rows where it is 2 and 1.
+# An element of F_(p^k) is a list of k digits, and fold lists (i, c) for
 # y^k = sum c y^i, c = -m_i mod p for the nonzero coefficients m_i of the
 # field modulus, y the generator of F_q over F_p.  A polynomial is a list of
 # elements, constant term first; a block of monic polynomials holds its n
 # free coefficients, the leading 1 implicit.  A form's digit operations:
-# zero; one(rows), 1 on those rows and 0 elsewhere; add and neg; nonzero, the
-# rows where a digit is not 0; select(swap, u, v), v on the rows of swap and
-# u elsewhere.  axpy(rs, c, yss) adds c e_j to each element rs[j], for
-# yss[j] = _multiples(e_j), taking each digit of c once across the row; one
-# element is a row of one.
-_Form = namedtuple("_Form", "zero one add neg nonzero select axpy fold")
+# zero; one(rows), 1 on those rows and 0 elsewhere; add and neg; values, the
+# rows where a digit is 1, .., p - 1; select(swap, u, v), v on the rows of
+# swap and u elsewhere.  axpy(rs, c, yss) adds c e_j to each element rs[j],
+# for yss[j] = _multiples(e_j), taking each digit of c once across the row;
+# one element is a row of one.
+_Form = namedtuple("_Form", "zero one add neg values select axpy fold")
 
 
 def _axpy(rs: list, c: list[int], yss: list) -> None:
@@ -104,21 +104,43 @@ def _axpy(rs: list, c: list[int], yss: list) -> None:
 
 
 # F_2: a digit adds by xor, multiplies by and, and is its own negative
-_F2 = _Form(0, pos, xor, pos, pos, lambda swap, u, v: u ^ (u ^ v) & swap, _axpy, ())
+_F2 = _Form(0, pos, xor, pos, lambda d: (d,), lambda swap, u, v: u ^ (u ^ v) & swap, _axpy, ())
+
+
+# F_3: 0 = (0, 0), 1 = (0, 1), 2 = (1, 0), so negation swaps the planes, as
+# values does
+def _add3(x: tuple[int, int], y: tuple[int, int]) -> tuple[int, int]:
+    t = (x[1] | y[0]) ^ (x[0] | y[1])
+    return (x[1] | y[1]) ^ t, (x[0] | y[0]) ^ t
+
+
+def _select3(swap: int, u: tuple[int, int], v: tuple[int, int]) -> tuple[int, int]:
+    return u[0] ^ (u[0] ^ v[0]) & swap, u[1] ^ (u[1] ^ v[1]) & swap
+
+
+def _axpy3(rs: list, c: list, yss: list) -> None:
+    # each digit product (ch yl | cl yh, ch yh | cl yl) added to a digit of rs[j]
+    for a, (ch, cl) in enumerate(c):
+        if ch or cl:
+            for r, ys in zip(rs, yss):
+                for b, (yh, yl) in enumerate(ys[a]):
+                    ph, pl = ch & yl | cl & yh, ch & yh | cl & yl
+                    rh, rl = r[b]
+                    u = (rl | ph) ^ (rh | pl)
+                    r[b] = (rl | pl) ^ u, (rh | ph) ^ u
+
+
+_F3 = _Form((0, 0), lambda ones: (0, ones), _add3, lambda d: (d[1], d[0]), lambda d: (d[1], d[0]), _select3, _axpy3,
+            ())
 
 
 def _form(field) -> _Form:
     # the plane form of F_(2^k) or F_(3^k), with the fold of its modulus
-    if field.p == 2:
-        form = _F2
-    else:
-        from . import ternary
-
-        form = ternary._F3
+    form = _F2 if field.p == 2 else _F3
     return form._replace(fold=[(i, -m % field.p) for i, m in enumerate(field.modulus[: field.k]) if m])
 
 
-def _planes(n: int, k: int, a: int, b: int, p: int = 2) -> tuple[list, int]:
+def _planes(n: int, k: int, a: int, b: int, p: int) -> tuple[list, int]:
     # the planes of rows a..b - 1 by the position of their digit in the row
     # index in base p (digit i of the coefficient of x^j at (n - 1 - j) k + i),
     # and t: the rows share their digits from t up, and below t a plane is
@@ -158,9 +180,10 @@ def _axpy_scalar(r: list, c: list, ys: list, form: _Form) -> None:
     # r += c e in place for a scalar element e, ys[a] the F_p digits of y^a e:
     # each adds a digit of c or its negative
     for ca, y in zip(c, ys):
-        for b, v in enumerate(y):
-            if v:
-                r[b] = form.add(r[b], ca if v == 1 else form.neg(ca))
+        if ca != form.zero:
+            for b, v in enumerate(y):
+                if v:
+                    r[b] = form.add(r[b], ca if v == 1 else form.neg(ca))
 
 
 def _reduce(prod: list, fs: list, form: _Form) -> list:
@@ -216,7 +239,7 @@ def _coprime(f: list, h: list, ones: int, form: _Form) -> int:
     delta = [ones] + [0] * (2 * n + 2).bit_length()  # 1, with room for |delta| <= 2n
     for step in range(2 * n - 1):
         F, G = F[: 2 * n - 1 - step], G[: 2 * n - 1 - step]
-        swap, delta = _divstep(delta, reduce(or_, map(form.nonzero, G[0])), ones)
+        swap, delta = _divstep(delta, reduce(or_, (v for u in G[0] for v in form.values(u))), ones)
         f0s, g0s = [_multiples(F[0], form)], [_multiples([form.neg(u) for u in G[0]], form)]
         H = [[zero] * k for _ in F[1:]]
         for hi, fi, gi in zip(H, F[1:], G[1:]):
@@ -268,7 +291,7 @@ def _rabin_flags_block(field, n: int, lo: int, hi: int) -> int:
         u[1][0] = form.add(u[1][0], form.neg(x[1][0]))
         return u
 
-    flags = ones & ~reduce(or_, map(form.nonzero, (u for e in minus_x(t) for u in e)))
+    flags = ones & ~reduce(or_, (v for e in minus_x(t) for u in e for v in form.values(u)))
     # survivors have all factor degrees dividing n; finish every row with the
     # gcd conditions on the saved powers, gcd(f, prod_l (x^(q^(n/l)) - x)) = 1
     # holding iff each factor's does (Gao and Panario 1997)
@@ -276,52 +299,67 @@ def _rabin_flags_block(field, n: int, lo: int, hi: int) -> int:
     return flags & _coprime(f, reduce(lambda u, v: _mulmod(u, v, fs, form), diffs), ones, form)
 
 
-def _span(planes: list[int]) -> list[int]:
-    # the xor of every subset of planes, subset i holding plane j iff bit j of i is set
-    out = [0]
-    for plane in planes:
-        out += [v ^ plane for v in out]
-    return out
-
-
 def _trial_planes(field, n: int, cuts: list, step: int) -> list[int]:
-    # Each digit of f mod g is a xor of f's digits and 1: reducing f with each
-    # of them as a bit of its own gives those xors as bit sets, for all g of
-    # degree d at once, each g a field of w bytes and its digits fields of all
-    # ones or zero.  In a cut the bits below t vary over the rows, xored from
-    # tables of 8 planes (the method of four Russians); those from t up are
-    # fixed, and pick a digit's plane or its complement as the rows where it is 0.
-    k, nk, form = field.k, n * field.k, _form(field)
-    shapes = {}  # (first row in its block, rows) -> xor tables, t, ones, [(cut, fixed bits)]
-    for c, (a, b) in enumerate(cuts):
-        if (a % step, b - a) not in shapes:
-            planes, t = _planes(n, k, a, b)
-            tables = [_span(planes[j : min(j + 8, t)]) for j in range(0, t, 8)]
-            shapes[a % step, b - a] = (tables, t, (1 << (b - a)) - 1, [])
-        tables, t, ones, members = shapes[a % step, b - a]
-        members.append((c, (a | 1 << nk) >> t))
-    w = nk // 8 + 1
+    # f mod g is F_p-linear in f's digits.  Blocks are aligned, so the low s
+    # digits (step = p^s) take every value in every block, and their
+    # remainder V is the same planes in each; the digits from s up and x^n
+    # are fixed in a block, and their remainder R is one scalar a digit.
+    # Both are reduced at once, V in the low step bits and R, as planes over
+    # the cuts, above them.  g divides the rows where V = -R.
+    form, p, k = _form(field), field.p, field.k
+    ones, every = (1 << step) - 1, (1 << len(cuts)) - 1
+    f, s = _planes(n, k, 0, step, p)  # digits from s up are 0 in block 0
+    for pos in range(s, n * k):
+        for v in range(1, p):  # the cuts whose digit pos is a fixed v
+            fixed = form.one(sum(1 << step + c for c, (a, _) in enumerate(cuts) if a // p**pos % p == v))
+            f[pos] = form.add(f[pos], fixed if v == 1 else form.neg(fixed))
+    f = [f[(n - 1 - j) * k : (n - j) * k] for j in range(n)] + [[form.one(every << step)] + [form.zero] * (k - 1)]
+    # _picked takes at most cost(j) ands on j digits, the cuts sharing at most
+    # p^i prefixes at digit i: the digits of R are split where the two halves
+    # and one and a cut to join them cost least
+    cost = lambda j: sum(min(p**i, len(cuts)) for i in range(1, j + 1))
+    scalar = form._replace(zero=0, add=lambda u, v: (u + v) % p, neg=lambda u: -u % p)  # on F_p digits, for _multiples
     marked = [0] * len(cuts)
     for d in range(1, n // 2 + 1):
-        gs = _irreducibles(field, d)
-        every = int.from_bytes((b"\1" + bytes(w - 1)) * len(gs), "little")
-        f = [[every << (n - 1 - j) * k + i for i in range(k)] for j in range(n)] + [[every << nk] + [0] * (k - 1)]
-        g = [[int.from_bytes(b"".join(b"\xff" * w if g >> (d - 1 - j) * k + i & 1 else bytes(w) for g in gs), "little")
-              for i in range(k)] for j in range(d)]
-        rem = _reduce(f, [_multiples(e, form) for e in g], form)
-        rem = [plane.to_bytes(w * len(gs), "little") for e in rem for plane in e]
-        for r in range(0, w * len(gs), w):
-            digits = [int.from_bytes(plane[r : r + w], "little") for plane in rem]
-            for tables, t, ones, members in shapes.values():
-                planes = []
-                for bits in digits:
-                    v, varying = 0, bits & ((1 << t) - 1)
-                    for j, table in enumerate(tables):
-                        v ^= table[varying >> 8 * j & 255]
-                    planes.append((v ^ ones, v, bits >> t))
-                for c, fixed in members:
-                    zero = ones
-                    for nv, v, high in planes:
-                        zero &= v if (high & fixed).bit_count() & 1 else nv
-                    marked[c] |= zero
-    return [shapes[a % step, b - a][2] ^ m for (a, b), m in zip(cuts, marked)]
+        split = min(range(d * k + 1), key=lambda j: cost(j) + cost(d * k - j) + (j < d * k) * len(cuts))
+        for g in _irreducibles(field, d):
+            # -(y^a g_i) for the coefficients g_i of g below its leading 1,
+            # digit a of g_i being digit (d - 1 - i) k + a of the row index
+            negs = [_multiples([-(g // p ** ((d - 1 - i) * k + a)) % p for a in range(k)], scalar) for i in range(d)]
+            rem = [digit for e in _reduce_scalar([list(e) for e in f], negs, form) for digit in e]
+            rows = _picked(rem[:split], step, every, ones, len(cuts), form)
+            if split < d * k:
+                rows = map(and_, rows, _picked(rem[split:], step, every, ones, len(cuts), form))
+            for c, u in enumerate(rows):
+                if u:
+                    marked[c] |= u
+    return [(ones ^ m) >> a % step & (1 << (b - a)) - 1 for (a, b), m in zip(cuts, marked)]
+
+
+def _reduce_scalar(prod: list, negs: list, form: _Form) -> list:
+    # prod mod g, in place, for a monic g of scalar coefficients, negs[i] the
+    # F_p digits of -(y^a g_i)
+    d = len(negs)
+    for j in range(len(prod) - 1, d - 1, -1):
+        for r, ys in zip(prod[j - d : j], negs):
+            _axpy_scalar(r, prod[j], ys, form)
+    return prod[:d]
+
+
+def _picked(rem: list, step: int, every: int, ones: int, count: int, form: _Form) -> list[int]:
+    # for each cut, the rows where V = -R on the digits rem of the remainder
+    # (V in the low step bits, R above): on the cuts where a digit of R is v
+    # it picks V's plane of rows where that digit is -v, and the cuts with
+    # the same digits of R so far share their and, which stops at zero
+    full, nodes = every << step | ones, [(every, ones)]  # (cuts, rows)
+    for digit in rem:
+        values = form.values(digit)
+        values = (full ^ reduce(or_, values),) + values  # the rows where the digit is 0, 1, .., p - 1
+        picks = [(values[v] >> step, values[-v]) for v in range(len(values))]
+        nodes = [(cs, rows) for c, u in nodes for blocks, pick in picks if (cs := c & blocks) and (rows := u & pick)]
+    out = [0] * count
+    for cs, rows in nodes:
+        while cs:
+            out[(cs & -cs).bit_length() - 1] = rows
+            cs &= cs - 1
+    return out

@@ -452,8 +452,8 @@ _GUARD = """
 import sys
 from neckprod.cli import run
 code = run(sys.argv[1:])
-watched = ("numpy", "concurrent.futures", "neckprod.engine", "neckprod.digits", "neckprod.ternary", "neckprod.exact",
-           "neckprod.finitefield", "neckprod.series", "neckprod.verify", "dataclasses", "inspect", "json")
+watched = ("numpy", "concurrent.futures", "neckprod.engine", "neckprod.digits", "neckprod.exact", "neckprod.finitefield",
+           "neckprod.series", "neckprod.verify", "dataclasses", "inspect", "json")
 loaded = [m for m in watched if m in sys.modules]
 import json
 print(json.dumps([code, loaded]), file=sys.stderr)
@@ -566,19 +566,18 @@ class TestImportGuard:
     def test_p2_sweeps_leave_numpy_unloaded(self, argv):
         loaded = _modules_loaded_by(argv)
         assert "neckprod.engine" in loaded
-        assert not {"numpy", "neckprod.digits", "neckprod.ternary"} & set(loaded)
+        assert not {"numpy", "neckprod.digits"} & set(loaded)
 
     @pytest.mark.parametrize("argv", _TERNARY_SWEEPS)
     def test_p3_sweeps_leave_numpy_unloaded(self, argv):
         loaded = _modules_loaded_by(argv)
-        assert {"neckprod.engine", "neckprod.ternary"} <= set(loaded)
+        assert "neckprod.engine" in loaded
         assert not {"numpy", "neckprod.digits"} & set(loaded)
 
     @pytest.mark.parametrize("argv", _DIGIT_SWEEPS)
     def test_odd_p_sweeps_load_numpy(self, argv):
         loaded = _modules_loaded_by(argv)
         assert {"neckprod.engine", "neckprod.digits", "numpy"} <= set(loaded)
-        assert "neckprod.ternary" not in loaded
 
 
 # the package's public surface, checked in a fresh interpreter so that no

@@ -25,7 +25,6 @@ from neckprod.finitefield import (
 )
 import neckprod.digits as digits
 import neckprod.engine as engine
-import neckprod.ternary as ternary
 import neckprod.finitefield as ff
 from neckprod.finitefield import _index_coeffs
 
@@ -365,7 +364,7 @@ class TestGF2Engine:
         for width in (1, 63, 64, 65, 300):
             if lo + width > len(polys):
                 continue
-            planes, t = engine._planes(n, 1, lo, lo + width)
+            planes, t = engine._planes(n, 1, lo, lo + width, 2)
             assert lo >> t == (lo + width - 1) >> t
             for i in range(n):
                 plane = planes[n - 1 - i]
@@ -560,9 +559,9 @@ class TestProductSieve:
 # F_9, digits for F_5, F_7 and F_289, each with several blocks of either test
 _SWEEP_CASES = [(2, 1, 9, 64), (2, 2, 4, 64), (3, 1, 6, 64), (3, 2, 3, 64), (17, 2, 2, 600), (5, 1, 4, 64),
                 (7, 1, 3, 64)]
-# each form's Rabin module and trial module and function: one Rabin block
-# function for both plane forms
-_BLOCK_FUNCTIONS = {2: (engine, engine, "_trial_planes"), 3: (engine, ternary, "_trial_planes")}
+# each form's Rabin module and trial module and function: one Rabin and one
+# trial block function for both plane forms
+_BLOCK_FUNCTIONS = {p: (engine, engine, "_trial_planes") for p in (2, 3)}
 
 
 class TestOneSweepLoop:
@@ -669,15 +668,17 @@ class TestTernaryPlanes:
         assert count_irreducibles(field, n, method, workers=2) == necklace_count(3, n)
 
     @pytest.mark.parametrize("block", [30, 500])
-    @pytest.mark.parametrize("p,k,n", [(3, 1, 9), (3, 2, 4), (3, 3, 3)])
+    @pytest.mark.parametrize("p,k,n", [(3, 1, 9), (3, 2, 4), (3, 3, 3), (2, 1, 12), (2, 2, 6), (2, 3, 4)])
     def test_block_size_does_not_change_flags(self, monkeypatch, p, k, n, block):
-        # _BLOCK patched to 27 or 243 rows a block, cut at unaligned bounds too
+        # _BLOCK patched to 30 or 500, blocks of the largest p^s rows below
+        # it, cut at unaligned bounds too: many cuts share a shape, and the
+        # trial splits the digits of R and shares their prefixes
         field = build_field(p, k)
         whole = {m: irreducible_flags(field, n, m) for m in ("trial", "rabin")}
         monkeypatch.setattr(engine, "_BLOCK", block)
         total = field.q**n
         for method in ("trial", "rabin"):
-            assert engine._block_rows(field, n, method) == (27 if block == 30 else 243)
+            assert engine._block_rows(field, n, method) == max(p**s for s in range(10) if p**s <= block)
             assert np.array_equal(irreducible_flags(field, n, method), whole[method]), method
             lo, hi = 100, total - 101
             assert np.array_equal(_flags(field, n, lo, hi, method), whole[method][lo:hi]), method
@@ -692,7 +693,7 @@ class TestTernaryPlanes:
         ran = []
         monkeypatch.setattr(engine, "_rabin_flags_block",
                             lambda *args: ran.append("rabin") or digits._rabin_flags_block(*args))
-        monkeypatch.setattr(ternary, "_trial_planes", lambda *args: ran.append("trial") or digits._trial_sieve(*args))
+        monkeypatch.setattr(engine, "_trial_planes", lambda *args: ran.append("trial") or digits._trial_sieve(*args))
         monkeypatch.setattr(engine, "_planes", _refuse)
         for method in ("trial", "rabin"):
             assert np.array_equal(irreducible_flags(field, n, method), planes[method]), method
@@ -751,17 +752,18 @@ class TestTernaryPlanes:
                 assert col[:, i].tolist() == ff._poly_powmod(field, [0, 1] + [0] * (n - 2), j * q, fi), (i, j)
 
     def test_scalar_reduce_matches_scalar_rem(self):
-        # _reduce_scalar3, the trial's remainder by one g, on planes of rows
-        # against schoolbook division of each row
-        for k, n, d in [(1, 9, 4), (2, 5, 2), (3, 4, 1)]:
-            field = build_field(3, k)
+        # _reduce_scalar, the trial's remainder by one g, on planes of rows
+        # of either form against schoolbook division of each row
+        for p, k, n, d in [(3, 1, 9, 4), (3, 2, 5, 2), (3, 3, 4, 1), (2, 1, 9, 4), (2, 2, 5, 2), (2, 4, 4, 1)]:
+            field = build_field(p, k)
             q, rows = field.q, 50
             rng = np.random.default_rng(k * 10 + n)
             a = rng.integers(0, q, size=(n + 1, rows))
             g = rng.integers(0, q, size=d).tolist() + [1]
-            negs = [[field.element_vector(field.neg(field.mul(3**j, gi))) for j in range(k)]
+            negs = [[field.element_vector(field.neg(field.mul(p**j, gi))) for j in range(k)]
                     for gi in g[:d]]
-            got = _ternary_array(ternary._reduce_scalar(_ternary_poly(a, k), negs), rows)
+            rem = engine._reduce_scalar(_plane_poly(field, a), negs, engine._form(field))
+            got = np.array([_plane_codes(field, e, rows) for e in rem])
             for i in range(rows):
                 assert got[:, i].tolist() == _scalar_rem(field, a[:, i].tolist(), g)
 
@@ -1394,7 +1396,7 @@ class TestNarrowCodes:
             return sieve_block(field, n, s, base, factors)
 
         monkeypatch.setattr(digits, "_sieve_block", spy)
-        monkeypatch.setattr(ternary, "_trial_planes", digits._trial_sieve)  # p = 3 sweeps run on planes
+        monkeypatch.setattr(engine, "_trial_planes", digits._trial_sieve)  # p = 3 sweeps run on planes
         # the scalar trial test tries every divisor, so few rows for large p
         lo, hi = _sample_range(field, n, 200 if field.q < 1000 else 16, p + n)
         got = _flags(field, n, lo, hi, "trial")
