@@ -14,7 +14,7 @@ __version__ = "0.1.0"
 _HOME = {
     "exact": "NecklaceTable build_necklace_table divisors mobius necklace_count",
     "finitefield": "DEFAULT_BUDGET BudgetExceededError FieldContext MonicPoly NotPrimeError build_field "
-    "count_irreducibles irreducible_flags is_irreducible_rabin is_irreducible_trial",
+    "count_irreducibles is_irreducible_rabin is_irreducible_trial",
     "series": "ExponentSpec TruncatedSeries eval_complex expand_direct expand_recursive",
     "verify": "BridgeReport NumericReport SymbolicReport necklace_exponent_spec tail_bound "
     "verify_count_bridge verify_numeric verify_symbolic",

@@ -306,7 +306,7 @@ def run(argv: list[str]) -> int:
 
 
 def main() -> None:
-    # only sweeps over p >= 5 import numpy; their engine never calls BLAS (its
+    # only sweeps over p >= 5 load numpy; their engine never calls BLAS (its
     # one matmul is on integers), and one OpenBLAS thread makes importing
     # numpy about 70 ms cheaper.  Forked pool workers inherit it, and a value
     # the user set wins

@@ -156,7 +156,8 @@ def build_necklace_table(a: int, degree_bound: int) -> NecklaceTable:
     Uses a mu sieve plus a divisor sweep, so the whole table costs
     O(D log D) big-integer additions instead of D independent
     factorizations.  A table past D^2 log2(a) / 2 = 4.3 * 10^8 bits of
-    values is refused with ValueError before any work.
+    values, a = 1 counted as a = 2, is refused with ValueError before any
+    work.
     """
     if a < 1:
         raise ValueError(f"build_necklace_table requires a >= 1, got a={a}")
@@ -166,8 +167,9 @@ def build_necklace_table(a: int, degree_bound: int) -> NecklaceTable:
         )
     # at this limit `necklace table` took 15 s end to end for a = 2, 42 s for
     # a = 1000 and 58 s for a = 10^6, most of it writing the values in
-    # decimal (2 vCPU)
-    _check_size(a, degree_bound, 860_000_000, "a necklace table")
+    # decimal (2 vCPU).  a = 1 counts as a = 2: its values are 0 and 1, but
+    # expanding its table takes D^2 steps (`expand` 19 s at D = 29,325)
+    _check_size(max(a, 2), degree_bound, 860_000_000, "a necklace table")
     D = degree_bound
     mu = mobius_sieve(D)
     powers = [1] * (D + 1)

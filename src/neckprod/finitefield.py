@@ -18,14 +18,13 @@ Two independent irreducibility tests are provided:
 The modulus of an extension is found by Ben-Or's test over F_p and
 checked by Rabin's.
 
-irreducible_flags and count_irreducibles sweep all q^n monic polynomials
-through neckprod.engine, which they import once check_sweep has accepted a
-sweep that needs it.  The engine gives one int of verdicts per aligned
-block: count_irreducibles sums their bits, and irreducible_flags unpacks
-them into an array.  numpy is loaded only by sweeps over p >= 5 and by
-irreducible_flags.  count_irreducibles answers n = 1 with q without the
-engine.  For q > MAX_ENGINE_Q = 2^16 check_sweep refuses n >= 2 (a budget
-of 2^34 or more) and irreducible_flags refuses n = 1 too.
+count_irreducibles sweeps all q^n monic polynomials through
+neckprod.engine, which it imports once check_sweep has accepted a sweep
+that needs it, and sums the bits of the engine's one int of verdicts per
+aligned block.  numpy is loaded only by sweeps over p >= 5.
+count_irreducibles answers n = 1 with q without the engine.  For
+q > MAX_ENGINE_Q = 2^16 check_sweep refuses n >= 2 (a budget of 2^34 or
+more).
 
 The scalar tests above are the reference semantics and the engine is
 held to them in the test suite.  check_sweep validates every sweep before
@@ -37,11 +36,8 @@ refused outright rather than truncated.
 from __future__ import annotations
 
 import operator
+import os
 from collections import namedtuple
-from typing import TYPE_CHECKING
-
-if TYPE_CHECKING:
-    import numpy as np
 
 DEFAULT_BUDGET = 1 << 24
 MAX_BUDGET = 1 << 63  # enumeration indices are int64
@@ -500,32 +496,6 @@ def is_irreducible_rabin(f: MonicPoly) -> bool:
     return t == x
 
 
-def irreducible_flags(
-    field: FieldContext, n: int, method: str = "rabin", budget: int | None = None
-) -> np.ndarray:
-    """Boolean verdict for every monic degree-n polynomial, in
-    enumeration order: lexicographic in the coefficients, constant term
-    most significant, each ordered by element code.  Refused by
-    check_sweep as any sweep is, and for q > MAX_ENGINE_Q at n = 1 too.
-
-    'trial' marks every row with a monic irreducible factor of degree
-    <= n/2, the question trial division decides: by linear remainder maps
-    over F_(2^k) and F_(3^k), by a product sieve over p >= 5.  'rabin' runs Rabin's test
-    rowwise.  Kept public, with no CLI caller, as the rows the tests
-    hold to the scalar oracles; it alone refuses n = 1 above MAX_ENGINE_Q."""
-    total = check_sweep(field.p, field.k, n, method, budget)
-    if field.q > MAX_ENGINE_Q:  # only n = 1 gets here, and would build q flags
-        raise ValueError(f"q = {field.p}^{field.k} exceeds 2^16, the largest field whose flags are built")
-    import numpy as np
-
-    from . import engine
-
-    return np.concatenate([
-        np.unpackbits(np.frombuffer(mask.to_bytes(-(-(b - a) // 8), "little"), dtype=np.uint8), count=b - a, bitorder="little")
-        for (a, b), mask in zip(*engine._flags_range(field, n, 0, total, method))
-    ]).astype(bool)
-
-
 def count_irreducibles(
     field: FieldContext,
     n: int,
@@ -534,13 +504,15 @@ def count_irreducibles(
     workers: int = 1,
 ) -> int:
     """Number of monic degree-n irreducibles over F_q by full enumeration
-    with the chosen test ('trial' or 'rabin'), computed as in
-    irreducible_flags.
+    with the chosen test, summed from the engine's verdicts.  'trial'
+    counts the rows that no monic irreducible of degree <= n/2 divides: by
+    remainders on bit planes over F_(2^k) and F_(3^k), by a product sieve
+    over p >= 5.  'rabin' runs Rabin's test rowwise.
 
     With workers > 1 the sweep is cut into contiguous runs of whole engine
-    blocks, at most one process a block, so a one-block sweep runs in this
-    process; the result is independent of the worker count.  Raises
-    ValueError for workers < 1.
+    blocks, at most one process a block and one a CPU, so a one-block sweep
+    runs in this process; the result is independent of the worker count.
+    Raises ValueError for workers < 1.
     """
     if workers < 1:
         raise ValueError("--workers must be >= 1")
@@ -551,7 +523,7 @@ def count_irreducibles(
 
     step = engine._block_rows(field, n, method)
     blocks = -(-total // step)
-    workers = min(workers, blocks)
+    workers = min(workers, blocks, os.cpu_count() or 1)
     if workers == 1:
         return engine._count_range((field, n, 0, total, method))
     from concurrent.futures import ProcessPoolExecutor

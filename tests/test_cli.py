@@ -325,11 +325,16 @@ class TestExitStatus:
             ["verify", "numeric", "--a", "2", "--z", "0.3,0", "--degree", "200000"],
             ["verify", "symbolic", "--a", "2", "--degree", "100000"],
             ["expand", "--a", "2", "--degree", "100000"],
+            ["necklace", "table", "--a", "1", "--degree", str(10**8)],
+            ["verify", "symbolic", "--a", "1", "--degree", "100000"],
+            ["verify", "symbolic", "--a", "1", "--degree", "100000", "--cross-check"],
+            ["expand", "--a", "1", "--degree", "100000"],
         ],
     )
     def test_oversize_necklace_tables_refused_at_once(self, capsys, argv):
         # each holds the table of N(2, n), n <= D: D^2 / 2 bits past the limit
-        # of 4.3 * 10^8, which admits D <= 29325
+        # of 4.3 * 10^8, which admits D <= 29325; a table of N(1, n) counts as
+        # one of N(2, n), as its expansions take D^2 steps
         start = time.perf_counter()
         code, out, err = invoke(capsys, argv)
         assert time.perf_counter() - start < 1.0
@@ -394,7 +399,8 @@ class TestExitStatus:
         assert report["float_slack"] < float("inf")
         # a = 1 has no size bound: N(1, n) is 0 past n = 1
         start = time.perf_counter()
-        assert invoke(capsys, ["necklace", "--a", "1", "--n", str(10**9)]) == (0, "0\n", "")
+        for n, value in [(1, 1), (10**9, 0), (10**12, 0)]:
+            assert invoke(capsys, ["necklace", "--a", "1", "--n", str(n)]) == (0, f"{value}\n", "")
         assert invoke(capsys, ["necklace", "--a", "2", "--n", "2000"])[:2] == (0, f"{necklace_count(2, 2000)}\n")
         assert time.perf_counter() - start < 1.0
 

@@ -124,7 +124,7 @@ class TestNecklaceCount:
         with pytest.raises(ValueError, match="largest feasible degree is 6$"):
             necklace_count(2 ** 10**6, 7)
         assert necklace_count(2 ** 10**6, 5) == (2 ** (5 * 10**6) - 2 ** 10**6) // 5
-        assert necklace_count(1, 10**9) == 0  # a = 1 has no size bound
+        assert necklace_count(1, 10**9) == necklace_count(1, 10**12) == 0  # a = 1 has no size bound
         with pytest.raises(ValueError, match="10\\^12"):  # the factoring limit still comes first
             necklace_count(1, 10**12 + 1)
 
@@ -200,7 +200,10 @@ class TestNecklaceTable:
         assert build_necklace_table(a, 29).degree_bound == 29
         with pytest.raises(ValueError, match="largest feasible degree is 29$"):
             build_necklace_table(a, 30)
-        assert len(build_necklace_table(1, 10**5).values) == 10**5  # values 0 and 1: no limit
+        # a = 1, whose values are 0 and 1, counts as a = 2: D <= 29,325
+        assert build_necklace_table(1, 29325).values[:3] == (1, 0, 0)
+        with pytest.raises(ValueError, match="largest feasible degree is 29325$"):
+            build_necklace_table(1, 29326)
 
     def test_immutable(self):
         table = build_necklace_table(2, 4)

@@ -18,7 +18,6 @@ from neckprod.finitefield import (
     NotPrimeError,
     build_field,
     count_irreducibles,
-    irreducible_flags,
     is_irreducible_rabin,
     is_irreducible_trial,
     is_prime,
@@ -46,7 +45,8 @@ def _scalar_flags_block(field, n, lo, hi, method):
 
 def _bits(mask, rows):
     # the verdicts of an engine mask as a bool array, bit r for row r
-    return np.array([mask >> r & 1 for r in range(rows)], dtype=bool)
+    packed = np.frombuffer(mask.to_bytes(-(-rows // 8), "little"), dtype=np.uint8)
+    return np.unpackbits(packed, count=rows, bitorder="little").astype(bool)
 
 
 def _flags(field, n, lo, hi, method):
@@ -246,7 +246,7 @@ class TestAgreementAndEngine:
         for n in range(1, max_n + 1):
             total = field.q**n
             for method in ("trial", "rabin"):
-                batch = irreducible_flags(field, n, method)
+                batch = _flags(field, n, 0, total, method)
                 scalar = _scalar_flags_block(field, n, 0, total, method)
                 assert np.array_equal(batch, scalar), (p, k, n, method)
 
@@ -261,7 +261,7 @@ class TestAgreementAndEngine:
 
     def test_flags_follow_enumeration_order(self):
         field = build_field(3, 1)
-        flags = irreducible_flags(field, 3, "trial")
+        flags = _flags(field, 3, 0, field.q**3, "trial")
         polys = list(enumerate_monic(field, 3))
         assert len(polys) == len(flags)
         for poly, flag in zip(polys, flags):
@@ -269,10 +269,10 @@ class TestAgreementAndEngine:
 
     def test_multi_block_concatenation(self, monkeypatch):
         field = build_field(2, 1)
-        whole = {m: irreducible_flags(field, 12, m) for m in ("trial", "rabin")}
+        whole = {m: _flags(field, 12, 0, field.q**12, m) for m in ("trial", "rabin")}
         monkeypatch.setattr(engine, "_BLOCK", 500)  # force many blocks
         for method in ("trial", "rabin"):
-            assert np.array_equal(irreducible_flags(field, 12, method), whole[method])
+            assert np.array_equal(_flags(field, 12, 0, field.q**12, method), whole[method])
 
     def test_rabin_blocks_hold_block_over_n_rows(self, monkeypatch):
         # the Frobenius column multiples hold n^2 k^2 digits per row: p >= 5
@@ -301,7 +301,7 @@ class TestAgreementAndEngine:
         # worker-style cuts (total * i // workers) end inside blocks
         field = build_field(p, k)
         total = field.q**n
-        whole = irreducible_flags(field, n, "rabin")
+        whole = _flags(field, n, 0, total, "rabin")
         monkeypatch.setattr(engine, "_BLOCK", block)
         for workers in (3, 7):
             bounds = [total * i // workers for i in range(workers + 1)]
@@ -314,8 +314,8 @@ class TestAgreementAndEngine:
         rng = np.random.default_rng(7)
         for p, k, n in [(2, 1, 14), (3, 1, 8), (2, 2, 6), (5, 1, 5)]:
             field = build_field(p, k)
-            flags_t = irreducible_flags(field, n, "trial")
-            flags_r = irreducible_flags(field, n, "rabin")
+            flags_t = _flags(field, n, 0, field.q**n, "trial")
+            flags_r = _flags(field, n, 0, field.q**n, "rabin")
             assert np.array_equal(flags_t, flags_r)
             for idx in rng.integers(0, field.q**n, size=12):
                 poly = MonicPoly(field, _index_coeffs(field.q, n, int(idx)) + (1,))
@@ -339,7 +339,7 @@ class TestGF2Engine:
         field = build_field(2, 1)
         for n in range(1, 13):
             total = 2**n
-            gf2 = irreducible_flags(field, n, method)
+            gf2 = _flags(field, n, 0, total, method)
             assert np.array_equal(gf2, _scalar_flags_block(field, n, 0, total, method)), n
 
     def test_matches_generic_block_engine(self):
@@ -348,7 +348,7 @@ class TestGF2Engine:
         field = build_field(2, 1)
         for n in (13, 14, 17):
             total = 2**n
-            whole = irreducible_flags(field, n, "rabin")
+            whole = _flags(field, n, 0, total, "rabin")
             for workers in (3, 7):
                 bounds = [total * i // workers for i in range(workers + 1)]
                 for lo, hi in zip(bounds[:-1], bounds[1:]):
@@ -402,7 +402,7 @@ class TestGF2Engine:
             assert count_irreducibles(field, n, "rabin") == necklace_count(2, n), n
         assert sorted(set(degrees)) == list(range(2, 17))
         for method in ("trial", "rabin"):
-            assert np.array_equal(irreducible_flags(field, 8, method), expected[method])
+            assert np.array_equal(_flags(field, 8, 0, field.q**8, method), expected[method])
             assert np.array_equal(_engine_flags(field, 33, rows, method), expected_33[method])
         # rows with c_0 = 0 are divisible by x
         assert not _flags(field, 32, 0, 4, "trial").any()
@@ -471,7 +471,8 @@ class TestGF2Engine:
         cases = [(2, 1, n) for n in range(17, 21)] + [(3, 1, 12), (3, 2, 6), (3, 3, 4), (2, 2, 9), (2, 4, 5), (2, 3, 7)]
         for p, k, n in cases:
             field = build_field(p, k)
-            assert np.array_equal(irreducible_flags(field, n, "trial"), irreducible_flags(field, n, "rabin")), (p, k, n)
+            flags = [_flags(field, n, 0, field.q**n, method) for method in ("trial", "rabin")]
+            assert np.array_equal(*flags), (p, k, n)
 
     def test_f256_quadratics_exhaustively(self):
         # every monic quadratic over F_256, by both tests, against the
@@ -483,16 +484,16 @@ class TestGF2Engine:
         expected[[field.mul(a, b) << 8 | field.add(a, b) for a in range(256) for b in range(a, 256)]] = False
         rows = np.random.default_rng(256).integers(0, 1 << 16, size=40).tolist()
         for method in ("trial", "rabin"):
-            assert np.array_equal(irreducible_flags(field, 2, method), expected), method
+            assert np.array_equal(_flags(field, 2, 0, field.q**2, method), expected), method
             scalar = [_scalar_flags_block(field, 2, i, i + 1, method)[0] for i in rows]
             assert _engine_flags(field, 2, rows, method).tolist() == scalar == expected[rows].tolist()
 
     def test_generic_multi_block_concatenation(self, monkeypatch):
         field = build_field(3, 1)
-        whole = {m: irreducible_flags(field, 7, m) for m in ("trial", "rabin")}
+        whole = {m: _flags(field, 7, 0, field.q**7, m) for m in ("trial", "rabin")}
         monkeypatch.setattr(engine, "_BLOCK", 500)
         for method in ("trial", "rabin"):
-            assert np.array_equal(irreducible_flags(field, 7, method), whole[method])
+            assert np.array_equal(_flags(field, 7, 0, field.q**7, method), whole[method])
 
     def test_workers_do_not_change_trial_counts(self):
         # 2^17 rows are two sieve blocks, so three workers start two processes
@@ -510,23 +511,23 @@ class TestProductSieve:
     @pytest.mark.parametrize("p,k,n", _SIEVE_CASES)
     def test_block_size_does_not_change_flags(self, monkeypatch, p, k, n, block):
         field = build_field(p, k)
-        rabin = irreducible_flags(field, n, "rabin")
+        rabin = _flags(field, n, 0, field.q**n, "rabin")
         monkeypatch.setattr(engine, "_BLOCK", block)
-        assert np.array_equal(irreducible_flags(field, n, "trial"), rabin)
+        assert np.array_equal(_flags(field, n, 0, field.q**n, "trial"), rabin)
 
     @pytest.mark.parametrize("p,k,n", [(2, 1, 10), (3, 1, 6), (3, 2, 4), (5, 1, 5)])
     def test_blocks_of_q_rows(self, monkeypatch, p, k, n):
         # a factor of degree d > s leaves no coefficient of h free: the
         # prefix fixes all of h, and only products that match it are marked
         field = build_field(p, k)
-        rabin = irreducible_flags(field, n, "rabin")
+        rabin = _flags(field, n, 0, field.q**n, "rabin")
         monkeypatch.setattr(engine, "_BLOCK", field.q)
-        assert np.array_equal(irreducible_flags(field, n, "trial"), rabin)
+        assert np.array_equal(_flags(field, n, 0, field.q**n, "trial"), rabin)
 
     @pytest.mark.parametrize("p,k,n", _SIEVE_CASES)
     def test_unaligned_ranges(self, monkeypatch, p, k, n):
         field = build_field(p, k)
-        whole = irreducible_flags(field, n, "trial")
+        whole = _flags(field, n, 0, field.q**n, "trial")
         monkeypatch.setattr(engine, "_BLOCK", 500)
         total = field.q**n
         rng = np.random.default_rng(n)
@@ -647,7 +648,7 @@ class TestTernaryPlanes:
         field = build_field(p, k)
         for n in range(low_n, top_n + 1):
             total = field.q**n
-            flags = irreducible_flags(field, n, method)
+            flags = _flags(field, n, 0, total, method)
             assert np.array_equal(flags, _scalar_sweep(p, k, n, method if k == 1 else "trial")), n
             rows = np.random.default_rng(n).integers(0, total, size=60).tolist()
             assert flags[rows].tolist() == [_scalar_flags_block(field, n, i, i + 1, method)[0] for i in rows]
@@ -658,7 +659,7 @@ class TestTernaryPlanes:
         # 3^10 rows, moved to odd bounds, some inside a block
         field, n = build_field(3, 1), 11
         total, step = 3**n, engine._block_rows(field, n, method)
-        whole = irreducible_flags(field, n, method)
+        whole = _flags(field, n, 0, total, method)
         assert step == 3**10 and whole.sum() == necklace_count(3, n)
         for workers in (3, 7):
             bounds = [0] + [total * i // workers | 1 for i in range(1, workers + 1)]
@@ -674,12 +675,12 @@ class TestTernaryPlanes:
         # it, cut at unaligned bounds too: many cuts share a shape, and the
         # trial splits the digits of R and shares their prefixes
         field = build_field(p, k)
-        whole = {m: irreducible_flags(field, n, m) for m in ("trial", "rabin")}
+        whole = {m: _flags(field, n, 0, field.q**n, m) for m in ("trial", "rabin")}
         monkeypatch.setattr(engine, "_BLOCK", block)
         total = field.q**n
         for method in ("trial", "rabin"):
             assert engine._block_rows(field, n, method) == max(p**s for s in range(10) if p**s <= block)
-            assert np.array_equal(irreducible_flags(field, n, method), whole[method]), method
+            assert np.array_equal(_flags(field, n, 0, total, method), whole[method]), method
             lo, hi = 100, total - 101
             assert np.array_equal(_flags(field, n, lo, hi, method), whole[method][lo:hi]), method
         assert np.array_equal(whole["trial"], whole["rabin"])
@@ -689,14 +690,14 @@ class TestTernaryPlanes:
         # two independent engines: the planes, and the numpy digits of every
         # odd p put in their place on the same blocks
         field = build_field(p, k)
-        planes = {m: irreducible_flags(field, n, m) for m in ("trial", "rabin")}
+        planes = {m: _flags(field, n, 0, field.q**n, m) for m in ("trial", "rabin")}
         ran = []
         monkeypatch.setattr(engine, "_rabin_flags_block",
                             lambda *args: ran.append("rabin") or digits._rabin_flags_block(*args))
         monkeypatch.setattr(engine, "_trial_planes", lambda *args: ran.append("trial") or digits._trial_sieve(*args))
         monkeypatch.setattr(engine, "_planes", _refuse)
         for method in ("trial", "rabin"):
-            assert np.array_equal(irreducible_flags(field, n, method), planes[method]), method
+            assert np.array_equal(_flags(field, n, 0, field.q**n, method), planes[method]), method
         assert set(ran) == {"trial", "rabin"}
         assert planes["trial"].sum() == necklace_count(field.q, n)
 
@@ -825,6 +826,31 @@ class TestCheckSweep:
             ff.check_sweep(1, 1, 3)
 
 
+def _inline_pools(monkeypatch, cpus):
+    # count_irreducibles on a machine of cpus CPUs, its pools run here: the
+    # list that each pool, with its max_workers and jobs, is appended to
+    pools = []
+
+    class InlinePool:  # runs the jobs here and keeps them
+        def __init__(self, max_workers):
+            self.max_workers = max_workers
+            pools.append(self)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return None
+
+        def map(self, fn, jobs):
+            self.jobs = list(jobs)
+            return map(fn, self.jobs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(ff.os, "cpu_count", lambda: cpus)
+    return pools
+
+
 class TestCounts:
     @pytest.mark.parametrize(
         "p,k,n,expected", [(2, 1, 1, 2), (2, 1, 4, 3), (2, 2, 2, 6)]
@@ -869,24 +895,7 @@ class TestCounts:
     @pytest.mark.parametrize("method,block,jobs", [("rabin", 500, 3), ("trial", 500, 3), ("rabin", 8400, 2)])
     def test_workers_take_whole_blocks(self, monkeypatch, method, block, jobs):
         # F_5 n=5 in blocks of 100 or 1680 Rabin rows, or 5^3 sieve rows
-        pools = []
-
-        class InlinePool:  # runs the jobs here and keeps them
-            def __init__(self, max_workers):
-                self.max_workers = max_workers
-                pools.append(self)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return None
-
-            def map(self, fn, jobs):
-                self.jobs = list(jobs)
-                return map(fn, self.jobs)
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+        pools = _inline_pools(monkeypatch, cpus=4)
         monkeypatch.setattr(engine, "_BLOCK", block)
         field = build_field(5, 1)
         assert count_irreducibles(field, 5, method, workers=3) == necklace_count(5, 5)
@@ -896,6 +905,14 @@ class TestCounts:
         assert pool.max_workers == len(pool.jobs) == jobs
         assert all(lo % step == 0 for lo in los)
         assert (0,) + his == los + (5**5,)
+
+    def test_workers_capped_at_the_cpu_count(self, monkeypatch):
+        # F_5 n=5 in 32 Rabin blocks: a million workers get one process a CPU
+        pools = _inline_pools(monkeypatch, cpus=3)
+        monkeypatch.setattr(engine, "_BLOCK", 500)
+        assert count_irreducibles(build_field(5, 1), 5, "rabin", workers=10**6) == necklace_count(5, 5)
+        [pool] = pools
+        assert pool.max_workers == len(pool.jobs) == 3
 
     def test_counts_independent_of_modulus(self):
         # representation choice cannot affect the counts: rebuild F_9 and F_8
@@ -993,7 +1010,7 @@ class TestLogTableEngine:
         n = 1
         while field.q**n <= 1 << 12:
             total = field.q**n
-            assert np.array_equal(irreducible_flags(field, n, method),
+            assert np.array_equal(_flags(field, n, 0, total, method),
                                   _scalar_flags_block(field, n, 0, total, method)), n
             n += 1
 
@@ -1429,11 +1446,8 @@ class TestEngineFieldLimit:
         assert time.perf_counter() - start < 1.0
 
     def test_degree_one_flags_refused_above_the_engine_limit(self):
-        start = time.perf_counter()
-        with pytest.raises(ValueError, match="2\\^16"):
-            irreducible_flags(build_field(2**61 - 1, 1), 1, budget=2**63)
-        assert time.perf_counter() - start < 1.0
-        flags = irreducible_flags(build_field(2, 16), 1)
+        # n = 1 answers every row of the largest field the engine sweeps
+        flags = _flags(build_field(2, 16), 1, 0, 2**16, "rabin")
         assert flags.size == 65536 and flags.all()
 
     @pytest.mark.parametrize("method", ["trial", "rabin"])
