@@ -113,8 +113,6 @@ def _parse_exponents(text: str) -> tuple[int, ...]:
         values = tuple(int(part.strip()) for part in text.split(","))
     except ValueError:
         raise ValueError(f"--exponents must be comma-separated integers, got {text!r}")
-    if not values:
-        raise ValueError("--exponents needs at least one value")
     return values
 
 

@@ -319,7 +319,7 @@ def _trial_planes(field, n: int, cuts: list, step: int) -> list[int]:
     # and one and a cut to join them cost least
     cost = lambda j: sum(min(p**i, len(cuts)) for i in range(1, j + 1))
     scalar = form._replace(zero=0, add=lambda u, v: (u + v) % p, neg=lambda u: -u % p)  # on F_p digits, for _multiples
-    marked = [0] * len(cuts)
+    marked = [ones ^ (((1 << b - a) - 1) << a % step) for a, b in cuts]  # rows with a factor; those outside the cut start marked
     for d in range(1, n // 2 + 1):
         split = min(range(d * k + 1), key=lambda j: cost(j) + cost(d * k - j) + (j < d * k) * len(cuts))
         for g in _irreducibles(field, d):
@@ -333,7 +333,9 @@ def _trial_planes(field, n: int, cuts: list, step: int) -> list[int]:
             for c, u in enumerate(rows):
                 if u:
                     marked[c] |= u
-    return [(ones ^ m) >> a % step & (1 << (b - a)) - 1 for (a, b), m in zip(cuts, marked)]
+        if all(m == ones for m in marked):
+            break  # every row has a factor of degree <= d
+    return [(ones ^ m) >> a % step for (a, _), m in zip(cuts, marked)]
 
 
 def _reduce_scalar(prod: list, negs: list, form: _Form) -> list:

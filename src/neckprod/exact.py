@@ -169,25 +169,23 @@ def build_necklace_table(a: int, degree_bound: int) -> NecklaceTable:
     # a = 1000 and 58 s for a = 10^6, most of it writing the values in
     # decimal (2 vCPU).  a = 1 counts as a = 2: its values are 0 and 1, but
     # expanding its table takes D^2 steps (`expand` 19 s at D = 29,325)
-    _check_size(max(a, 2), degree_bound, 860_000_000, "a necklace table")
+    what = "a necklace table" if a > 1 else "a necklace table (a = 1 counts as a = 2)"
+    _check_size(max(a, 2), degree_bound, 860_000_000, what)
     D = degree_bound
     mu = mobius_sieve(D)
-    powers = [1] * (D + 1)
-    for d in range(1, D + 1):
-        powers[d] = powers[d - 1] * a
     sums = [0] * (D + 1)  # sums[n] = sum_{d|n} mu(n/d) a^d
-    for t in range(1, D + 1):
-        mt = mu[t]
-        if mt == 0:
-            continue
-        for d in range(1, D // t + 1):
-            sums[t * d] += mt * powers[d]
-    values = []
+    power = 1
+    for d in range(1, D + 1):
+        power *= a
+        signed = (0, power, -power)  # indexed by mu = 0, 1, -1
+        for t in range(1, D // d + 1):
+            if mu[t]:
+                sums[t * d] += signed[mu[t]]
     for n in range(1, D + 1):
         count, rem = divmod(sums[n], n)
         if rem:
             raise AssertionError(
                 f"necklace divisor sum {sums[n]} not divisible by n={n} (a={a})"
             )
-        values.append(count)
-    return NecklaceTable(base=a, degree_bound=D, values=tuple(values))
+        sums[n] = count
+    return NecklaceTable(base=a, degree_bound=D, values=tuple(sums[1:]))

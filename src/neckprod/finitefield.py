@@ -15,8 +15,9 @@ Two independent irreducibility tests are provided:
 * is_irreducible_rabin -- x^(q^n) == x (mod f) plus
   gcd(x^(q^(n/l)) - x, f) = 1 for each prime l | n.
 
-The modulus of an extension is found by Ben-Or's test over F_p and
-checked by Rabin's.
+The two share FieldContext arithmetic and one long division, _poly_rem,
+and nothing with the engine.  The modulus of an extension is found by
+Ben-Or's test over F_p and checked by Rabin's.
 
 count_irreducibles sweeps all q^n monic polynomials through
 neckprod.engine, which it imports once check_sweep has accepted a sweep
@@ -313,7 +314,7 @@ def _smallest_irreducible(p: int, k: int) -> tuple[int, ...]:
     base = FieldContext(p, 1, (0, 1))
     for idx in range(p ** (k - 1), p**k):
         f = list(_index_coeffs(p, k, idx)) + [1]
-        x = t = _x_rep(base, f)
+        x = t = _poly_rem(base, [0, 1], f)
         for _ in range(k // 2):
             t = _poly_powmod(base, t, p, f)
             if not _poly_gcd_is_one(base, f, [(a - b) % p for a, b in zip(t, x)]):
@@ -366,10 +367,10 @@ def _index_coeffs(q: int, n: int, idx: int) -> tuple[int, ...]:
 # ---------------------------------------------------------------------------
 
 
-def _poly_rem_is_zero(field: FieldContext, f: list[int], g: list[int]) -> bool:
-    # does monic g divide f?
-    r = list(f)
+def _poly_rem(field: FieldContext, a: list[int], g: list[int]) -> list[int]:
+    # a mod monic g, as the deg g coefficients below g's leading 1
     d = len(g) - 1
+    r = list(a) + [0] * (d - len(a))
     sub, mul = field.sub, field.mul
     for j in range(len(r) - 1, d - 1, -1):
         lead = r[j]
@@ -377,35 +378,24 @@ def _poly_rem_is_zero(field: FieldContext, f: list[int], g: list[int]) -> bool:
             for i in range(d):
                 if g[i]:
                     r[j - d + i] = sub(r[j - d + i], mul(lead, g[i]))
-            r[j] = 0
-    return not any(r[:d])
+    return r[:d]
 
 
 def _poly_mulmod(field: FieldContext, a: list[int], b: list[int], f: list[int]) -> list[int]:
     # a, b of degree < n; f monic of degree n; result reduced, length n
     n = len(f) - 1
-    add, mul, sub = field.add, field.mul, field.sub
-    prod = [0] * (2 * n - 1) if n > 1 else [0]
+    add, mul = field.add, field.mul
+    prod = [0] * (2 * n - 1)
     for i, ai in enumerate(a):
         if ai:
             for j, bj in enumerate(b):
                 if bj:
                     prod[i + j] = add(prod[i + j], mul(ai, bj))
-    for j in range(len(prod) - 1, n - 1, -1):
-        lead = prod[j]
-        if lead:
-            for i in range(n):
-                if f[i]:
-                    prod[j - n + i] = sub(prod[j - n + i], mul(lead, f[i]))
-            prod[j] = 0
-    return prod[:n]
+    return _poly_rem(field, prod, f)
 
 
-def _poly_powmod(field: FieldContext, base: list[int], e: int, f: list[int]) -> list[int]:
-    n = len(f) - 1
-    result = [0] * n
-    result[0] = 1
-    b = list(base)
+def _poly_powmod(field: FieldContext, b: list[int], e: int, f: list[int]) -> list[int]:
+    result = _poly_rem(field, [1], f)
     while e:
         if e & 1:
             result = _poly_mulmod(field, result, b, f)
@@ -423,33 +413,16 @@ def _poly_trim(c: list[int]) -> list[int]:
 
 
 def _poly_gcd_is_one(field: FieldContext, a: list[int], b: list[int]) -> bool:
-    # gcd over F_q[x]; only the "is the gcd constant" verdict is needed
+    # gcd over F_q[x]; only the "is the gcd constant" verdict is needed.  b
+    # and b / lead(b) leave the same remainder
     a = _poly_trim(a)
     b = _poly_trim(b)
-    sub, mul, inv = field.sub, field.mul, field.inv
     while b:
-        d = len(b) - 1
-        lead_inv = inv(b[-1])
-        r = list(a)
-        for j in range(len(r) - 1, d - 1, -1):
-            c = mul(r[j], lead_inv)
-            if c:
-                for i in range(d):
-                    if b[i]:
-                        r[j - d + i] = sub(r[j - d + i], mul(c, b[i]))
-                r[j] = 0
-        a, b = b, _poly_trim(r[:d] if d > 0 else [])
+        if b[-1] != 1:
+            lead_inv = field.inv(b[-1])
+            b = [field.mul(c, lead_inv) for c in b]
+        a, b = b, _poly_trim(_poly_rem(field, a, b))
     return len(a) == 1
-
-
-def _x_rep(field: FieldContext, f: list[int]) -> list[int]:
-    # the polynomial x reduced mod f, as a length-(deg f) vector
-    n = len(f) - 1
-    if n == 1:
-        return [field.neg(f[0])]
-    rep = [0] * n
-    rep[1] = 1
-    return rep
 
 
 def is_irreducible_trial(f: MonicPoly) -> bool:
@@ -467,7 +440,7 @@ def is_irreducible_trial(f: MonicPoly) -> bool:
     for d in range(1, n // 2 + 1):
         for gidx in range(q**d):
             g = list(_index_coeffs(q, d, gidx)) + [1]
-            if _poly_rem_is_zero(field, fc, g):
+            if not any(_poly_rem(field, fc, g)):
                 return False
     return True
 
@@ -484,9 +457,8 @@ def is_irreducible_rabin(f: MonicPoly) -> bool:
         raise ValueError("irreducibility is undefined for degree 0")
     field = f.field
     fc = list(f.coeffs)
-    x = _x_rep(field, fc)
+    x = t = _poly_rem(field, [0, 1], fc)  # x reduced mod f
     checkpoints = {n // l for l in _prime_factors(n)}
-    t = list(x)
     for j in range(1, n + 1):
         t = _poly_powmod(field, t, field.q, fc)
         if j in checkpoints:

@@ -261,8 +261,11 @@ class TestExitStatus:
         assert "RE,IM" in err
 
     def test_usage_error_malformed_exponents(self, capsys):
-        code, _, err = invoke(capsys, ["expand", "raw", "--exponents", "1,x,3"])
-        assert code == 2
+        # an empty list is refused by int(""), as every malformed part is
+        for text in ("1,x,3", "", ","):
+            code, _, err = invoke(capsys, ["expand", "raw", "--exponents", text])
+            assert code == 2, text
+            assert "comma-separated integers" in err, text
 
     def test_usage_error_outside_regime(self, capsys):
         code, _, err = invoke(capsys, ["verify", "numeric", "--a", "3", "--z", "0.5,0", "--degree", "8"])
@@ -340,6 +343,7 @@ class TestExitStatus:
         assert time.perf_counter() - start < 1.0
         assert (code, out) == (2, "")
         assert "largest feasible degree is 29325" in err
+        assert ("a = 1 counts as a = 2" in err) == (argv[argv.index("--a") + 1] == "1")
 
     @pytest.mark.parametrize(
         "argv,message",

@@ -220,6 +220,23 @@ class TestIrreducibilityExamples:
         assert is_irreducible_rabin(good) and is_irreducible_trial(good)
         assert not is_irreducible_rabin(bad) and not is_irreducible_trial(bad)
 
+    @pytest.mark.parametrize("p,k", [(2, 1), (2, 2), (5, 1), (3, 2)])
+    def test_poly_rem_leaves_the_remainder(self, p, k):
+        # a = h g + r by FieldContext arithmetic, g monic and deg r < deg g;
+        # h = 0 gives a = r, of at most deg g coefficients
+        field = build_field(p, k)
+        rng = np.random.default_rng(p * k)
+        for dg in (1, 2, 3, 5):
+            for dh in (-1, 0, 1, 4):
+                g = rng.integers(field.q, size=dg).tolist() + [1]
+                h = rng.integers(field.q, size=dh + 1).tolist()
+                r = rng.integers(field.q, size=rng.integers(dg + 1)).tolist()
+                a = r + [0] * (len(h) + dg - len(r)) if h else list(r)
+                for i, hi in enumerate(h):
+                    for j, gj in enumerate(g):
+                        a[i + j] = field.add(a[i + j], field.mul(hi, gj))
+                assert ff._poly_rem(field, a, g) == r + [0] * (dg - len(r)), (dg, dh)
+
     def test_degree_zero_rejected(self):
         f2 = build_field(2, 1)
         unit = MonicPoly(f2, (1,))
@@ -406,6 +423,14 @@ class TestGF2Engine:
             assert np.array_equal(_engine_flags(field, 33, rows, method), expected_33[method])
         # rows with c_0 = 0 are divisible by x
         assert not _flags(field, 32, 0, 4, "trial").any()
+
+    def test_trial_stops_once_every_row_has_a_factor(self, monkeypatch):
+        # x divides row 0 of F_2 n = 33, so no g past degree 1 is asked for
+        asked = []
+        irreducibles = engine._irreducibles
+        monkeypatch.setattr(engine, "_irreducibles", lambda field, d: asked.append(d) or irreducibles(field, d))
+        assert engine._flags_range(build_field(2, 1), 33, 0, 1, "trial") == ([(0, 1)], [0])
+        assert asked == [1]
 
     def test_other_fields_keep_their_paths(self, monkeypatch):
         # every p = 2 and p = 3 block, extensions and trial included, runs on
