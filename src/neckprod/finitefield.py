@@ -500,6 +500,8 @@ def count_irreducibles(
         return engine._count_range((field, n, 0, total, method))
     from concurrent.futures import ProcessPoolExecutor
 
+    if field.p > 3:
+        from . import digits  # loads numpy once, here, not in each forked worker
     bounds = [min(total, step * (blocks * i // workers)) for i in range(workers + 1)]
     jobs = [(field, n, lo, hi, method) for lo, hi in zip(bounds[:-1], bounds[1:])]
     with ProcessPoolExecutor(max_workers=workers) as pool:

@@ -10,7 +10,9 @@ expanded along two independent routes:
   oracle.
 * expand_recursive -- the log-derivative recursion
       n r(n) = - sum_{k=1}^{n} r(n-k) g(k),   g(k) = sum_{d|k} d e(d),
-  which costs O(D^2) integer operations after an O(D log D) divisor sweep.
+  summed over the nonzero r(n-k) only, so it costs O(D s) integer
+  operations for s nonzero coefficients after an O(D log D) divisor
+  sweep: O(D) for necklace exponents, whose product is 1 - a z.
 
 Both paths stay in exact integer arithmetic throughout; the recursion's
 division by n is exact whenever the exponents are integers, and a nonzero
@@ -72,9 +74,10 @@ class ExponentSpec(namedtuple("ExponentSpec", "exponents necklace_base")):
 # The size limit of explicit exponents, per expander.  D exponents of at
 # most B bits make about D^2 coefficient products of D B by B bits, so the
 # work grows as D^3 B^2 whatever the exponents' signs.  At each limit, end
-# to end (2 vCPU), the slowest input measured was D exponents of -1: 28 s
-# recursive (D = 15,874) and 44 s direct (D = 7,937); exponents of 1, of
-# mixed signs, and of 20, 200 or 2000 bits took 0.6-31 s.
+# to end (2 vCPU), the slowest input measured was D exponents of -1, whose
+# product, the partition series, has no zero coefficient for the recursion
+# to skip: 12-14 s recursive (D = 15,874) and 44 s direct (D = 7,937);
+# exponents of 1, of mixed signs, and of 20, 200 or 2000 bits took 0.6-31 s.
 _RAW_LIMITS = {"recursive": 4 * 10**12, "direct": 5 * 10**11}
 
 
@@ -130,7 +133,11 @@ def expand_recursive(spec: ExponentSpec) -> TruncatedSeries:
 
     r(0) = 1 and n r(n) = - sum_{k=1}^{n} r(n-k) g(k) with
     g(k) = sum_{d|k} d e(d).  g is precomputed with a divisor sweep.  The
-    division by n is exact for integer exponents; a remainder means a bug.
+    sum runs over the support, the indices i = n - k < n with r(i) != 0,
+    kept as the coefficients are found, so the recursion costs O(D s)
+    products for s nonzero coefficients: O(D) for a necklace spec, whose
+    product is 1 - a z, and O(D^2) when the result is dense.  The division
+    by n is exact for integer exponents; a remainder means a bug.
 
     For specs flagged with necklace_base = a, each g(k) is asserted to
     equal a**k before the convolution runs.
@@ -155,14 +162,10 @@ def expand_recursive(spec: ExponentSpec) -> TruncatedSeries:
                     f"necklace spec for base {a} has g({k}) = {g[k]}, "
                     f"expected {a}**{k} = {power}"
                 )
-    r = [0] * (D + 1)
-    r[0] = 1
+    r = [1] + [0] * D
+    support = [0]  # the i < n with r(i) != 0, ascending
     for n in range(1, D + 1):
-        total = 0
-        for k in range(1, n + 1):
-            rk = r[n - k]
-            if rk:
-                total += rk * g[k]
+        total = sum([r[i] * g[n - i] for i in support])
         coeff, rem = divmod(-total, n)
         if rem:
             raise AssertionError(
@@ -170,6 +173,8 @@ def expand_recursive(spec: ExponentSpec) -> TruncatedSeries:
                 "this is an internal consistency failure"
             )
         r[n] = coeff
+        if coeff:
+            support.append(n)
     return TruncatedSeries(tuple(r))
 
 

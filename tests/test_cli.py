@@ -6,6 +6,7 @@ import io
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 import time
@@ -337,13 +338,20 @@ class TestExitStatus:
     def test_oversize_necklace_tables_refused_at_once(self, capsys, argv):
         # each holds the table of N(2, n), n <= D: D^2 / 2 bits past the limit
         # of 4.3 * 10^8, which admits D <= 29325; a table of N(1, n) counts as
-        # one of N(2, n), as its expansions take D^2 steps
+        # one of N(2, n)
         start = time.perf_counter()
         code, out, err = invoke(capsys, argv)
         assert time.perf_counter() - start < 1.0
         assert (code, out) == (2, "")
         assert "largest feasible degree is 29325" in err
         assert ("a = 1 counts as a = 2" in err) == (argv[argv.index("--a") + 1] == "1")
+
+    def test_largest_base_one_expansion_ends_in_seconds(self):
+        # the recursion sums over the two nonzero coefficients of 1 - z, so
+        # the largest a = 1 table admitted expands in well under a second;
+        # a dense sum would take D^2 / 2 steps, about 20 s
+        proc = _run_fresh(_CLI, "expand", "--a", "1", "--degree", "29325", "--quiet", timeout=10)
+        assert (proc.returncode, proc.stdout) == (0, ""), proc.stderr
 
     @pytest.mark.parametrize(
         "argv,message",
@@ -589,6 +597,14 @@ class TestImportGuard:
         loaded = _modules_loaded_by(argv)
         assert {"neckprod.engine", "neckprod.digits", "numpy"} <= set(loaded)
 
+    def test_pooled_sweep_imports_numpy_once(self):
+        # numpy is imported before the pool forks, so no worker imports it
+        # again; -X importtime writes one line per import, workers' included
+        argv = ["field", "count", "--p", "17", "--k", "2", "--n", "2", "--test", "rabin", "--workers", "2"]
+        proc = _run_fresh(_CLI, *argv, flags=("-X", "importtime"))
+        assert (proc.returncode, proc.stdout) == (0, f"{necklace_count(289, 2)}\n"), proc.stderr
+        assert len(re.findall(r"\|\s+numpy$", proc.stderr, re.MULTILINE)) == 1, proc.stderr
+
 
 # the package's public surface, checked in a fresh interpreter so that no
 # module of the package is loaded beforehand
@@ -613,11 +629,14 @@ else:
 """
 
 
-def _run_fresh(code, *argv):
+def _run_fresh(code, *argv, flags=(), timeout=60):
     src = os.path.dirname(os.path.dirname(neckprod.__file__))
     env = dict(os.environ, PYTHONPATH=src)
-    return subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True,
-                          env=env, timeout=60)
+    return subprocess.run([sys.executable, *flags, "-c", code, *argv], capture_output=True, text=True,
+                          env=env, timeout=timeout)
+
+
+_CLI = "import sys; from neckprod.cli import run; sys.exit(run(sys.argv[1:]))"
 
 
 class TestLazyPackage:

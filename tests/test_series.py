@@ -118,6 +118,73 @@ class TestExpansion:
         assert expand_recursive(spec).coeffs[0] == 1
 
 
+def _single(m, e, D):
+    # (1 - z^m)^e for e = 1 or -1 in closed form: 1 - z^m, or sum_j z^(mj)
+    if e == 1:
+        return tuple(1 if i == 0 else -1 if i == m else 0 for i in range(D + 1))
+    return tuple(int(i % m == 0) for i in range(D + 1))
+
+
+def _spec(D, *factors):
+    # the exponents of prod (1 - z^m)^e over the factors (m, e)
+    exponents = [0] * D
+    for m, e in factors:
+        exponents[m - 1] += e
+    return ExponentSpec(exponents=tuple(exponents))
+
+
+class TestSparseSupport:
+    # the recursion sums over the nonzero coefficients found so far; these
+    # supports have gaps, or turn dense part way through
+
+    @pytest.mark.parametrize("m", [1, 2, 5, 17])
+    @pytest.mark.parametrize("e", [1, -1])
+    def test_single_factor(self, m, e):
+        D = 40
+        spec = _spec(D, (m, e))
+        assert expand_recursive(spec).coeffs == _single(m, e, D) == expand_direct(spec).coeffs
+
+    @pytest.mark.parametrize("m1,e1,m2,e2", [(3, 1, 7, 1), (3, -1, 7, 1), (4, -1, 6, -1), (1, 1, 9, -1), (5, -1, 5, 1)])
+    def test_product_of_two_factors(self, m1, e1, m2, e2):
+        D = 45
+        spec = _spec(D, (m1, e1), (m2, e2))
+        expected = _cauchy(_single(m1, e1, D), _single(m2, e2, D))
+        assert expand_recursive(spec).coeffs == expected == expand_direct(spec).coeffs
+
+    def test_base_one_necklace_spec(self):
+        from neckprod.verify import necklace_exponent_spec
+
+        spec = necklace_exponent_spec(1, 300)
+        assert expand_recursive(spec).coeffs == (1, -1) + (0,) * 299
+
+    @pytest.mark.parametrize("a,m,delta", [(2, 1, -1), (2, 2, -1), (3, 7, 2), (1, 5, -3), (2, 10, 1)])
+    def test_one_necklace_exponent_changed(self, a, m, delta):
+        # the product is (1 - a z) (1 - z^m)^delta, with no necklace flag
+        from neckprod.exact import build_necklace_table
+
+        D = 60
+        exponents = list(build_necklace_table(a, D).values)
+        exponents[m - 1] += delta
+        spec = ExponentSpec(exponents=tuple(exponents))
+        factor = _spec(D, (m, delta))
+        expected = _cauchy((1, -a) + (0,) * (D - 1), expand_direct(factor).coeffs)
+        assert expand_recursive(spec).coeffs == expected == expand_direct(spec).coeffs
+
+    @pytest.mark.parametrize("a,m", [(2, 12), (3, 5), (4, 4)])
+    def test_support_turns_dense(self, a, m):
+        # necklace exponents for n < m and none from m on: the product is
+        # (1 - a z) / prod_{n>=m} (1 - z^n)^N(a, n), which is 1 - a z below
+        # z^m and has a nonzero coefficient at most powers from there to z^D
+        from neckprod.exact import build_necklace_table
+
+        D = 50
+        exponents = build_necklace_table(a, m - 1).values + (0,) * (D - m + 1)
+        got = expand_recursive(ExponentSpec(exponents=exponents)).coeffs
+        assert got == expand_direct(ExponentSpec(exponents=exponents)).coeffs
+        assert got[:m] == (1, -a) + (0,) * (m - 2)
+        assert sum(1 for c in got[m:] if c) > (D - m) // 2
+
+
 class TestEvalComplex:
     def test_at_zero_returns_constant(self):
         s = TruncatedSeries((7, -3, 5))
