@@ -24,8 +24,9 @@ either form:
   aligned block, and the fixed digits' remainder per block; g divides the
   rows where the two cancel.
 
-Every path is held row for row to the scalar is_irreducible_* tests of
-finitefield, which share no code with them.
+Both tests divide with one _reduce, and every F_p constant comes from the
+fold of the field modulus, so the scalar is_irreducible_* tests of
+finitefield, which share no code with the engine, hold each path row for row.
 """
 
 from __future__ import annotations
@@ -164,11 +165,11 @@ def _planes(n: int, k: int, a: int, b: int, p: int) -> tuple[list, int]:
     return planes, t
 
 
-def _multiples(e: list, form: _Form) -> list[list]:
-    # y^a e for a < k, each the one before shifted up a digit with its top
-    # digit folded
-    ys = [e]
-    while len(ys) < len(e):
+def _multiples(e: list, form: _Form, count: int = 0) -> list[list]:
+    # y^a e for a < count, k by default, each the one before shifted up a
+    # digit with its top digit folded
+    ys, count = [e], count or len(e)
+    while len(ys) < count:
         top = ys[-1][-1]
         ys.append([form.zero] + ys[-1][:-1])
         for i, c in form.fold:
@@ -176,14 +177,21 @@ def _multiples(e: list, form: _Form) -> list[list]:
     return ys
 
 
-def _axpy_scalar(r: list, c: list, ys: list, form: _Form) -> None:
-    # r += c e in place for a scalar element e, ys[a] the F_p digits of y^a e:
-    # each adds a digit of c or its negative
-    for ca, y in zip(c, ys):
-        if ca != form.zero:
-            for b, v in enumerate(y):
-                if v:
-                    r[b] = form.add(r[b], ca if v == 1 else form.neg(ca))
+def _scalar(form: _Form, p: int) -> tuple[_Form, _Form]:
+    # form with the axpy of scalar elements e_j, yss[j][a] the F_p digits of
+    # y^a e_j, each adding a digit of c or its negative; and the F_p digits as
+    # a form, whose _multiples of a scalar give those yss[j]
+    zero, add, neg = form.zero, form.add, form.neg
+
+    def axpy(rs: list, c: list, yss: list) -> None:
+        for r, ys in zip(rs, yss):
+            for ca, y in zip(c, ys):
+                if ca != zero:
+                    for b, v in enumerate(y):
+                        if v:
+                            r[b] = add(r[b], ca if v == 1 else neg(ca))
+
+    return form._replace(axpy=axpy), form._replace(zero=0, add=lambda u, v: (u + v) % p, neg=lambda u: -u % p)
 
 
 def _reduce(prod: list, fs: list, form: _Form) -> list:
@@ -191,7 +199,7 @@ def _reduce(prod: list, fs: list, form: _Form) -> list:
     # monic g below its leading 1
     d = len(fs)
     for j in range(len(prod) - 1, d - 1, -1):
-        form.axpy(prod[j - d : j], [form.neg(u) for u in prod[j]], fs)
+        form.axpy(prod[j - d : j], list(map(form.neg, prod[j])), fs)
     return prod[:d]
 
 
@@ -213,12 +221,13 @@ def _frobenius_columns(field, x: list, fs: list, form: _Form) -> list:
         while len(cols) < n:
             cols.append(_reduce([[zero] * k for _ in range(q)] + [list(e) for e in cols[-1]], fs, form))
         return cols
-    powers = [field.element_vector(field._power(p, p * a)) for a in range(k)]  # y^(pa), y of code p as k > 1
+    scalar, fp = _scalar(form, p)
+    powers = [_multiples([1] + [0] * (k - 1), fp, p * (k - 1) + 1)[::p]]  # y^(pa) for a < k
     xq = x
     for _ in range(k):
         prod = [[zero] * k for _ in range(p * (n - 1) + 1)]
         for i, e in enumerate(xq):
-            _axpy_scalar(prod[p * i], e, powers, form)
+            scalar.axpy([prod[p * i]], e, powers)
         xq = _reduce(prod, fs, form)
     cols.append(xq)
     while len(cols) < n:
@@ -318,15 +327,15 @@ def _trial_planes(field, n: int, cuts: list, step: int) -> list[int]:
     # p^i prefixes at digit i: the digits of R are split where the two halves
     # and one and a cut to join them cost least
     cost = lambda j: sum(min(p**i, len(cuts)) for i in range(1, j + 1))
-    scalar = form._replace(zero=0, add=lambda u, v: (u + v) % p, neg=lambda u: -u % p)  # on F_p digits, for _multiples
+    scalar, fp = _scalar(form, p)
     marked = [ones ^ (((1 << b - a) - 1) << a % step) for a, b in cuts]  # rows with a factor; those outside the cut start marked
     for d in range(1, n // 2 + 1):
         split = min(range(d * k + 1), key=lambda j: cost(j) + cost(d * k - j) + (j < d * k) * len(cuts))
         for g in _irreducibles(field, d):
-            # -(y^a g_i) for the coefficients g_i of g below its leading 1,
-            # digit a of g_i being digit (d - 1 - i) k + a of the row index
-            negs = [_multiples([-(g // p ** ((d - 1 - i) * k + a)) % p for a in range(k)], scalar) for i in range(d)]
-            rem = [digit for e in _reduce_scalar([list(e) for e in f], negs, form) for digit in e]
+            # y^a g_i for the coefficients g_i of g below its leading 1, digit
+            # a of g_i being digit (d - 1 - i) k + a of the row index
+            gs = [_multiples([g // p ** ((d - 1 - i) * k + a) % p for a in range(k)], fp) for i in range(d)]
+            rem = [digit for e in _reduce([list(e) for e in f], gs, scalar) for digit in e]
             rows = _picked(rem[:split], step, every, ones, len(cuts), form)
             if split < d * k:
                 rows = map(and_, rows, _picked(rem[split:], step, every, ones, len(cuts), form))
@@ -336,16 +345,6 @@ def _trial_planes(field, n: int, cuts: list, step: int) -> list[int]:
         if all(m == ones for m in marked):
             break  # every row has a factor of degree <= d
     return [(ones ^ m) >> a % step for (a, _), m in zip(cuts, marked)]
-
-
-def _reduce_scalar(prod: list, negs: list, form: _Form) -> list:
-    # prod mod g, in place, for a monic g of scalar coefficients, negs[i] the
-    # F_p digits of -(y^a g_i)
-    d = len(negs)
-    for j in range(len(prod) - 1, d - 1, -1):
-        for r, ys in zip(prod[j - d : j], negs):
-            _axpy_scalar(r, prod[j], ys, form)
-    return prod[:d]
 
 
 def _picked(rem: list, step: int, every: int, ones: int, count: int, form: _Form) -> list[int]:

@@ -232,6 +232,8 @@ def verify_numeric(a: int, z: complex, degree_bound: int) -> NumericReport:
     if degree_bound < 1:
         raise ValueError(f"degree_bound must be >= 1, got {degree_bound}")
     z = complex(z)
+    if cmath.isnan(z):
+        raise ValueError(f"z must not have a NaN part, got z={z}")
     rho = abs(z)
     if a * rho >= 1.0:
         raise ValueError(
@@ -239,6 +241,9 @@ def verify_numeric(a: int, z: complex, degree_bound: int) -> NumericReport:
             f"|z| < 1/a of the product identity"
         )
     D = degree_bound
+    b_log = tail_bound(a, rho, D)
+    if b_log > 709.782712893384:  # log of the largest float, past which math.expm1 overflows
+        raise ValueError(f"the tail bound at z={z} overflows a float at degree {D}; a larger degree shrinks it")
     spec = necklace_exponent_spec(a, D)
     expansion = expand_recursive(spec)
     value_series = eval_complex(expansion, z)
@@ -255,7 +260,6 @@ def verify_numeric(a: int, z: complex, degree_bound: int) -> NumericReport:
     target = 1.0 - a * z
     residual = max(abs(value_series - target), abs(value_product - target))
 
-    b_log = tail_bound(a, rho, D)
     p_mag = max(abs(value_series), abs(value_product))
     product_tail = p_mag * math.expm1(b_log) * _OUTWARD
 

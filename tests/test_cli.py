@@ -4,6 +4,7 @@ import concurrent.futures
 import contextlib
 import io
 import json
+import math
 import os
 import random
 import re
@@ -706,5 +707,38 @@ class TestFieldCountFuzz:
         assert time.perf_counter() - start < 1.0
         if code == 0:
             assert out.getvalue() == f"{necklace_count(p**k, n)}\n"
+        else:
+            assert (code, out.getvalue()) == (2, "")
+
+
+_FLOATS = ["nan", "-nan", "inf", "-inf", "0", "-0.0", "1e-300", "1e300"]
+
+
+class TestVerifyNumericFuzz:
+    # z drawn as NaN, infinite, on the disk |z| = 1/a, inside it or outside;
+    # past degree 2000 only a refusal is quick, so accepted points there are
+    # left out
+    @given(
+        a=st.one_of(st.integers(2, 12), st.integers(-2, 2**64)),
+        radius=st.one_of(st.sampled_from([0.0, 0.5, 0.999, 1.0, 1.001, 2.0]), st.floats(0.0, 1.5)),
+        angle=st.floats(0.0, 6.3),
+        parts=st.one_of(st.none(), st.tuples(st.sampled_from(_FLOATS), st.sampled_from(_FLOATS))),
+        degree=st.one_of(st.integers(-2, 200), st.integers(1, 29000)),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_answers_or_refuses_at_once(self, a, radius, angle, parts, degree):
+        if parts is None:  # a point at radius / a, |z| = 1/a at radius 1
+            z = radius / max(abs(a), 1) * complex(math.cos(angle), math.sin(angle))
+            parts = (repr(z.real), repr(z.imag))
+        z = complex(*map(float, parts))
+        assume(degree <= 2000 or not abs(z) * a < 1.0)
+        argv = ["verify", "numeric", "--a", str(a), "--z", ",".join(parts), "--degree", str(degree)]
+        out, err = io.StringIO(), io.StringIO()
+        start = time.perf_counter()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = run(argv)
+        assert time.perf_counter() - start < 1.0
+        if code == 0:
+            assert re.search(r"^pass +true$", out.getvalue(), re.M) and a >= 2 and abs(z) * a < 1.0
         else:
             assert (code, out.getvalue()) == (2, "")

@@ -745,10 +745,19 @@ class TestTernaryPlanes:
         form.axpy([out], pc, [engine._multiples(pe, form)])
         assert _ternary_codes(out, rows) == [field.add(x, field.mul(y, z)) for x, y, z in zip(r, c, e)]
         r, c = (m.ravel().tolist() for m in np.meshgrid(*[np.arange(field.q)] * 2))
+        scalar = engine._scalar(form, 3)[0]
+        digits_of = lambda z: [field.element_vector(field.mul(3**a, z)) for a in range(k)]  # y^a z
         for z in range(field.q):  # a scalar e, given by the digits of y^a e
-            out, ys = _ternary_element(r, k), [field.element_vector(field.mul(3**a, z)) for a in range(k)]
-            engine._axpy_scalar(out, _ternary_element(c, k), ys, form)
+            out = _ternary_element(r, k)
+            scalar.axpy([out], _ternary_element(c, k), [digits_of(z)])
             assert _ternary_codes(out, len(r)) == [field.add(x, field.mul(y, z)) for x, y in zip(r, c)]
+        # two rows, r_0 = r and r_1 = c, each plus c e_j for e_0 = z, e_1 = z + 1
+        for z in range(field.q):
+            z1 = field.add(z, 1)
+            outs = [_ternary_element(r, k), _ternary_element(c, k)]
+            scalar.axpy(outs, _ternary_element(c, k), [digits_of(z), digits_of(z1)])
+            assert _ternary_codes(outs[0], len(r)) == [field.add(x, field.mul(y, z)) for x, y in zip(r, c)]
+            assert _ternary_codes(outs[1], len(r)) == [field.add(y, field.mul(y, z1)) for y in c]
 
     @pytest.mark.parametrize("k,n", [(1, 2), (1, 4), (1, 7), (2, 2), (2, 3), (2, 5), (3, 2), (3, 4), (5, 3)])
     def test_mulmod_reduce_and_columns_match_scalar(self, k, n):
@@ -778,17 +787,16 @@ class TestTernaryPlanes:
                 assert col[:, i].tolist() == ff._poly_powmod(field, [0, 1] + [0] * (n - 2), j * q, fi), (i, j)
 
     def test_scalar_reduce_matches_scalar_rem(self):
-        # _reduce_scalar, the trial's remainder by one g, on planes of rows
-        # of either form against schoolbook division of each row
+        # _reduce on the scalar-axpy form, the trial's remainder by one g, on
+        # planes of rows of either form against schoolbook division of each row
         for p, k, n, d in [(3, 1, 9, 4), (3, 2, 5, 2), (3, 3, 4, 1), (2, 1, 9, 4), (2, 2, 5, 2), (2, 4, 4, 1)]:
             field = build_field(p, k)
             q, rows = field.q, 50
             rng = np.random.default_rng(k * 10 + n)
             a = rng.integers(0, q, size=(n + 1, rows))
             g = rng.integers(0, q, size=d).tolist() + [1]
-            negs = [[field.element_vector(field.neg(field.mul(p**j, gi))) for j in range(k)]
-                    for gi in g[:d]]
-            rem = engine._reduce_scalar(_plane_poly(field, a), negs, engine._form(field))
+            gs = [[field.element_vector(field.mul(p**j, gi)) for j in range(k)] for gi in g[:d]]
+            rem = engine._reduce(_plane_poly(field, a), gs, engine._scalar(engine._form(field), p)[0])
             got = np.array([_plane_codes(field, e, rows) for e in rem])
             for i in range(rows):
                 assert got[:, i].tolist() == _scalar_rem(field, a[:, i].tolist(), g)
@@ -813,6 +821,32 @@ class TestTernaryPlanes:
                                   engine._form(field))
         assert [bool(verdict >> r & 1) for r in range(rows)] == expected
         assert 0 < sum(expected) < rows - 5
+
+
+class TestPlaneConstants:
+    # the planes take every F_p constant from the fold of the field modulus,
+    # so FieldContext's arithmetic checks them and never feeds them
+    @pytest.mark.parametrize("p,k,n", [(2, 2, 4), (2, 4, 3), (2, 8, 2), (3, 2, 4), (3, 3, 3)])
+    def test_planes_run_without_field_arithmetic(self, monkeypatch, p, k, n):
+        # the scalar trial's verdicts first, then both plane tests with
+        # FieldContext's _power, mul and element_vector refusing; every field
+        # but F_4 takes x^q by k p-th powers
+        field = build_field(p, k)
+        lo, hi = _sample_range(field, n, min(field.q**n // 2, 400), p * k + n)
+        expected = _scalar_flags_block(field, n, lo, hi, "trial")
+        for name in ("_power", "mul", "element_vector"):
+            monkeypatch.setattr(FieldContext, name, _refuse)
+        for method in ("trial", "rabin"):
+            assert np.array_equal(_flags(field, n, lo, hi, method), expected), method
+        assert expected.any()
+
+    @pytest.mark.parametrize("p,k", [(2, 2), (2, 4), (2, 8), (3, 2), (3, 3), (2, 16)])
+    def test_fold_gives_the_powers_of_y(self, p, k):
+        # y^b for b <= p (k - 1) by _multiples of 1 on the F_p digit form,
+        # whose every p-th, y^(pa), the x^q columns take
+        field = build_field(p, k)
+        ys = engine._multiples([1] + [0] * (k - 1), engine._scalar(engine._form(field), p)[1], p * (k - 1) + 1)
+        assert ys == [list(field.element_vector(field._power(p, b))) for b in range(p * (k - 1) + 1)]
 
 
 class TestCheckSweep:

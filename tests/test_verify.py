@@ -144,6 +144,22 @@ class TestVerifyNumeric:
         with pytest.raises(ValueError):
             verify_numeric(1, 0.1, 10)
 
+    @pytest.mark.parametrize("z", [complex(math.nan, 0), complex(0.1, math.nan), complex(math.inf, math.nan)])
+    def test_nan_refused_before_the_table(self, monkeypatch, z):
+        # a * |z| >= 1 is False for NaN: refused by its own check, naming z,
+        # before the necklace table is built
+        monkeypatch.setattr(verify, "necklace_exponent_spec", lambda *args: pytest.fail("table built"))
+        with pytest.raises(ValueError, match=r"^z must not have a NaN part, got z="):
+            verify_numeric(2, z, 29000)
+
+    @pytest.mark.parametrize("z,degree", [(0.4995, 1), (0.4999j, 3), (0.5 - 1e-12, 29000)])
+    def test_tail_bound_past_the_float_range_refused(self, monkeypatch, z, degree):
+        # near |z| = 1/a at a low degree exp(B_log) overflows: refused before
+        # the table, not raised from math.expm1 as an OverflowError
+        monkeypatch.setattr(verify, "necklace_exponent_spec", lambda *args: pytest.fail("table built"))
+        with pytest.raises(ValueError, match=r"^the tail bound at z=.* overflows a float at degree"):
+            verify_numeric(2, z, degree)
+
     @pytest.mark.parametrize("a,bits", [(10**400, 1329), (2**1023, 1024)])
     def test_bases_past_the_float_range_refused(self, a, bits):
         # refused before any float arithmetic, which would overflow at a * rho
