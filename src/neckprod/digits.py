@@ -18,7 +18,6 @@ from __future__ import annotations
 import numpy as np
 
 from . import engine
-from .finitefield import FieldContext, _prime_factors
 
 
 class _Arith:
@@ -43,7 +42,7 @@ class _Arith:
     narrowest dtype for a bound.
     """
 
-    def __init__(self, field: FieldContext):
+    def __init__(self, field):
         self.p, self.k = field.p, field.k
         self.low = np.array(field.modulus[: self.k])[:, None]  # y^k = -sum_i m_i y^i
 
@@ -98,7 +97,7 @@ class _Arith:
         return need
 
 
-def _coeffs(field: FieldContext, n: int, idx: np.ndarray, dtype) -> np.ndarray:
+def _coeffs(field, n: int, idx: np.ndarray, dtype) -> np.ndarray:
     # enumeration indices -> the digits (n, k, rows) of the free coefficients,
     # c_0 the top base-q digit of an index
     out = np.empty((n, field.k, idx.size), dtype=dtype)
@@ -196,7 +195,7 @@ def _coprime(ar: _Arith, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return delta == 0
 
 
-def _rabin_flags_block(field: FieldContext, n: int, lo: int, hi: int) -> int:
+def _rabin_flags_block(field, n: int, lo: int, hi: int) -> int:
     ar = _Arith(field)
     dtype = ar.check_headroom(3 * n - 1)  # the largest _reduce, of a column or of a product
     fmat = _coeffs(field, n, np.arange(lo, hi, dtype=np.int64), dtype)
@@ -206,7 +205,7 @@ def _rabin_flags_block(field: FieldContext, n: int, lo: int, hi: int) -> int:
     # t -> t^q is F_q-linear: t^q = sum_i t_i C_i, n lazy terms
     neg_cols = [ar.multiples(col) for col in _frobenius_columns(ar, field.q, x, fs)]
     placed = -(-n // field.q)  # C_i = x^(iq) is a single 1 for iq < n: t_i is placed
-    checkpoints = {n // l for l in _prime_factors(n)}
+    checkpoints = engine._checkpoints(n)
     saved: dict[int, np.ndarray] = {}
     t = x
     for j in range(1, n + 1):
@@ -235,7 +234,7 @@ def _rabin_flags_block(field: FieldContext, n: int, lo: int, hi: int) -> int:
 # from the sieve at degree d, never from the Rabin ladder.
 
 
-def _sieve_block(field: FieldContext, n: int, s: int, base: int, factors: list) -> np.ndarray:
+def _sieve_block(field, n: int, s: int, base: int, factors: list) -> np.ndarray:
     # the block of q^s rows from base, a multiple of q^s, fixes the prefix
     # c_0..c_{n-s-1}.  That decides whether x divides, and for g_0 != 0 it
     # fixes the low coefficients of h, so only products in the block are formed.
@@ -247,7 +246,9 @@ def _sieve_block(field: FieldContext, n: int, s: int, base: int, factors: list) 
     prefix = _coeffs(field, n, np.array([base]), dtype)[:fixed]
     flags = np.ones(field.q**s, dtype=bool)
     flags[: max(0, field.q ** (n - 1) - base)] = False  # c_0 = 0
-    place = field.q ** np.arange(s - 1, -1, -1, dtype=np.int64)
+    # a row's index in its block, below 2^16, is the digits of its free
+    # coefficients c_(n-s)..c_(n-1), flattened, times their places q^(s-1-j) p^i
+    place = np.array([field.q ** (s - 1 - j) * p**i for j in range(s) for i in range(k)], dtype=np.int64)
     for y_g, y_tail in factors:
         g = y_g[0]
         d = g.shape[0] - 1
@@ -273,18 +274,12 @@ def _sieve_block(field: FieldContext, n: int, s: int, base: int, factors: list) 
                 ar.axpy(f[..., t : t + d + 1, :, :], c, y_g[i : i + 1])
         f = ar.reduce(f)
         match = (f[..., : fixed - known, :, :] == prefix[known:]).all(axis=(-3, -2))
-        # the digits of each remaining coefficient folded into its code
-        codes = f[..., fixed - known :, k - 1, :]
-        if k > 1:  # codes reach q - 1, past int16
-            codes = codes.astype(np.int64)
-        for i in range(k - 2, -1, -1):
-            codes *= p
-            codes += f[..., fixed - known :, i, :]
-        flags[(place @ codes)[match]] = False
+        index = place @ f[..., fixed - known :, :, :].reshape(f.shape[:-3] + (s * k, -1))
+        flags[index[match]] = False
     return flags
 
 
-def _trial_sieve(field: FieldContext, n: int, cuts: list, step: int) -> list[int]:
+def _trial_sieve(field, n: int, cuts: list, step: int) -> list[int]:
     # each cut lies in one aligned block of step = q^s rows: the sieve marks
     # the whole block and keeps the cut's rows
     q, ar = field.q, _Arith(field)

@@ -25,8 +25,8 @@ either form:
   rows where the two cancel.
 
 Both tests divide with one _reduce, and every F_p constant comes from the
-fold of the field modulus, so the scalar is_irreducible_* tests of
-finitefield, which share no code with the engine, hold each path row for row.
+fold of the field modulus.  The engine and digits import nothing from
+finitefield, whose scalar is_irreducible_* tests hold each path row for row.
 """
 
 from __future__ import annotations
@@ -34,8 +34,6 @@ from __future__ import annotations
 from collections import namedtuple
 from functools import reduce
 from operator import and_, or_, pos, xor
-
-from .finitefield import _prime_factors
 
 _BLOCK = 1 << 16
 
@@ -72,6 +70,12 @@ def _flags_range(field, n: int, lo: int, hi: int, method: str) -> tuple[list, li
 
 def _count_range(args) -> int:
     return sum(mask.bit_count() for mask in _flags_range(*args)[1])
+
+
+def _checkpoints(n: int) -> set[int]:
+    # the steps n / l of Rabin's gcd conditions, for the primes l dividing
+    # n <= 63, found by trial division
+    return {n // l for l in range(2, n + 1) if n % l == 0 and all(l % d for d in range(2, l))}
 
 
 def _irreducibles(field, d: int) -> list[int]:
@@ -283,7 +287,7 @@ def _rabin_flags_block(field, n: int, lo: int, hi: int) -> int:
     # t -> t^q is F_q-linear: t^q = sum_i t_i C_i
     cols = [[_multiples(c, form) for c in col] for col in _frobenius_columns(field, x, fs, form)]
     placed = -(-n // q)  # C_i = x^(iq) is a single 1 for iq < n: t_i is placed
-    checkpoints = {n // l for l in _prime_factors(n)}
+    checkpoints = _checkpoints(n)
     t, saved = x, []
     for j in range(1, n + 1):
         acc = [[form.zero] * k for _ in range(n)]

@@ -15,9 +15,9 @@ Two independent irreducibility tests are provided:
 * is_irreducible_rabin -- x^(q^n) == x (mod f) plus
   gcd(x^(q^(n/l)) - x, f) = 1 for each prime l | n.
 
-The two share FieldContext arithmetic and one long division, _poly_rem,
-and nothing with the engine.  The modulus of an extension is found by
-Ben-Or's test over F_p and checked by Rabin's.
+The two share FieldContext arithmetic and one long division, _poly_rem;
+the engine imports nothing from here.  The modulus of an extension is
+found by Ben-Or's test over F_p and checked by Rabin's.
 
 count_irreducibles sweeps all q^n monic polynomials through
 neckprod.engine, which it imports once check_sweep has accepted a sweep
@@ -160,20 +160,22 @@ def _prime_factors(n: int) -> list[int]:
 # ---------------------------------------------------------------------------
 
 
-class FieldContext:
+class FieldContext(namedtuple("FieldContext", "p k modulus")):
     """Arithmetic context for F_{p^k} with a fixed irreducible modulus.
 
     Element codes are integers in [0, q); code sum v_i p^i stands for the
     coefficient vector (v_0, .., v_{k-1}).  Codes 0 and 1 are the additive
-    and multiplicative identities.  Instances are immutable after
-    construction and safe to share between threads.
+    and multiplicative identities.  A namedtuple, so instances are immutable
+    and safe to share between threads.
 
     build_field selects the modulus deterministically; constructing a
     context directly with an explicit modulus is allowed, and the modulus
     is verified irreducible by Rabin's test over F_p either way.
     """
 
-    def __init__(self, p: int, k: int, modulus: tuple[int, ...]):
+    __slots__ = ()
+
+    def __new__(cls, p: int, k: int, modulus: tuple[int, ...]):
         if not is_prime(p):
             raise NotPrimeError(f"p={p} is not prime")
         if k < 1:
@@ -189,21 +191,14 @@ class FieldContext:
                 raise ValueError("modulus coefficients must be reduced mod p")
             if not is_irreducible_rabin(MonicPoly(FieldContext(p, 1, (0, 1)), modulus)):
                 raise ValueError(f"modulus {modulus} is reducible over F_{p}")
-        self.p = p
-        self.k = k
-        self.q = p**k
-        self.modulus = modulus
+        return super().__new__(cls, p, k, modulus)
 
-    def __repr__(self):
-        return f"FieldContext(p={self.p}, k={self.k}, modulus={self.modulus})"
+    def __reduce__(self):  # a pool worker takes the caller's field without validating it again
+        return tuple.__new__, (type(self), tuple(self))
 
-    def __eq__(self, other):
-        if not isinstance(other, FieldContext):
-            return NotImplemented
-        return (self.p, self.k, self.modulus) == (other.p, other.k, other.modulus)
-
-    def __hash__(self):
-        return hash((self.p, self.k, self.modulus))
+    @property
+    def q(self) -> int:
+        return self.p**self.k
 
     # -- element encoding ---------------------------------------------------
 

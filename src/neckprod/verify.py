@@ -198,13 +198,13 @@ def tail_bound(a: int, rho: float, degree_bound: int) -> float:
     return (x ** (D + 1)) / ((D + 1) * (1.0 - rho) * (1.0 - x)) * _OUTWARD
 
 
-def _int_times_complex(n: int, w: complex) -> complex:
-    # n*w for huge exact n without overflowing the float conversion
-    if n.bit_length() <= 1000:
+def _int_times_complex(n: int, w: complex, e: int = 0) -> complex:
+    # n*w*2^e for huge exact n without overflowing the float conversion
+    if n.bit_length() <= 1000 and e == 0:
         return float(n) * w
-    shift = n.bit_length() - 64
+    shift = max(0, n.bit_length() - 64)
     m = float(n >> shift)
-    return complex(math.ldexp(m * w.real, shift), math.ldexp(m * w.imag, shift))
+    return complex(math.ldexp(m * w.real, shift + e), math.ldexp(m * w.imag, shift + e))
 
 
 def _clog1m(u: complex) -> complex:
@@ -250,11 +250,16 @@ def verify_numeric(a: int, z: complex, degree_bound: int) -> NumericReport:
 
     value_product = 1.0 + 0.0j
     max_partial = 1.0
-    zn = 1.0 + 0.0j
+    # z^n = zn 2^scale: a subnormal z^n keeps a few bits, and N(a, n) z^n can
+    # still be large, so zn is scaled up before it underflows; below 2^-900
+    # log(1 - z^n) is -z^n to the last bit
+    zn, scale = 1.0 + 0.0j, 0
     for n in range(1, D + 1):
         zn *= z
-        w = _clog1m(zn)
-        value_product *= cmath.exp(_int_times_complex(spec.exponent(n), w))
+        if abs(zn) < 2.0**-900:
+            zn, scale = zn * 2.0**900, scale - 900
+        w = _clog1m(zn) if scale == 0 else -zn
+        value_product *= cmath.exp(_int_times_complex(spec.exponent(n), w, scale))
         max_partial = max(max_partial, abs(value_product))
 
     target = 1.0 - a * z

@@ -3,6 +3,7 @@
 import concurrent.futures
 import contextlib
 import io
+import itertools
 import json
 import math
 import os
@@ -598,6 +599,12 @@ class TestImportGuard:
         loaded = _modules_loaded_by(argv)
         assert {"neckprod.engine", "neckprod.digits", "numpy"} <= set(loaded)
 
+    def test_engine_modules_import_no_finitefield(self):
+        # the engine is held to finitefield's scalar tests, so it takes nothing from them
+        code = "import sys, neckprod.digits; print(sorted(m for m in sys.modules if m.startswith('neckprod')))"
+        proc = _run_fresh(code)
+        assert (proc.returncode, proc.stdout) == (0, "['neckprod', 'neckprod.digits', 'neckprod.engine']\n"), proc.stderr
+
     def test_pooled_sweep_imports_numpy_once(self):
         # numpy is imported before the pool forks, so no worker imports it
         # again; -X importtime writes one line per import, workers' included
@@ -680,6 +687,18 @@ class TestBlasDefault:
         assert capsys.readouterr().out == "1\n"
 
 
+def _answer_or_refuse(argv):
+    # argv run in process: its exit status and stdout, which must be an
+    # answer (status 0) or a refusal (status 2, nothing on stdout) in under 1 s
+    out, err = io.StringIO(), io.StringIO()
+    start = time.perf_counter()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(argv)
+    assert time.perf_counter() - start < 1.0, argv
+    assert code == 0 or (code, out.getvalue()) == (2, ""), (argv, code, err.getvalue())
+    return code, out.getvalue()
+
+
 _PRIMES = [2, 3, 5, 7, 13, 251, 257, 65521, 65537, 2**31 - 1, 2**61 - 1, 2**64 - 59]
 
 
@@ -700,15 +719,9 @@ class TestFieldCountFuzz:
         assume(n == 1 or p**k > 1 << 16 or not is_prime(p) or not 1 << 12 < p ** (k * n) <= budget)
         argv = ["field", "count", "--p", str(p), "--k", str(k), "--n", str(n),
                 "--budget", str(budget), "--test", test]
-        out, err = io.StringIO(), io.StringIO()
-        start = time.perf_counter()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = run(argv)
-        assert time.perf_counter() - start < 1.0
+        code, out = _answer_or_refuse(argv)
         if code == 0:
-            assert out.getvalue() == f"{necklace_count(p**k, n)}\n"
-        else:
-            assert (code, out.getvalue()) == (2, "")
+            assert out == f"{necklace_count(p**k, n)}\n"
 
 
 _FLOATS = ["nan", "-nan", "inf", "-inf", "0", "-0.0", "1e-300", "1e300"]
@@ -733,12 +746,215 @@ class TestVerifyNumericFuzz:
         z = complex(*map(float, parts))
         assume(degree <= 2000 or not abs(z) * a < 1.0)
         argv = ["verify", "numeric", "--a", str(a), "--z", ",".join(parts), "--degree", str(degree)]
-        out, err = io.StringIO(), io.StringIO()
-        start = time.perf_counter()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = run(argv)
-        assert time.perf_counter() - start < 1.0
+        code, out = _answer_or_refuse(argv)
         if code == 0:
-            assert re.search(r"^pass +true$", out.getvalue(), re.M) and a >= 2 and abs(z) * a < 1.0
+            assert re.search(r"^pass +true$", out, re.M) and a >= 2 and abs(z) * a < 1.0
+
+
+# The fuzz classes below check each answer against a closed form or their own
+# arithmetic, never against the function the subcommand calls.  A draw in the
+# documented domain and small enough to answer at once must be answered; one
+# outside it, or past a size limit by more than 0.1%, must be refused; the
+# draws in between, and accepted ones too large to answer in 1 s, are left out.
+
+_TEXT = ["", "x", "1.5", "1e3", "0x10", "--1"]  # none of them an integer argparse takes
+# n is drawn as a product of these, so its primes are known; the last is just
+# below 10^12, the largest n that mobius and necklace factor
+_FACTOR_PRIMES = [2, 3, 5, 7, 11, 13, 65537, 999983, 999999999989]
+_N = st.one_of(st.integers(1, 30), st.lists(st.sampled_from(_FACTOR_PRIMES), max_size=8),
+               st.integers(-2**64, 0), st.integers(10**12 + 1, 2**64), st.sampled_from(_TEXT))
+
+
+def _primes(n):
+    # the distinct primes of n, drawn as a list of primes or an int up to 30
+    if isinstance(n, list):
+        return sorted(set(n))
+    return [l for l in range(2, n + 1) if n % l == 0 and all(l % d for d in range(2, l))]
+
+
+def _bits(a, degree):
+    # D^2 log2(a), the size of a's necklace table up to degree D, a = 1 counted as 2
+    return degree * degree * math.log2(max(a, 2))
+
+
+def _necklaces(a, n, primes):
+    # N(a, n) from the distinct primes of n: the Mobius sum over the
+    # squarefree divisors m of n, (1/n) sum (-1)^(primes of m) a^(n/m)
+    total = sum((-1) ** r * a ** (n // math.prod(m)) for r in range(len(primes) + 1)
+                for m in itertools.combinations(primes, r))
+    assert total % n == 0
+    return total // n
+
+
+def _product(exponents):
+    # prod (1 - z^n)^e(n) mod z^(D + 1), a factor at a time from its binomial
+    # series: (-1)^j C(e, j) z^(nj) for e >= 0, C(j - e - 1, j) z^(nj) for e < 0
+    D = len(exponents)
+    c = [1] + [0] * D
+    for n, e in enumerate(exponents, 1):
+        b = [(-1) ** j * math.comb(e, j) if e >= 0 else math.comb(j - e - 1, j) for j in range(D // n + 1)]
+        c = [sum(b[j] * c[m - n * j] for j in range(m // n + 1)) for m in range(D + 1)]
+    return c
+
+
+class TestMobiusFuzz:
+    @given(n=_N)
+    @settings(max_examples=200, deadline=None)
+    def test_answers_or_refuses_at_once(self, n):
+        value = math.prod(n) if isinstance(n, list) else n
+        code, out = _answer_or_refuse(["mobius", "--n", str(value)])
+        if not isinstance(n, str) and 1 <= value <= 10**12:
+            primes = _primes(n)
+            mu = 0 if any(value % (l * l) == 0 for l in primes) else (-1) ** len(primes)
+            assert (code, out) == (0, f"{mu}\n")
         else:
-            assert (code, out.getvalue()) == (2, "")
+            assert code == 2
+
+
+class TestNecklaceFuzz:
+    @given(a=st.one_of(st.integers(1, 12), st.integers(-2, 2**64)), n=_N)
+    @settings(max_examples=200, deadline=None)
+    def test_answers_or_refuses_at_once(self, a, n):
+        value = math.prod(n) if isinstance(n, list) else n
+        valid = not isinstance(n, str) and a >= 1 and 1 <= value <= 10**12
+        size = value * math.log2(a) if valid else 0  # N(1, n) is 0 or 1, with no bound on n
+        assume(not valid or size <= 2**16 or size > 6_000_000 * 1.001)  # the limit is n log2(a) <= 6 * 10^6
+        code, out = _answer_or_refuse(["necklace", "--a", str(a), "--n", str(value)])
+        if valid and size <= 2**16:
+            assert (code, out) == (0, f"{_necklaces(a, value, _primes(n))}\n")
+        else:
+            assert code == 2
+
+
+class TestNecklaceTableFuzz:
+    # --a before or after "table", and a stray --n, which the table refuses
+    @given(
+        a=st.one_of(st.integers(1, 12), st.integers(-2, 2**64)),
+        degree=st.one_of(st.integers(-2, 300), st.integers(-2, 10**5)),
+        a_first=st.booleans(),
+        stray_n=st.booleans(),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_answers_or_refuses_at_once(self, a, degree, a_first, stray_n):
+        valid = a >= 1 and degree >= 1 and not stray_n
+        size = _bits(a, degree)
+        assume(not valid or size <= 2**22 or size > 8.6e8 * 1.001)  # the limit is D^2 log2(a) <= 8.6 * 10^8
+        argv = (["necklace"] + ["--n", "3"] * stray_n + ["--a", str(a)] * a_first + ["table"]
+                + ["--a", str(a)] * (not a_first) + ["--degree", str(degree)])
+        code, out = _answer_or_refuse(argv)
+        if not (valid and size <= 2**22):
+            assert code == 2
+            return
+        rows = [line.split("\t") for line in out.splitlines()]
+        assert code == 0 and [int(n) for n, _ in rows] == list(range(1, degree + 1))
+        # Gauss: sum over d | m of d N(a, d) is a^m, which fixes every row
+        sums = [0] * (degree + 1)
+        for d, (_, value) in enumerate(rows, 1):
+            for m in range(d, degree + 1, d):
+                sums[m] += d * int(value)
+        assert sums[1:] == [a**m for m in range(1, degree + 1)]
+
+
+# accepted sizes D^2 log2(a) that answer at once, per expander
+_QUICK = {"recursive": 2**22, "direct": 2**19}
+
+
+class TestExpandFuzz:
+    @given(
+        a=st.one_of(st.integers(1, 12), st.integers(-2, 2**64)),
+        degree=st.one_of(st.integers(-2, 12), st.integers(-2, 300), st.integers(-2, 40000)),
+        method=st.sampled_from([None, "recursive", "direct"]),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_answers_or_refuses_at_once(self, a, degree, method):
+        valid, size = a >= 1 and degree >= 1, _bits(a, degree)
+        # direct refuses D^2 log2(a) > 1.25 * 10^7 (a >= 2), every table past 8.6 * 10^8
+        refused = not valid or size > 8.6e8 * 1.001 or method == "direct" and a >= 2 and size > 1.25e7 * 1.001
+        assume(refused or size <= _QUICK[method or "recursive"])
+        code, out = _answer_or_refuse(["expand", "--a", str(a), "--degree", str(degree)]
+                                      + ["--method", method] * (method is not None))
+        if refused:
+            assert code == 2
+        else:
+            assert (code, out) == (0, " ".join(["1", str(-a)] + ["0"] * (degree - 1)) + "\n")
+
+
+class TestExpandRawFuzz:
+    # exponent lists up to 40,000 long, cycling the drawn values, probe the
+    # size limits, where only a refusal is quick
+    @given(
+        exponents=st.lists(st.one_of(st.integers(-3, 3), st.integers(-2**70, 2**70)), min_size=1, max_size=40),
+        length=st.one_of(st.none(), st.integers(1, 40000)),
+        sep=st.sampled_from([",", ", "]),
+        method=st.sampled_from([None, "recursive", "direct"]),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_answers_or_refuses_at_once(self, exponents, length, sep, method):
+        if length is not None:
+            exponents = (exponents * length)[:length]
+        size = len(exponents) ** 3 * max(abs(e).bit_length() or 1 for e in exponents) ** 2
+        refused = size > neckprod.series._RAW_LIMITS[method or "recursive"]
+        assume(refused or len(exponents) <= 60)
+        code, out = _answer_or_refuse(["expand", "raw", f"--exponents={sep.join(map(str, exponents))}"]
+                                      + ["--method", method] * (method is not None))
+        if refused:
+            assert code == 2
+        else:
+            assert (code, out) == (0, " ".join(map(str, _product(exponents))) + "\n")
+
+    # text that is no list of integers, or a list after a stray --a
+    @given(
+        text=st.sampled_from(_TEXT + [",", "1,", "1,,2", "1,2"]),
+        method=st.sampled_from([None, "recursive", "direct"]),
+        stray_a=st.booleans(),
+    )
+    @settings(max_examples=50, deadline=None)
+    def test_malformed_argv_refused(self, text, method, stray_a):
+        assume(stray_a or text != "1,2")
+        argv = (["expand"] + ["--a", "2"] * stray_a + ["raw", f"--exponents={text}"]
+                + ["--method", method] * (method is not None))
+        assert _answer_or_refuse(argv)[0] == 2
+
+
+class TestVerifySymbolicFuzz:
+    @given(
+        a=st.one_of(st.integers(1, 12), st.integers(-2, 2**64)),
+        degree=st.one_of(st.integers(-2, 12), st.integers(-2, 300), st.integers(-2, 40000)),
+        cross_check=st.booleans(),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_answers_or_refuses_at_once(self, a, degree, cross_check):
+        valid, size = a >= 1 and degree >= 1, _bits(a, degree)
+        refused = not valid or size > 8.6e8 * 1.001 or cross_check and a >= 2 and size > 1.25e7 * 1.001
+        assume(refused or size <= _QUICK["direct" if cross_check else "recursive"])
+        code, out = _answer_or_refuse(["verify", "symbolic", "--a", str(a), "--degree", str(degree)]
+                                      + ["--cross-check"] * cross_check)
+        if refused:
+            assert code == 2
+        else:
+            assert code == 0 and dict(line.split() for line in out.splitlines()) == {
+                "base": str(a), "degree_bound": str(degree), "cross_checked": str(cross_check).lower(), "pass": "true"}
+
+
+class TestVerifyBridgeFuzz:
+    # the draws of TestFieldCountFuzz, over every degree up to n_max
+    @given(
+        p=st.one_of(st.sampled_from(_PRIMES), st.integers(0, 64), st.integers(0, 2**64)),
+        k=st.one_of(st.integers(1, 4), st.integers(1, 64)),
+        n_max=st.one_of(st.integers(1, 4), st.integers(-1, 80)),
+        budget=st.one_of(st.integers(1, 2**12), st.just(2**63)),
+        test=st.sampled_from(["rabin", "trial"]),
+        workers=st.sampled_from([1, 2, 0]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_answers_or_refuses_at_once(self, p, k, n_max, budget, test, workers):
+        assume(n_max <= 1 or p**k > 1 << 16 or not is_prime(p) or not 1 << 12 < p ** (k * n_max) <= budget)
+        argv = ["verify", "bridge", "--p", str(p), "--k", str(k), "--n-max", str(n_max),
+                "--budget", str(budget), "--test", test, "--workers", str(workers)]
+        code, out = _answer_or_refuse(argv)
+        if code == 0:
+            lines = out.splitlines()
+            assert lines[0].split() == ["n", "formula", "measured", "equal"] and lines[-1] == "pass: true"
+            count = [_necklaces(p**k, n, _primes(n)) for n in range(1, n_max + 1)]
+            assert [line.split() for line in lines[1:-1]] == [[str(n), str(c), str(c), "true"]
+                                                               for n, c in enumerate(count, 1)]

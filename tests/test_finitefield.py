@@ -117,6 +117,16 @@ class TestBuildField:
             build_field(p, k)
             assert time.perf_counter() - start < 1.0, (p, k)
 
+    def test_field_is_the_record_of_p_k_and_modulus(self):
+        # a namedtuple: equal to and hashed as its plain tuple, as the hand-written
+        # __eq__ and __hash__ it replaced; q is derived, so it cannot be set either
+        field = build_field(3, 2)
+        assert isinstance(field, tuple) and field == (3, 2, (1, 0, 1)) and field.q == 9
+        assert hash(field) == hash((3, 2, (1, 0, 1)))
+        assert field != build_field(3, 1) and field != FieldContext(3, 2, (2, 1, 1))
+        with pytest.raises(AttributeError):
+            field.q = 10
+
     def test_reducible_modulus_rejected(self):
         with pytest.raises(ValueError, match="reducible"):
             FieldContext(2, 2, (1, 0, 1))  # x^2 + 1 = (x + 1)^2 over F_2

@@ -12,7 +12,7 @@ import neckprod.finitefield as finitefield
 import neckprod.verify as verify
 from neckprod.cli import run
 from neckprod.exact import necklace_count
-from neckprod.finitefield import BudgetExceededError, MonicPoly, build_field
+from neckprod.finitefield import BudgetExceededError, FieldContext, MonicPoly, build_field
 from neckprod.series import ExponentSpec, TruncatedSeries
 from neckprod.verify import (
     BridgeReport,
@@ -160,6 +160,15 @@ class TestVerifyNumeric:
         with pytest.raises(ValueError, match=r"^the tail bound at z=.* overflows a float at degree"):
             verify_numeric(2, z, degree)
 
+    @pytest.mark.parametrize("a,z,degree", [(868, 0.875 / 868, 108), (2**20, 0.9 / 2**20, 60),
+                                            (1000, 0.0009 + 0.0003j, 200)])
+    def test_powers_of_z_past_the_float_range(self, a, z, degree):
+        # z^n leaves the normal floats while N(a, n) z^n, about (a z)^n / n,
+        # still counts: a subnormal z^n put errors past the float slack into
+        # the literal product, and only the tail may separate it from 1 - a z
+        report = verify_numeric(a, z, degree)
+        assert report.passed and report.residual <= report.tail_bound
+
     @pytest.mark.parametrize("a,bits", [(10**400, 1329), (2**1023, 1024)])
     def test_bases_past_the_float_range_refused(self, a, bits):
         # refused before any float arithmetic, which would overflow at a * rho
@@ -301,6 +310,10 @@ def test_int_times_complex_past_1000_bits():
 # each record with its fields in order, one field to assign to, the repr the
 # record has always had, and constructor calls it refuses with their messages
 _RECORDS = [
+    (lambda: build_field(3, 2), "p", "FieldContext(p=3, k=2, modulus=(1, 0, 1))",
+     [(lambda: FieldContext(4, 1, (0, 1)), "p=4 is not prime"),
+      (lambda: FieldContext(3, 0, (0, 1)), "extension degree k must be >= 1, got 0"),
+      (lambda: FieldContext(2, 2, (1, 0, 1)), "modulus (1, 0, 1) is reducible over F_2")]),
     (lambda: MonicPoly(build_field(3, 2), (2, 0, 1)), "coeffs",
      "MonicPoly(field=FieldContext(p=3, k=2, modulus=(1, 0, 1)), coeffs=(2, 0, 1))",
      [(lambda: MonicPoly(build_field(2, 1), (1, 2)), "coefficient code 2 outside [0, 2)"),
