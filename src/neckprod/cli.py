@@ -146,16 +146,16 @@ def _cmd_necklace(args) -> int:
     if getattr(args, "necklace_sub", None) == "table":
         _require(args.a is not None, "necklace table requires --a")
         _require(args.n is None, "--n does not apply to necklace table")
-        table = exact.build_necklace_table(args.a, args.degree)
+        values = exact._necklace_values(args.a, args.degree, in_decimal=not getattr(args, "quiet", False))
         _emit(
             args,
             lambda: {
                 "schema": "necklace.table",
                 "a": args.a,
                 "degree_bound": args.degree,
-                "values": [str(v) for v in table.values],
+                "values": [str(v) for v in values],
             },
-            lambda: (f"{n}\t{v}" for n, v in enumerate(table.values, 1)),
+            lambda: (f"{n}\t{v!s}" for n, v in enumerate(values, 1)),
         )
         return 0
     _require(args.a is not None and args.n is not None, "necklace requires --a and --n")

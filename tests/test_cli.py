@@ -2,6 +2,7 @@
 
 import concurrent.futures
 import contextlib
+import decimal
 import io
 import itertools
 import json
@@ -47,6 +48,16 @@ class TestBasicCommands:
         code, out, _ = invoke(capsys, ["necklace", "table", "--a", "3", "--degree", "3"])
         assert code == 0
         assert out.splitlines() == ["1\t3", "2\t3", "3\t8"]
+
+    @pytest.mark.parametrize("a,D", [(1, 50), (2, 1), (2, 700), (3, 2), (1000, 50), (2**61 - 1, 700)])
+    def test_necklace_table_writes_the_int_values(self, capsys, a, D):
+        # the table is written from exact Decimals, byte for byte as from its ints
+        argv = ["necklace", "table", "--a", str(a), "--degree", str(D)]
+        text, as_json = invoke(capsys, argv), invoke(capsys, argv + ["--json"])
+        values = [str(v) for v in neckprod.exact.build_necklace_table(a, D).values]
+        assert text == (0, "".join(f"{n}\t{v}\n" for n, v in enumerate(values, 1)), "")
+        obj = {"schema": "necklace.table", "a": a, "degree_bound": D, "values": values}
+        assert as_json == (0, json.dumps(obj) + "\n", "")
 
     def test_expand_necklace(self, capsys):
         code, out, _ = invoke(capsys, ["expand", "--a", "2", "--degree", "8"])
@@ -355,6 +366,19 @@ class TestExitStatus:
         proc = _run_fresh(_CLI, "expand", "--a", "1", "--degree", "29325", "--quiet", timeout=10)
         assert (proc.returncode, proc.stdout) == (0, ""), proc.stderr
 
+    def test_largest_base_million_table_ends_in_seconds(self, tmp_path):
+        # 48 MB of values, written from exact Decimals in time linear in their
+        # length; int-to-str, quadratic, took 12 s end to end (2 vCPU)
+        path = tmp_path / "table.txt"
+        with open(path, "w") as out:
+            proc = _run_fresh(_CLI, "necklace", "table", "--a", str(10**6), "--degree", "4000", stdout=out, timeout=5)
+        assert proc.returncode == 0, proc.stderr
+        with open(path) as lines:
+            for rows, last in enumerate(lines, 1):
+                pass
+        n, value = last.split("\t")
+        assert (rows, n) == (4000, "4000") and decimal.Decimal(value) == necklace_count(10**6, 4000)
+
     @pytest.mark.parametrize(
         "argv,message",
         [
@@ -473,7 +497,7 @@ import sys
 from neckprod.cli import run
 code = run(sys.argv[1:])
 watched = ("numpy", "concurrent.futures", "neckprod.engine", "neckprod.digits", "neckprod.exact", "neckprod.finitefield",
-           "neckprod.series", "neckprod.verify", "dataclasses", "inspect", "json")
+           "neckprod.series", "neckprod.verify", "dataclasses", "inspect", "decimal", "json")
 loaded = [m for m in watched if m in sys.modules]
 import json
 print(json.dumps([code, loaded]), file=sys.stderr)
@@ -568,7 +592,10 @@ class TestImportGuard:
 
     @pytest.mark.parametrize("argv", _EXACT_CALLS)
     def test_exact_calls_load_exact_alone(self, argv):
-        assert _modules_loaded_by(argv) == ["neckprod.exact"]
+        # and decimal for a table it writes: `necklace --a 2 --n 4` is the cold-start probe
+        writes_table = argv[:2] == ["necklace", "table"]
+        assert _modules_loaded_by(argv) == ["neckprod.exact"] + ["decimal"] * writes_table
+        assert _modules_loaded_by(argv + ["--quiet"]) == ["neckprod.exact"]
 
     def test_json_is_loaded_for_json_output_only(self):
         assert _modules_loaded_by(["mobius", "--n", "30", "--json"]) == ["neckprod.exact", "json"]
@@ -637,11 +664,11 @@ else:
 """
 
 
-def _run_fresh(code, *argv, flags=(), timeout=60):
+def _run_fresh(code, *argv, flags=(), timeout=60, stdout=subprocess.PIPE):
     src = os.path.dirname(os.path.dirname(neckprod.__file__))
     env = dict(os.environ, PYTHONPATH=src)
-    return subprocess.run([sys.executable, *flags, "-c", code, *argv], capture_output=True, text=True,
-                          env=env, timeout=timeout)
+    return subprocess.run([sys.executable, *flags, "-c", code, *argv], stdout=stdout, stderr=subprocess.PIPE,
+                          text=True, env=env, timeout=timeout)
 
 
 _CLI = "import sys; from neckprod.cli import run; sys.exit(run(sys.argv[1:]))"

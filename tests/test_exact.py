@@ -1,11 +1,16 @@
 """Tests for the exact integer primitives: mobius, divisors, necklace counts."""
 
+import math
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import neckprod.exact
 from neckprod.exact import (
     NecklaceTable,
+    _necklace_values,
     build_necklace_table,
     divisors,
     mobius,
@@ -216,3 +221,49 @@ class TestNecklaceTable:
         assert a == b and hash(a) == hash(b) and len({a, b}) == 1
         assert a != build_necklace_table(3, 5) and a != build_necklace_table(2, 6)
         assert repr(a) == f"NecklaceTable(base=3, degree_bound=6, values={a.values})"
+
+
+@pytest.fixture
+def unlimited_int_str():
+    # the values pass Python's default limit of 4,300 digits on int-to-str
+    # conversion (added in 3.10.7, 3.11.0), which the CLI lifts too
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    yield
+    sys.set_int_max_str_digits(limit)
+
+
+@pytest.mark.usefixtures("unlimited_int_str")
+class TestDecimalTable:
+    # `necklace table` writes the values of the decimal sweep; its strings
+    # must be those of the int table, value for value
+    @pytest.mark.parametrize("a", [1, 2, 3, 10, 1000, 10**6, 2**61 - 1])
+    def test_strings_equal_the_int_tables(self, a):
+        for D in (1, 2, 3, 50, 700):
+            assert D * D * math.log2(max(a, 2)) <= 8.6e8  # every cell is within the size limit
+            ints = build_necklace_table(a, D).values
+            assert all(type(v) is int for v in ints)
+            assert [str(v) for v in _necklace_values(a, D, in_decimal=True)] == [str(v) for v in ints]
+
+    def test_largest_row_is_exact(self):
+        # about 80,000 bits: a context of 28 digits, or one that rounds, writes another value
+        row = _necklace_values(10**6, 4000, in_decimal=True)[-1]
+        assert str(row) == str(necklace_count(10**6, 4000))
+
+    def test_refuses_what_the_int_table_refuses(self):
+        with pytest.raises(ValueError, match="largest feasible degree is 29325$"):
+            _necklace_values(2, 29326, in_decimal=True)
+        with pytest.raises(ValueError, match="a >= 1"):
+            _necklace_values(0, 4, in_decimal=True)
+
+    @pytest.mark.parametrize("in_decimal", [False, True])
+    def test_indivisible_divisor_sum_raises(self, monkeypatch, in_decimal):
+        # mu(4) = 1 instead of 0 gives sums[4] = 2^4 - 2^2 + 2 = 14, not divisible by 4
+        wrong = neckprod.exact.mobius_sieve(8)
+        wrong[4] = 1
+        monkeypatch.setattr(neckprod.exact, "mobius_sieve", lambda limit: wrong)
+        with pytest.raises(AssertionError, match="sum 14 not divisible by n=4"):
+            _necklace_values(2, 8, in_decimal=in_decimal)
