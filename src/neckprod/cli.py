@@ -146,7 +146,8 @@ def _cmd_necklace(args) -> int:
     if getattr(args, "necklace_sub", None) == "table":
         _require(args.a is not None, "necklace table requires --a")
         _require(args.n is None, "--n does not apply to necklace table")
-        values = exact._necklace_values(args.a, args.degree, in_decimal=not getattr(args, "quiet", False))
+        sweep = exact._necklace_values if getattr(args, "quiet", False) else exact._decimal_necklace_values
+        values = sweep(args.a, args.degree)
         _emit(
             args,
             lambda: {

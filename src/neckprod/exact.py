@@ -10,7 +10,6 @@ treated as an internal bug, never a recoverable condition.
 
 from __future__ import annotations
 
-import contextlib
 import math
 from collections import namedtuple
 
@@ -163,10 +162,19 @@ def build_necklace_table(a: int, degree_bound: int) -> NecklaceTable:
     return NecklaceTable(base=a, degree_bound=degree_bound, values=_necklace_values(a, degree_bound))
 
 
-def _necklace_values(a: int, D: int, in_decimal: bool = False) -> tuple:
-    # N(a, 1..D) as ints or, in_decimal, as integral Decimals, which `necklace
-    # table` writes: their str takes linear time, int's quadratic time.  Their
-    # context makes each operation exact or raise
+def _decimal_necklace_values(a: int, D: int) -> tuple:
+    # N(a, 1..D) as integral Decimals, which `necklace table` writes: their
+    # str takes linear time, int's quadratic time.  The context makes each
+    # operation exact or raise
+    import decimal
+    traps = [decimal.Inexact, decimal.Rounded, decimal.InvalidOperation, decimal.Overflow]
+    with decimal.localcontext(decimal.Context(
+            prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN, traps=traps)):
+        return _necklace_values(a, D, decimal.Decimal(1))
+
+
+def _necklace_values(a: int, D: int, one=1) -> tuple:
+    # N(a, 1..D) in the type of one
     if a < 1:
         raise ValueError(f"build_necklace_table requires a >= 1, got a={a}")
     if D < 1:
@@ -178,27 +186,20 @@ def _necklace_values(a: int, D: int, in_decimal: bool = False) -> tuple:
     # at D = 29,325, as the recursion sums over the two nonzero coefficients of 1 - z
     what = "a necklace table" if a > 1 else "a necklace table (a = 1 counts as a = 2)"
     _check_size(max(a, 2), D, 860_000_000, what)
-    one, context = 1, contextlib.nullcontext()
-    if in_decimal:
-        import decimal
-        one, context = decimal.Decimal(1), decimal.localcontext(decimal.Context(
-            prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN,
-            traps=[decimal.Inexact, decimal.Rounded, decimal.InvalidOperation, decimal.Overflow]))
-    with context:
-        mu = mobius_sieve(D)
-        sums = [0] * (D + 1)  # sums[n] = sum_{d|n} mu(n/d) a^d
-        base, power = one * a, one  # a converted once: int to Decimal takes quadratic time
-        for d in range(1, D + 1):
-            power *= base
-            signed = (0, power, -power)  # indexed by mu = 0, 1, -1
-            for t in range(1, D // d + 1):
-                if mu[t]:
-                    sums[t * d] += signed[mu[t]]
-        for n in range(1, D + 1):
-            count, rem = divmod(sums[n], n)
-            if rem:
-                raise AssertionError(
-                    f"necklace divisor sum {sums[n]} not divisible by n={n} (a={a})"
-                )
-            sums[n] = count
+    mu = mobius_sieve(D)
+    sums = [0] * (D + 1)  # sums[n] = sum_{d|n} mu(n/d) a^d
+    base, power = one * a, one  # a converted once: int to Decimal takes quadratic time
+    for d in range(1, D + 1):
+        power *= base
+        signed = (0, power, -power)  # indexed by mu = 0, 1, -1
+        for t in range(1, D // d + 1):
+            if mu[t]:
+                sums[t * d] += signed[mu[t]]
+    for n in range(1, D + 1):
+        count, rem = divmod(sums[n], n)
+        if rem:
+            raise AssertionError(
+                f"necklace divisor sum {sums[n]} not divisible by n={n} (a={a})"
+            )
+        sums[n] = count
     return tuple(sums[1:])

@@ -566,6 +566,19 @@ class TestRenderOnce:
             monkeypatch.setattr(neckprod.exact.NecklaceTable, "values", property(_refuse_to_render))
         assert invoke(capsys, argv + ["--quiet"]) == (0, "", "")
 
+    def test_quiet_table_renders_no_value(self, capsys, monkeypatch):
+        # the CLI writes the sweep's values, not a NecklaceTable's
+        class Unrendered(int):
+            __str__ = __format__ = _refuse_to_render
+
+        for sweep in ("_necklace_values", "_decimal_necklace_values"):
+            monkeypatch.setattr(neckprod.exact, sweep, lambda a, D: (Unrendered(1),) * D)
+        argv = ["necklace", "table", "--a", "3", "--degree", "5"]
+        assert invoke(capsys, argv + ["--quiet"]) == (0, "", "")
+        for asked in ([], ["--json"]):
+            with pytest.raises(AssertionError, match="not asked for"):
+                invoke(capsys, argv + asked)
+
 
 _DIGIT_SWEEPS = [
     ["field", "count", "--p", "5", "--k", "1", "--n", "4"],

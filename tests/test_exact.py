@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 import neckprod.exact
 from neckprod.exact import (
     NecklaceTable,
+    _decimal_necklace_values,
     _necklace_values,
     build_necklace_table,
     divisors,
@@ -246,24 +247,24 @@ class TestDecimalTable:
             assert D * D * math.log2(max(a, 2)) <= 8.6e8  # every cell is within the size limit
             ints = build_necklace_table(a, D).values
             assert all(type(v) is int for v in ints)
-            assert [str(v) for v in _necklace_values(a, D, in_decimal=True)] == [str(v) for v in ints]
+            assert [str(v) for v in _decimal_necklace_values(a, D)] == [str(v) for v in ints]
 
     def test_largest_row_is_exact(self):
         # about 80,000 bits: a context of 28 digits, or one that rounds, writes another value
-        row = _necklace_values(10**6, 4000, in_decimal=True)[-1]
+        row = _decimal_necklace_values(10**6, 4000)[-1]
         assert str(row) == str(necklace_count(10**6, 4000))
 
     def test_refuses_what_the_int_table_refuses(self):
         with pytest.raises(ValueError, match="largest feasible degree is 29325$"):
-            _necklace_values(2, 29326, in_decimal=True)
+            _decimal_necklace_values(2, 29326)
         with pytest.raises(ValueError, match="a >= 1"):
-            _necklace_values(0, 4, in_decimal=True)
+            _decimal_necklace_values(0, 4)
 
-    @pytest.mark.parametrize("in_decimal", [False, True])
-    def test_indivisible_divisor_sum_raises(self, monkeypatch, in_decimal):
+    @pytest.mark.parametrize("sweep", [_necklace_values, _decimal_necklace_values])
+    def test_indivisible_divisor_sum_raises(self, monkeypatch, sweep):
         # mu(4) = 1 instead of 0 gives sums[4] = 2^4 - 2^2 + 2 = 14, not divisible by 4
         wrong = neckprod.exact.mobius_sieve(8)
         wrong[4] = 1
         monkeypatch.setattr(neckprod.exact, "mobius_sieve", lambda limit: wrong)
         with pytest.raises(AssertionError, match="sum 14 not divisible by n=4"):
-            _necklace_values(2, 8, in_decimal=in_decimal)
+            sweep(2, 8)
